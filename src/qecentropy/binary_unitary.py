@@ -19,7 +19,22 @@ from .errors import (
     NoFeasiblePartitionError,
     UnsupportedCodeDimensionError,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, is_unitary, unitary_eigen
+from .numerics import (
+    DEFAULT_TOL,
+    EigenDecomposition,
+    ToleranceConfig,
+    as_matrix,
+    dag,
+    is_unitary,
+    unitary_eigen,
+)
+
+# Smallest slack when testing whether a lambda lies in a rank-k range.  A
+# vertex of a range rebuilt through another clip order, or the mean of a
+# degenerate cluster whose members spread over up to eps_eig * N, can sit a
+# little outside the computed polygon, by more than eps_geom (1e-10 by
+# default) allows.
+LAMBDA_MEMBERSHIP_FLOOR = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,64 +106,70 @@ class GroupingCode:
     code: CodeSubspace
 
 
-def _eigenvalue_supports(eigs: np.ndarray, clusters, k: int):
-    """Distinct-eigenvalue supports of all (N-k+1)-element spectral subsets.
+def _run_supports(dec: EigenDecomposition, k: int) -> tuple[np.ndarray, list[frozenset]]:
+    """Cluster representatives and the distinct cluster sets of the N cyclic
+    runs of N-k+1 eigenvalues in phase order.
 
-    Enumerates the k-1 eigenvalues excluded from each subset; supports are
-    deduplicated since the convex hull depends only on the distinct values.
+    For normal U the rank-k range is the intersection of the closed
+    half-planes that hold at least N-k+1 eigenvalues counted with
+    multiplicity.  The eigenvalues inside such a half-plane fill an arc of
+    the unit circle, so each of these half-planes holds one of the runs, and
+    the run hulls alone cut out the same region as all (N-k+1)-subset hulls.
     """
-    n = len(eigs)
-    owner = np.empty(n, dtype=int)
-    reps = []
-    for ci, cluster in enumerate(clusters):
-        for idx in cluster:
-            owner[idx] = ci
-        reps.append(complex(np.mean(eigs[list(cluster)])))
-    counts = np.array([len(c) for c in clusters])
-    supports = set()
-    for excl in itertools.combinations(range(n), k - 1):
-        remaining = counts.copy()
-        for idx in excl:
-            remaining[owner[idx]] -= 1
-        supports.add(frozenset(np.flatnonzero(remaining > 0).tolist()))
-    return reps, sorted(supports, key=sorted)
-
-
-def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRegion:
-    """Rank-k numerical range: intersection of the hulls of all
-    (N-k+1)-element subsets of the spectrum."""
-    u = as_matrix(u)
-    n = u.shape[0]
+    n = len(dec.eigenvalues)
     if not 1 <= k <= n:
         raise ValueError(f"rank k must be in [1, {n}], got {k}")
-    dec = unitary_eigen(u, tol)
-    reps, supports = _eigenvalue_supports(dec.eigenvalues, dec.cluster_map, k)
-    region = geometry.canonical_vertices(
-        geometry.convex_hull(np.array(reps), tol.eps_geom), tol.eps_geom
-    )
-    full = frozenset(range(len(reps)))
+    owner = np.empty(n, dtype=int)
+    reps = []
+    for ci, cluster in enumerate(dec.cluster_map):
+        owner[list(cluster)] = ci
+        reps.append(complex(np.mean(dec.eigenvalues[list(cluster)])))
+    runs = (np.arange(n)[:, None] + np.arange(n - k + 1)[None, :]) % n
+    supports = dict.fromkeys(frozenset(row) for row in owner[runs].tolist())
+    return np.array(reps), list(supports)
+
+
+def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> NumRangeRegion:
+    """Rank-k range: the hull of the cluster representatives clipped by every
+    phase-contiguous run hull.
+
+    The representatives lie in convex position on the unit circle and a run
+    holds a contiguous arc of them, so a run hull with three or more vertices
+    is the full hull cut by one chord: from the run's last cluster to its
+    first, across the excluded arc.  Runs of one or two clusters are clipped
+    by their point or segment hull.
+    """
+    reps, supports = _run_supports(dec, k)
+    m, eps = len(reps), tol.eps_geom
+    region = geometry.canonical_vertices(geometry.convex_hull(reps, eps), eps)
     for support in supports:
-        if support == full:
-            continue
-        hull = geometry.convex_hull(np.array([reps[i] for i in sorted(support)]), tol.eps_geom)
-        region = geometry.clip_by_hull(region, hull, tol.eps_geom)
         if len(region) == 0:
             break
+        if len(support) == m:
+            continue
+        if len(support) >= 3:
+            last = next(c for c in support if (c + 1) % m not in support)
+            first = next(c for c in support if (c - 1) % m not in support)
+            region = geometry.clip_left_of(region, reps[last], reps[first], eps)
+        else:
+            hull = geometry.convex_hull(reps[sorted(support)], eps)
+            region = geometry.clip_by_hull(region, hull, eps)
     return _classify_region(k, region, tol)
 
 
+def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRegion:
+    """Rank-k numerical range: intersection of the phase-contiguous run hulls,
+    the hulls of the N cyclic runs of N-k+1 eigenvalues in phase order."""
+    return _range_from_eigen(unitary_eigen(as_matrix(u), tol), k, tol)
+
+
 def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Vertex sets of the subset hulls whose intersection is the rank-k range."""
-    u = as_matrix(u)
-    n = u.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k must be in [1, {n}], got {k}")
-    dec = unitary_eigen(u, tol)
-    reps, supports = _eigenvalue_supports(dec.eigenvalues, dec.cluster_map, k)
+    """Vertex sets of the distinct phase-contiguous run hulls (at most N)
+    whose intersection is the rank-k range."""
+    reps, supports = _run_supports(unitary_eigen(as_matrix(u), tol), k)
     return [
         geometry.canonical_vertices(
-            geometry.convex_hull(np.array([reps[i] for i in sorted(s)]), tol.eps_geom),
-            tol.eps_geom,
+            geometry.convex_hull(reps[sorted(s)], tol.eps_geom), tol.eps_geom
         )
         for s in supports
     ]
@@ -207,7 +228,7 @@ def biunitary_code_entropy(p: float, lam: complex) -> float:
 def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT_TOL):
     """Code entropy along a grid of mixing probabilities for a fixed lambda."""
     region = numerical_range(u, k, tol)
-    if not region.contains(lam, max(tol.eps_geom, 1e-9)):
+    if not region.contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
         raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
     return [(float(p), biunitary_code_entropy(float(p), lam)) for p in p_grid]
 
@@ -271,11 +292,11 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
         raise UnsupportedCodeDimensionError(
             f"eigenstate grouping requires k | N; got k={k}, N={n}"
         )
-    region = numerical_range(u, k, tol)
-    atol = max(tol.eps_geom, 1e-9)
+    dec = unitary_eigen(u, tol)
+    region = _range_from_eigen(dec, k, tol)
+    atol = max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
     if not region.contains(lam, atol):
         raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
-    dec = unitary_eigen(u, tol)
     eigs = dec.eigenvalues
     size = n // k
 
@@ -320,13 +341,12 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
 def dfs_exists(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, complex | None]:
     """Whether a zero-entropy rank-k code exists: some eigenvalue with
     multiplicity >= k that lies in the rank-k numerical range."""
-    u = as_matrix(u)
-    dec = unitary_eigen(u, tol)
-    region = numerical_range(u, k, tol)
+    dec = unitary_eigen(as_matrix(u), tol)
+    region = _range_from_eigen(dec, k, tol)
     for cluster in dec.cluster_map:
         if len(cluster) < k:
             continue
         rep = complex(np.mean(dec.eigenvalues[list(cluster)]))
-        if region.contains(rep, max(tol.eps_geom, 1e-9)):
+        if region.contains(rep, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
             return True, rep
     return False, None

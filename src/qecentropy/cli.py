@@ -215,6 +215,8 @@ def _cmd_code_recovery(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_numrange(args, tol: ToleranceConfig) -> int:
+    if args.size < 1:
+        raise ValueError(f"--size must be a positive number of pixels, got {args.size}")
     u = _load_unitary(args.unitary, tol)
     region = numerical_range(u, args.k, tol)
     _emit(serialization.dumps(region.to_json(), indent=2), args.output)
@@ -255,6 +257,8 @@ def _cmd_entropy_vs_p(args, tol: ToleranceConfig) -> int:
     lam = _parse_complex(args.lam)
     if args.p_grid is not None:
         grid = [float(x) for x in args.p_grid.split(",")]
+    elif args.p_steps < 2:
+        raise ValueError(f"--p-steps must be at least 2 (the grid holds 0 and 1), got {args.p_steps}")
     else:
         grid = [i / (args.p_steps - 1) for i in range(args.p_steps)]
     rows = entropy_vs_p(u, args.k, lam, grid, tol)
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     numrange.add_argument("k", type=int)
     numrange.add_argument("--svg", default=None, help="also write an SVG figure to this path")
     numrange.add_argument("--hulls", action="store_true",
-                          help="draw the constituent subset hulls in the SVG")
+                          help="draw the phase-contiguous run hulls (at most N) in the SVG")
     numrange.add_argument("--size", type=int, default=600, help="SVG canvas size in pixels")
     numrange.add_argument("--output", default=None)
     numrange.set_defaults(func=_cmd_numrange)

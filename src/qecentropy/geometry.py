@@ -42,10 +42,7 @@ def convex_hull(pts: np.ndarray, eps: float) -> np.ndarray:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], z) <= eps:
             upper.pop()
         upper.append(complex(z))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 or len(hull) == 1:
-        return np.array(hull, dtype=complex)
-    return np.array(hull, dtype=complex)
+    return np.array(lower[:-1] + upper[:-1], dtype=complex)
 
 
 def _clip_halfplane(pts: np.ndarray, normal: complex, offset: float, eps: float) -> np.ndarray:
@@ -113,6 +110,14 @@ def clip_by_hull(pts: np.ndarray, hull: np.ndarray, eps: float) -> np.ndarray:
         pts = _clip_halfplane(pts, normal, offset, eps)
         if len(pts) == 0:
             break
+    return canonical_vertices(pts, eps)
+
+
+def clip_left_of(pts: np.ndarray, a: complex, b: complex, eps: float) -> np.ndarray:
+    """Intersect a convex vertex set with the closed half-plane left of the
+    directed line a -> b (the inner side of a CCW hull edge)."""
+    normal = -1j * (b - a)
+    pts = _clip_halfplane(pts, normal, (normal.conjugate() * a).real, eps)
     return canonical_vertices(pts, eps)
 
 

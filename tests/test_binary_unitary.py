@@ -1,6 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qecentropy import geometry
 from qecentropy.binary_unitary import (
     BinaryUnitaryChannel,
     RegionKind,
@@ -19,7 +24,7 @@ from qecentropy.errors import (
     NoCodeError,
     UnsupportedCodeDimensionError,
 )
-from qecentropy.numerics import dag
+from qecentropy.numerics import DEFAULT_TOL, dag, unitary_eigen
 from qecentropy.sampling import haar_unitary
 
 U4 = np.diag(np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4))
@@ -195,3 +200,105 @@ def test_constituent_hulls_cover_region():
 def test_region_json():
     obj = numerical_range(ZZ, 2).to_json()
     assert obj["k"] == 2 and obj["kind"] == "Segment" and len(obj["vertices"]) == 2
+
+
+# Differential oracle: the rank-k range as the intersection of the hulls of
+# every (N-k+1)-subset of the spectrum, C(N, k-1) of them, deduplicated by the
+# distinct eigenvalues each subset holds.  Slow, and kept only as a reference
+# for the phase-contiguous run construction in numerical_range.
+
+
+def _subset_range_reference(u, k, tol=DEFAULT_TOL):
+    dec = unitary_eigen(u, tol)
+    eigs, clusters = dec.eigenvalues, dec.cluster_map
+    n, eps = len(eigs), tol.eps_geom
+    owner = np.empty(n, dtype=int)
+    reps = []
+    for ci, cluster in enumerate(clusters):
+        owner[list(cluster)] = ci
+        reps.append(complex(np.mean(eigs[list(cluster)])))
+    counts = np.array([len(c) for c in clusters])
+    supports = set()
+    for excl in itertools.combinations(range(n), k - 1):
+        remaining = counts.copy()
+        for idx in excl:
+            remaining[owner[idx]] -= 1
+        supports.add(frozenset(np.flatnonzero(remaining > 0).tolist()))
+    region = geometry.canonical_vertices(geometry.convex_hull(np.array(reps), eps), eps)
+    full = frozenset(range(len(reps)))
+    for support in sorted(supports, key=sorted):
+        if support == full:
+            continue
+        hull = geometry.convex_hull(np.array([reps[i] for i in sorted(support)]), eps)
+        region = geometry.clip_by_hull(region, hull, eps)
+        if len(region) == 0:
+            break
+    region = geometry.canonical_vertices(region, eps)
+    kinds = (RegionKind.EMPTY, RegionKind.POINT, RegionKind.SEGMENT)
+    return (kinds[len(region)] if len(region) < 3 else RegionKind.POLYGON), region
+
+
+def _assert_matches_reference(u, k, tol=DEFAULT_TOL):
+    kind, expected = _subset_range_reference(u, k, tol)
+    region = numerical_range(u, k, tol)
+    assert region.kind is kind, (k, kind, region.kind)
+    assert len(region.vertices) == len(expected)
+    if len(expected):
+        dist = np.abs(region.vertices[:, None] - expected[None, :])
+        assert dist.min(axis=1).max() <= tol.eps_geom
+        assert dist.min(axis=0).max() <= tol.eps_geom
+
+
+def _oracle_phases(family, n, rng):
+    """even: evenly spaced; random: uniform; paired: clusters of two phases
+    0.02-0.1 apart; repeated: 1 to N-1 distinct phases with multiplicity."""
+    if family == "even":
+        return rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(n) / n
+    if family == "random":
+        return rng.uniform(0, 2 * np.pi, n)
+    if family == "paired":
+        centres = rng.uniform(0, 2 * np.pi, (n + 1) // 2)
+        return np.concatenate([centres, centres[: n // 2] + rng.uniform(0.02, 0.1, n // 2)])
+    distinct = int(rng.integers(1, n))
+    base = rng.uniform(0, 2 * np.pi, distinct)
+    phases = base[rng.integers(0, distinct, n)]
+    phases[:distinct] = base
+    return phases
+
+
+def _unitary_with_phases(phases, rng):
+    q = haar_unitary(len(phases), rng)
+    return (q * np.exp(1j * np.asarray(phases))) @ dag(q)
+
+
+# Spectra per dimension: 500 in all, fewer where the reference costs 2^N clips.
+ORACLE_SPECTRA = {3: 80, 4: 80, 5: 80, 6: 80, 7: 60, 8: 50, 9: 32, 10: 20, 11: 10, 12: 8}
+ORACLE_FAMILIES = ("even", "random", "paired", "repeated")
+
+
+@pytest.mark.parametrize("n", sorted(ORACLE_SPECTRA))
+def test_numerical_range_matches_subset_reference(n):
+    rng = np.random.default_rng(100 + n)
+    for trial in range(ORACLE_SPECTRA[n]):
+        family = ORACLE_FAMILIES[trial % len(ORACLE_FAMILIES)]
+        u = _unitary_with_phases(_oracle_phases(family, n, rng), rng)
+        for k in range(1, n + 1):
+            _assert_matches_reference(u, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 23), min_size=3, max_size=9), st.data())
+def test_numerical_range_matches_subset_reference_property(steps, data):
+    # Phases on a 24-point grid, so equal eigenvalues and antipodal pairs are common.
+    k = data.draw(st.integers(1, len(steps)), label="k")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    u = _unitary_with_phases(2 * np.pi * np.array(steps) / 24, np.random.default_rng(seed))
+    _assert_matches_reference(u, k)
+
+
+def test_constituent_hulls_are_the_distinct_runs():
+    # Nine distinct eigenvalues, k = 3: nine runs of seven, none repeated.
+    assert len(constituent_hulls(U9, 3)) == 9
+    # ZZ has two clusters of two; every run of three holds both.
+    assert [len(h) for h in constituent_hulls(ZZ, 2)] == [2]
+    assert len(constituent_hulls(U4, 4)) == 4

@@ -80,6 +80,14 @@ def test_numrange_json_and_svg(files, tmp_path, capsys):
     assert any(el.get("class") == "hull" for el in root.iter())
 
 
+def test_numrange_rejects_nonpositive_svg_size(files, tmp_path, capsys):
+    svg_path = tmp_path / "fig.svg"
+    assert main(["numrange", files["u9.json"], "3", "--svg", str(svg_path), "--size", "-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not svg_path.exists()
+    assert captured.err.count("error:") == 1 and "--size" in captured.err
+
+
 def test_numrange_deterministic_output(files, capsys):
     assert main(["numrange", files["u4.json"], "2"]) == 0
     first = capsys.readouterr().out
@@ -105,6 +113,13 @@ def test_entropy_vs_p(files, capsys):
     report = json.loads(capsys.readouterr().out)
     entropies = [pt["entropy_bits"] for pt in report["points"]]
     assert entropies == [0.0, 1.0, 0.0]
+
+
+def test_entropy_vs_p_rejects_single_step_grid(files, capsys):
+    assert main(["entropy-vs-p", files["u4.json"], "2", "--lam", "0", "--p-steps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "--p-steps" in captured.err
 
 
 def test_catalog_commands(files, capsys):
