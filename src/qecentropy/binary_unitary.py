@@ -166,7 +166,11 @@ def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRe
 def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Vertex sets of the distinct phase-contiguous run hulls (at most N)
     whose intersection is the rank-k range."""
-    reps, supports = _run_supports(unitary_eigen(as_matrix(u), tol), k)
+    return _hulls_from_eigen(unitary_eigen(as_matrix(u), tol), k, tol)
+
+
+def _hulls_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> list[np.ndarray]:
+    reps, supports = _run_supports(dec, k)
     return [
         geometry.canonical_vertices(
             geometry.convex_hull(reps[sorted(s)], tol.eps_geom), tol.eps_geom

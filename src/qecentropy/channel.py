@@ -10,6 +10,13 @@ from . import serialization
 from .errors import NotTracePreserving
 from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, hermitian_eigen, is_unitary, numerical_rank
 
+# Hermiticity of a density matrix is checked relative to its Frobenius norm
+# (at least 1), at the resolution of a few rounding errors per entry.
+DENSITY_HERMITIAN_RTOL = 1e-10
+# A density matrix built in double precision has unit trace to ~1e-15; 1e-12
+# leaves room for sums over a few hundred entries.
+DENSITY_TRACE_ATOL = 1e-12
+
 _PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -20,10 +27,14 @@ _PAULI = {
 
 @dataclasses.dataclass(frozen=True)
 class QuantumChannel:
-    """A completely positive map given by square Kraus operators of equal size."""
+    """A completely positive map given by m square Kraus operators of size n.
+
+    ``kraus`` is one read-only complex array of shape (m, n, n), built by
+    :func:`channel`; iterating over it yields the operators in order.
+    """
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     @property
     def num_kraus(self) -> int:
@@ -46,16 +57,21 @@ class ChoiGram:
     choi_rank: int
 
 
+def _stacked(ops: np.ndarray) -> QuantumChannel:
+    ops.flags.writeable = False
+    return QuantumChannel(ops.shape[1], ops)
+
+
 def channel(kraus_ops) -> QuantumChannel:
     """Build a channel from an iterable of square matrices of equal dimension."""
-    ops = tuple(as_matrix(e) for e in kraus_ops)
+    ops = [as_matrix(e) for e in kraus_ops]
     if not ops:
         raise ValueError("channel requires at least one Kraus operator")
     n = ops[0].shape[0]
     for e in ops:
         if e.shape != (n, n):
             raise ValueError(f"all Kraus operators must be {n}x{n}, got {e.shape}")
-    return QuantumChannel(n, ops)
+    return _stacked(np.array(ops))
 
 
 def channel_from_json(obj) -> QuantumChannel:
@@ -63,6 +79,8 @@ def channel_from_json(obj) -> QuantumChannel:
         dim, kraus = int(obj["dim"]), obj["kraus"]
     except (KeyError, TypeError) as exc:
         raise ValueError("channel JSON must have 'dim' and 'kraus'") from exc
+    if not isinstance(kraus, list):
+        raise ValueError("channel JSON 'kraus' must be a list of matrices")
     c = channel(serialization.matrix_from_json(m) for m in kraus)
     if c.dim != dim:
         raise ValueError(f"declared dim {dim} does not match Kraus operators ({c.dim})")
@@ -71,7 +89,9 @@ def channel_from_json(obj) -> QuantumChannel:
 
 def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Check trace preservation; raises NotTracePreserving on failure."""
-    total = sum(dag(e) @ e for e in c.kraus)
+    # Stacking the operators row-wise turns sum_i E_i^dag E_i into one product.
+    rows = c.kraus.reshape(-1, c.dim)
+    total = dag(rows) @ rows
     residual = frobenius(total - np.eye(c.dim))
     if residual > tol.eps_kl * c.dim:
         raise NotTracePreserving(residual)
@@ -83,10 +103,10 @@ def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     if rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     herm = float(np.max(np.abs(rho - dag(rho))))
-    if herm > 1e-10 * max(1.0, frobenius(rho)):
+    if herm > DENSITY_HERMITIAN_RTOL * max(1.0, frobenius(rho)):
         raise ValueError(f"density matrix is not Hermitian (asymmetry {herm:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 1e-12:
+    if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
     w = np.linalg.eigvalsh((rho + dag(rho)) / 2)
     if w[0] < -tol.eps_rank * max(1.0, float(w[-1])):
@@ -96,11 +116,8 @@ def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:
     """Gram matrix of the Kraus family; its rank is the Choi rank of the map."""
-    m = c.num_kraus
-    g = np.empty((m, m), dtype=complex)
-    for i, ei in enumerate(c.kraus):
-        for j, ej in enumerate(c.kraus):
-            g[i, j] = np.trace(dag(ei) @ ej)
+    flat = c.kraus.reshape(c.num_kraus, -1)
+    g = np.conj(flat) @ flat.T
     g = (g + dag(g)) / 2
     weights = np.clip(np.linalg.eigvalsh(g), 0.0, None)
     return ChoiGram(g, weights, numerical_rank(g, tol))
@@ -117,12 +134,8 @@ def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> Qu
     order = np.argsort(w)[::-1]
     w, vecs = w[order], vecs[:, order]
     cutoff = tol.eps_rank * max(1.0, float(w[0]))
-    ops = []
-    for m in range(len(w)):
-        if w[m] <= cutoff:
-            break
-        ops.append(sum(vecs[i, m] * c.kraus[i] for i in range(c.num_kraus)))
-    return QuantumChannel(c.dim, tuple(ops))
+    rank = int(np.count_nonzero(w > cutoff))
+    return _stacked(np.tensordot(vecs[:, :rank].T, c.kraus, axes=1))
 
 
 def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -131,7 +144,7 @@ def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
     # No Hermitization: the map must stay linear on arbitrary (e.g. matrix
     # unit) inputs for process-identity checks.
-    return sum(e @ rho @ dag(e) for e in c.kraus)
+    return (c.kraus @ rho @ np.conj(c.kraus).transpose(0, 2, 1)).sum(axis=0)
 
 
 def remix_kraus(c: QuantumChannel, v, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
@@ -142,8 +155,7 @@ def remix_kraus(c: QuantumChannel, v, tol: ToleranceConfig = DEFAULT_TOL) -> Qua
         raise ValueError(f"remix matrix must be {m}x{m}, got {v.shape}")
     if not is_unitary(v, tol):
         raise ValueError("remix matrix must be unitary")
-    ops = tuple(sum(v[i, j] * c.kraus[j] for j in range(m)) for i in range(m))
-    return QuantumChannel(c.dim, ops)
+    return _stacked(np.tensordot(v, c.kraus, axes=1))
 
 
 def unitary_channel(u, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:

@@ -20,8 +20,9 @@ from . import catalog, serialization
 from .binary_unitary import (
     BinaryUnitaryChannel,
     NumRangeRegion,
+    _hulls_from_eigen,
+    _range_from_eigen,
     biunitary_code_entropy,
-    constituent_hulls,
     entropy_vs_p,
     extremal_lambda,
     grouping_code,
@@ -217,12 +218,11 @@ def _cmd_code_recovery(args, tol: ToleranceConfig) -> int:
 def _cmd_numrange(args, tol: ToleranceConfig) -> int:
     if args.size < 1:
         raise ValueError(f"--size must be a positive number of pixels, got {args.size}")
-    u = _load_unitary(args.unitary, tol)
-    region = numerical_range(u, args.k, tol)
+    dec = unitary_eigen(_load_unitary(args.unitary, tol), tol)
+    region = _range_from_eigen(dec, args.k, tol)
     _emit(serialization.dumps(region.to_json(), indent=2), args.output)
     if args.svg is not None:
-        dec = unitary_eigen(u, tol)
-        hulls = constituent_hulls(u, args.k, tol) if args.hulls else None
+        hulls = _hulls_from_eigen(dec, args.k, tol) if args.hulls else None
         svg = render_region_svg(region, dec.eigenvalues, hulls, size=args.size)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         tol = _load_tolerances(args.tolerances)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc), 1)
     try:
         return args.func(args, tol)
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), 3)
     except (NotTracePreserving, LambdaOutsideRegionError, QecError) as exc:
         return _fail(str(exc), 1)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return _fail(str(exc), 1)
 
 

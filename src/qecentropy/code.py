@@ -9,7 +9,7 @@ import enum
 import numpy as np
 
 from . import serialization
-from .channel import QuantumChannel, apply_channel, choi_gram, validate_channel
+from .channel import QuantumChannel, channel, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, exchange_matrix
 from .errors import NotCorrectable, RecoveryVerificationError
 from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, numerical_rank
@@ -111,6 +111,8 @@ def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
         dim, basis = int(obj["dim"]), obj["basis"]
     except (KeyError, TypeError) as exc:
         raise ValueError("code JSON must have 'dim' and 'basis'") from exc
+    if not isinstance(basis, list):
+        raise ValueError("code JSON 'basis' must be a list of vectors")
     vectors = [serialization.vector_from_json(v) for v in basis]
     if any(len(v) != dim for v in vectors):
         raise ValueError("code basis vectors do not match the declared dimension")
@@ -132,19 +134,13 @@ def kl_check(
         raise ValueError(
             f"code ambient dimension {code.ambient_dim} does not match channel dim {c.dim}"
         )
-    b = code.basis
     k = code.k
-    m = c.num_kraus
-    lam = np.empty((m, m), dtype=complex)
-    residual = 0.0
-    compressed = [e @ b for e in c.kraus]
-    eye_k = np.eye(k)
-    for i in range(m):
-        for j in range(m):
-            block = dag(compressed[i]) @ compressed[j]
-            lam[i, j] = np.trace(block) / k
-            residual = max(residual, frobenius(block - lam[i, j] * eye_k))
-    scale = max(frobenius(e) for e in c.kraus)
+    compressed = c.kraus @ code.basis
+    # blocks[i, j] = (E_i B)^dag (E_j B), the (k, k) compression of E_i^dag E_j.
+    blocks = np.conj(compressed).transpose(0, 2, 1)[:, None] @ compressed[None, :]
+    lam = np.trace(blocks, axis1=2, axis2=3) / k
+    residual = float(np.linalg.norm(blocks - lam[:, :, None, None] * np.eye(k), axis=(2, 3)).max())
+    scale = float(np.linalg.norm(c.kraus.reshape(c.num_kraus, -1), axis=1).max())
     threshold = tol.eps_kl * max(1.0, scale * scale)
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
@@ -165,11 +161,10 @@ def _dfs_check(c: QuantumChannel, code: CodeSubspace, lam: ErrorCorrectionMatrix
     # the code is decoherence free iff that isometry is the identity on the
     # code up to a global phase.
     w, vecs = np.linalg.eigh(lam.matrix)
-    top = vecs[:, -1]
-    common = sum(top[i] * (c.kraus[i] @ code.basis) for i in range(c.num_kraus))
+    common = np.tensordot(vecs[:, -1], c.kraus @ code.basis, axes=1)
     phase = np.trace(dag(code.basis) @ common) / code.k
     scale = tol.eps_kl * max(1.0, np.sqrt(code.k))
-    return abs(abs(phase) - 1.0) <= scale and frobenius(common - phase * code.basis) <= scale
+    return bool(abs(abs(phase) - 1.0) <= scale and frobenius(common - phase * code.basis) <= scale)
 
 
 def classify_code(
@@ -215,6 +210,27 @@ def rank_bound_check(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig
     return numerical_rank(lam.matrix, tol) <= choi_gram(c, tol).choi_rank
 
 
+def _recovery_residual(recovery: QuantumChannel, c: QuantumChannel, code: CodeSubspace) -> float:
+    """Process-identity residual of ``recovery`` after ``c`` on the code.
+
+    The maximum over code matrix units |a><b| = B_a B_b^dag of
+    ||R(E(|a><b|)) - |a><b|||_F.  With T_ji = R_j E_i B (n x k) for the J
+    recovery and m channel operators, R(E(|a><b|)) is
+    sum_{j,i} T_ji[:, a] T_ji[:, b]^dag, so the k round trips from one |a>
+    come out of one matrix product and no n x n round trip is applied.  One
+    product per |a> keeps the working set at n^2 k instead of (n k)^2.
+    """
+    n, k = code.ambient_dim, code.k
+    t = np.tensordot(recovery.kraus, c.kraus @ code.basis, axes=([2], [1]))
+    cols = t.transpose(1, 3, 0, 2).reshape(n * k, -1)  # rows (x, a), columns (j, i)
+    residual = 0.0
+    for a in range(k):
+        roundtrips = (cols[a::k] @ dag(cols)).reshape(n, n, k)
+        diff = roundtrips - code.basis[:, a, None, None] * np.conj(code.basis)[None]
+        residual = max(residual, float(np.linalg.norm(diff, axis=(0, 1)).max()))
+    return residual
+
+
 def build_recovery(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL,
     verify_atol: float = 1e-6,
@@ -234,27 +250,16 @@ def build_recovery(
     order = np.argsort(w)[::-1]
     w, vecs = w[order], vecs[:, order]
     cutoff = tol.eps_rank * max(1.0, float(w[0]))
-    recovery_ops = []
-    range_proj = np.zeros((n, n), dtype=complex)
-    for idx in range(len(w)):
-        if w[idx] <= cutoff:
-            break
-        canonical = sum(vecs[i, idx] * c.kraus[i] for i in range(c.num_kraus))
-        isometry = (canonical @ b) / np.sqrt(w[idx])
-        recovery_ops.append(b @ dag(isometry))
-        range_proj += isometry @ dag(isometry)
-    recovery_ops.append(np.eye(n) - range_proj)
-    psi = QuantumChannel(n, tuple(recovery_ops))
+    rank = int(np.count_nonzero(w > cutoff))
+    # Restricted canonical operators (sum_i v_i E_i) B, scaled to isometries.
+    isometries = np.tensordot(vecs[:, :rank].T, c.kraus @ b, axes=1)
+    isometries /= np.sqrt(w[:rank])[:, None, None]
+    images = isometries.transpose(1, 0, 2).reshape(n, rank * k)
+    returns = b @ np.conj(isometries).transpose(0, 2, 1)
+    psi = channel([*returns, np.eye(n) - images @ dag(images)])
     validate_channel(psi, tol)
 
-    residual = 0.0
-    for a in range(k):
-        for bb in range(k):
-            unit = np.outer(b[:, a], np.conj(b[:, bb]))
-            roundtrip = apply_channel(psi, sum(
-                e @ unit @ dag(e) for e in c.kraus
-            ))
-            residual = max(residual, frobenius(roundtrip - unit))
+    residual = _recovery_residual(psi, c, code)
     if residual > verify_atol:
         raise RecoveryVerificationError(
             f"recovery verification residual {residual:.3e} exceeds {verify_atol:.1e}"

@@ -12,6 +12,10 @@ import numpy as np
 from .channel import QuantumChannel, apply_channel, validate_density
 from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag
 
+# lindblad_omega's partial traces must reproduce the exchange state and the
+# channel output to rounding error, relative to omega's largest entry.
+MARGINAL_CHECK_RTOL = 1e-10
+
 
 def _entropy_of_spectrum(w: np.ndarray, tol: ToleranceConfig) -> float:
     w = np.asarray(w, dtype=float)
@@ -51,11 +55,10 @@ def exchange_matrix(c: QuantumChannel, rho) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (c.dim, c.dim):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
+    # Tr(rho E_i^dag E_j) = Tr(E_j rho E_i^dag): the Frobenius inner product of
+    # E_i with E_j rho.
     m = c.num_kraus
-    sigma = np.empty((m, m), dtype=complex)
-    for i, ei in enumerate(c.kraus):
-        for j, ej in enumerate(c.kraus):
-            sigma[i, j] = np.trace(rho @ dag(ei) @ ej)
+    sigma = np.conj(c.kraus.reshape(m, -1)) @ (c.kraus @ rho).reshape(m, -1).T
     return (sigma + dag(sigma)) / 2
 
 
@@ -72,28 +75,26 @@ def purification_exchange_entropy(
 ) -> float:
     """Entropy exchange via a purification of the input state.
 
-    Purifies ``rho`` against a reference sized to its rank, applies the
-    channel to the system factor only, and returns the output entropy.
-    Agrees with :func:`entropy_exchange` for any purification; this route
-    uses the eigendecomposition of ``rho``.
+    Purifies ``rho`` against a reference sized to its rank r and returns the
+    entropy of the output (E (x) I)|psi><psi|(E (x) I)^dag of the channel
+    applied to the system factor only.  Written as an n x r matrix, the
+    purification is Psi = V sqrt(w) from the eigendecomposition of ``rho``,
+    and (E_i (x) I)|psi> is E_i Psi flattened.  With X the (m, n*r) matrix
+    of those rows, the output is sum_i x_i x_i^dag = X^T conj(X), so its
+    nonzero eigenvalues are the squared singular values of X; the
+    (n*r) x (n*r) output itself is never formed.
+
+    Agrees with :func:`entropy_exchange` for any purification.  The two
+    routes stay independent: this one takes the eigendecomposition of
+    ``rho`` and a singular value decomposition, and forms neither the
+    exchange matrix nor any product E_i^dag E_j.
     """
     rho = validate_density(rho, tol)
     w, v = np.linalg.eigh(rho)
     keep = w > tol.eps_rank * max(1.0, float(w[-1]))
-    w, v = w[keep], v[:, keep]
-    r = len(w)
-    n = c.dim
-    psi = np.zeros(n * r, dtype=complex)
-    for a in range(r):
-        ref = np.zeros(r)
-        ref[a] = 1.0
-        psi += np.sqrt(w[a]) * np.kron(v[:, a], ref)
-    pure = np.outer(psi, np.conj(psi))
-    out = np.zeros_like(pure)
-    for e in c.kraus:
-        big = np.kron(e, np.eye(r))
-        out += big @ pure @ dag(big)
-    return _entropy_of_spectrum(np.linalg.eigvalsh((out + dag(out)) / 2), tol)
+    psi = v[:, keep] * np.sqrt(w[keep])
+    x = (c.kraus @ psi).reshape(c.num_kraus, -1)
+    return _entropy_of_spectrum(np.linalg.svd(x, compute_uv=False) ** 2, tol)
 
 
 def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -116,17 +117,15 @@ def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -
     if rho.shape != (c.dim, c.dim):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
     n, m = c.dim, c.num_kraus
-    omega = np.zeros((n * m, n * m), dtype=complex)
-    for i, ei in enumerate(c.kraus):
-        for j, ej in enumerate(c.kraus):
-            unit = np.zeros((m, m), dtype=complex)
-            unit[i, j] = 1.0
-            omega += np.kron(ei @ rho @ dag(ej), unit)
     sigma = exchange_matrix(c, rho)
     _, q = np.linalg.eigh(sigma)
-    big = np.kron(np.eye(n), q @ q.T)
-    omega = big @ omega @ dag(big)
-    check = 1e-10 * max(1.0, float(np.abs(omega).max()))
+    # omega = V rho V^dag for the Stinespring isometry V = sum_i E_i (x) |i>,
+    # with the environment rotation folded into the Kraus family first:
+    # (I (x) R) V = sum_i (sum_j R_ij E_j) (x) |i>.
+    rotated = np.tensordot(q @ q.T, c.kraus, axes=1)
+    v = rotated.transpose(1, 0, 2).reshape(n * m, n)
+    omega = v @ rho @ dag(v)
+    check = MARGINAL_CHECK_RTOL * max(1.0, float(np.abs(omega).max()))
     if np.max(np.abs(partial_trace_system(omega, n, m) - sigma)) > check:
         raise ArithmeticError("composite state partial trace does not match exchange state")
     if np.max(np.abs(partial_trace_environment(omega, n, m) - apply_channel(c, rho))) > check:

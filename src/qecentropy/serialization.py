@@ -59,7 +59,10 @@ def complex_to_json(z: complex) -> list[float]:
 def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValueError("complex value must be a two-element [re, im] array")
-    z = complex(float(obj[0]), float(obj[1]))
+    try:
+        z = complex(float(obj[0]), float(obj[1]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError("complex value components must be numbers") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("complex value has non-finite components")
     return z
@@ -82,6 +85,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix JSON must have 'rows', 'cols' and 'data'") from exc
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
+    if not isinstance(data, list):
+        raise ValueError("matrix JSON 'data' must be a list of [re, im] entries")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
     flat = [complex_from_json(z) for z in data]
@@ -98,6 +103,8 @@ def vector_from_json(obj) -> np.ndarray:
         dim, data = int(obj["dim"]), obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError("vector JSON must have 'dim' and 'data'") from exc
+    if not isinstance(data, list):
+        raise ValueError("vector JSON 'data' must be a list of [re, im] entries")
     if dim <= 0 or len(data) != dim:
         raise ValueError("vector data length does not match 'dim'")
     return np.array([complex_from_json(z) for z in data], dtype=complex)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qecentropy import catalog, serialization
+from qecentropy.channel import unitary_channel
 from qecentropy.cli import main
 from qecentropy.code import span_code
 
@@ -53,6 +54,45 @@ def test_code_analyze_and_exit_codes(files, capsys):
     assert main(["code", "analyze", files["dir"] + "/nope.json", files["code1.json"]]) == 1
 
 
+def test_code_analyze_rank_one_codes(tmp_path, capsys):
+    # Rank-one Lambda takes the decoherence-free test, whose verdict must
+    # serialize as a JSON boolean either way.
+    flip = unitary_channel(np.kron([[0, 1], [1, 0]], np.eye(2)))
+    cases = [(catalog.all_instances()[name].channel, catalog.all_instances()[name].code(label), cls)
+             for name, label, cls in (("table1", "code3", "DecoherenceFree"),
+                                      ("pauli-zz", "plus-eigenspace", "DecoherenceFree"))]
+    cases.append((flip, span_code(np.eye(4)[:2]), "UnitarilyCorrectable"))
+    for chan, code, cls in cases:
+        chan_path, code_path = tmp_path / "chan.json", tmp_path / "code.json"
+        chan_path.write_text(serialization.dumps(chan.to_json()))
+        code_path.write_text(serialization.dumps(code.to_json()))
+        assert main(["code", "analyze", str(chan_path), str(code_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["classification"] == cls and report["lambda_rank"] == 1
+        assert report["decoherence_free"] is (cls == "DecoherenceFree")
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("channel", {"dim": 1, "kraus": 5}),
+    ("channel", {"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": 5}]}),
+    ("channel", {"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[None, 1]]}]}),
+    ("code", {"dim": 8, "basis": 5}),
+    ("code", {"dim": 8, "basis": [{"dim": 8, "data": 5}]}),
+], ids=["kraus-not-a-list", "data-not-a-list", "null-component",
+        "basis-not-a-list", "vector-data-not-a-list"])
+def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, obj):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(obj))
+    if command == "channel":
+        argv = ["channel", "info", str(bad)]
+    else:
+        argv = ["code", "analyze", files["chan.json"], str(bad)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_code_recovery(files, capsys):
     assert main(["code", "recovery", files["chan.json"], files["code1.json"]]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -78,6 +118,29 @@ def test_numrange_json_and_svg(files, tmp_path, capsys):
     eig_dots = [el for el in root.iter() if el.get("class") == "eigenvalue"]
     assert len(eig_dots) == 9
     assert any(el.get("class") == "hull" for el in root.iter())
+
+
+def test_numrange_svg_decomposes_once(files, tmp_path, capsys, monkeypatch):
+    from qecentropy import binary_unitary, cli, numerics
+
+    u = serialization.matrix_from_json(json.loads(open(files["u9.json"]).read()))
+    region = binary_unitary.numerical_range(u, 3)
+    expected = cli.render_region_svg(region, numerics.unitary_eigen(u).eigenvalues,
+                                     binary_unitary.constituent_hulls(u, 3), size=300)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return numerics.unitary_eigen(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "unitary_eigen", counting)
+    monkeypatch.setattr(binary_unitary, "unitary_eigen", counting)
+    svg_path = tmp_path / "fig.svg"
+    assert main(["numrange", files["u9.json"], "3", "--svg", str(svg_path),
+                 "--hulls", "--size", "300"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out) == json.loads(serialization.dumps(region.to_json()))
+    assert svg_path.read_text(encoding="utf-8") == expected
 
 
 def test_numrange_rejects_nonpositive_svg_size(files, tmp_path, capsys):
