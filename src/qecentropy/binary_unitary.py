@@ -36,6 +36,11 @@ from .numerics import (
 # default) allows.
 LAMBDA_MEMBERSHIP_FLOOR = 1e-9
 
+# Vertices whose moduli agree within this count as tied maxima of |lambda|.
+# Symmetric spectra give vertices of equal modulus in exact arithmetic, which
+# rounding in the clipping leaves apart; all of them are minimum-entropy values.
+VERTEX_TIE_ATOL = 1e-9
+
 
 @dataclasses.dataclass(frozen=True)
 class BinaryUnitaryChannel:
@@ -190,7 +195,7 @@ def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeR
     return NumRangeRegion(k, RegionKind.POLYGON, pts)
 
 
-def extremal_lambda(region: NumRangeRegion, tie_atol: float = 1e-9) -> ExtremalLambdas:
+def extremal_lambda(region: NumRangeRegion, tie_atol: float = VERTEX_TIE_ATOL) -> ExtremalLambdas:
     """Entropy extremes over a region.
 
     The modulus is convex, so its maximum over a convex set is attained at a
@@ -237,72 +242,122 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
     return [(float(p), biunitary_code_entropy(float(p), lam)) for p in p_grid]
 
 
-def _solve_group_weights(zs: np.ndarray, lam: complex, atol: float):
-    """Convex coefficients with sum(t) = 1 and sum(t z) = lam, or None.
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on a stack of systems; a singular system's row is
+    -inf, so that it fails any feasibility test, and the others are solved
+    exactly as one ``solve`` call each would solve them."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full(b.shape, -np.inf)
+        half = len(a) // 2
+        return np.concatenate([_solve_each(a[:half], b[:half]), _solve_each(a[half:], b[half:])])
 
-    Basic feasible solutions have at most three nonzero coefficients (two
-    equality constraints plus normalisation), so enumeration over singles,
-    pairs and triples is exhaustive.  Enumeration order is lexicographic,
-    which keeps the construction deterministic.
+
+def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> dict:
+    """Minimal supports of ``lam``: the singles, pairs and triples of
+    eigen-indices (ascending, at most ``size`` long) whose eigenvalues have
+    convex coefficients t with sum(t z) = lam within ``atol``, mapped to t.
+
+    Basic feasible solutions of sum(t) = 1, sum(t z) = lam have at most three
+    nonzero coefficients (Caratheodory), so a group of eigenvalues holds lam
+    in its hull exactly when it contains one of these supports.  A pair or
+    triple that contains a feasible single or pair is left out: any group
+    holding it holds that smaller support too, which comes first.
     """
-    m = len(zs)
-    for i in range(m):
-        if abs(zs[i] - lam) <= atol:
-            t = np.zeros(m)
-            t[i] = 1.0
-            return t
-    for i, j in itertools.combinations(range(m), 2):
-        d = zs[j] - zs[i]
-        den = abs(d) ** 2
-        if den == 0:
-            continue
-        tj = float(np.clip((np.conj(d) * (lam - zs[i])).real / den, 0.0, 1.0))
-        if abs(zs[i] + tj * d - lam) <= atol:
-            t = np.zeros(m)
-            t[i], t[j] = 1.0 - tj, tj
-            return t
-    for i, j, l in itertools.combinations(range(m), 3):
-        a = np.array([
-            [zs[i].real, zs[j].real, zs[l].real],
-            [zs[i].imag, zs[j].imag, zs[l].imag],
-            [1.0, 1.0, 1.0],
-        ])
-        try:
-            sol = np.linalg.solve(a, np.array([lam.real, lam.imag, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if np.min(sol) < -atol:
+    n = len(eigs)
+    supports: dict[tuple[int, ...], tuple[float, ...]] = {}
+    for i in range(n):
+        if abs(eigs[i] - lam) <= atol:
+            supports[(i,)] = (1.0,)
+    if size >= 2:
+        for i, j in itertools.combinations(range(n), 2):
+            if (i,) in supports or (j,) in supports:
+                continue
+            d = eigs[j] - eigs[i]
+            den = abs(d) ** 2
+            if den == 0:
+                continue
+            tj = float(np.clip((np.conj(d) * (lam - eigs[i])).real / den, 0.0, 1.0))
+            if abs(eigs[i] + tj * d - lam) <= atol:
+                supports[(i, j)] = (1.0 - tj, tj)
+    if size < 3 or n < 3:
+        return supports
+    triples = np.array(list(itertools.combinations(range(n), 3)))
+    z = eigs[triples]
+    a = np.stack([z.real, z.imag, np.ones(z.shape)], axis=1)
+    b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (len(triples), 3, 1))
+    sols = _solve_each(a, b)[..., 0]
+    keep = ~(sols.min(axis=1) < -atol)
+    for (i, j, l), sol in zip(triples[keep].tolist(), sols[keep]):
+        if any(sub in supports for r in (1, 2) for sub in itertools.combinations((i, j, l), r)):
             continue
         sol = np.clip(sol, 0.0, None)
         sol /= sol.sum()
-        if abs(sol[0] * zs[i] + sol[1] * zs[j] + sol[2] * zs[l] - lam) <= atol:
-            t = np.zeros(m)
-            t[[i, j, l]] = sol
-            return t
+        if abs(sol[0] * eigs[i] + sol[1] * eigs[j] + sol[2] * eigs[l] - lam) <= atol:
+            supports[(i, j, l)] = tuple(sol)
+    return supports
+
+
+def _group_weights(group: tuple[int, ...], supports: dict) -> np.ndarray | None:
+    """Weights of the first support the group contains (singles, then pairs,
+    then triples, each in lexicographic order), or None."""
+    for r in (1, 2, 3):
+        for support in itertools.combinations(group, r):
+            w = supports.get(support)
+            if w is not None:
+                t = np.zeros(len(group))
+                t[[group.index(i) for i in support]] = w
+                return t
     return None
 
 
-def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
-    """Build a rank-k code by partitioning the eigenstates into k groups of
-    N/k whose eigenvalue hulls all contain ``lam``.
-
-    Group members are combined as sum_j sqrt(t_j) |psi_j>, which is
-    orthonormal across groups because the eigenbasis is.  Backtracking over
-    partitions is lexicographic in phase order.
-    """
-    u = as_matrix(u)
-    n = u.shape[0]
+def _require_divides(n: int, k: int) -> None:
     if k < 1 or n % k != 0:
         raise UnsupportedCodeDimensionError(
             f"eigenstate grouping requires k | N; got k={k}, N={n}"
         )
-    dec = unitary_eigen(u, tol)
-    region = _range_from_eigen(dec, k, tol)
-    atol = max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
-    if not region.contains(lam, atol):
-        raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
+
+
+def _grouping_from_eigen(
+    dec: EigenDecomposition, k: int, lam: complex, tol: ToleranceConfig
+) -> GroupingCode:
+    """Grouping search on one eigendecomposition; the caller has checked that
+    lam lies in the rank-k range."""
     eigs = dec.eigenvalues
+    n = len(eigs)
+    _require_divides(n, k)
     size = n // k
+    supports = _lambda_supports(eigs, lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR), size)
+    members = np.zeros((len(supports), n), dtype=bool)
+    for row, support in enumerate(supports):
+        members[row, list(support)] = True
+
+    def can_hold(unused: tuple[int, ...]) -> bool:
+        # Disjoint supports need distinct members of any set that meets every
+        # support inside ``unused``, so a greedy such hitting set smaller than
+        # the number of groups to fill proves the branch fails.
+        used = np.ones(n, dtype=bool)
+        used[list(unused)] = False
+        inside = members[~members[:, used].any(axis=1)]
+        need = len(unused) // size
+        for _ in range(need):
+            if len(inside) == 0:
+                return False
+            inside = inside[~inside[:, inside.sum(axis=0).argmax()]]
+        return True
+
+    weights_of: dict[tuple[int, ...], np.ndarray | None] = {}
+
+    def group_weights(group: tuple[int, ...]) -> np.ndarray | None:
+        # Groups holding eigenstate 0 are tried once each, at the root, so
+        # only the others are kept.
+        if group[0] == 0:
+            return _group_weights(group, supports)
+        if group not in weights_of:
+            weights_of[group] = _group_weights(group, supports)
+        return weights_of[group]
 
     groups: list[tuple[int, ...]] = []
     weights: list[np.ndarray] = []
@@ -310,16 +365,17 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
     def backtrack(unused: tuple[int, ...]) -> bool:
         if not unused:
             return True
+        if not can_hold(unused):
+            return False
         anchor, rest = unused[0], unused[1:]
         for combo in itertools.combinations(rest, size - 1):
             group = (anchor,) + combo
-            t = _solve_group_weights(eigs[list(group)], lam, atol)
+            t = group_weights(group)
             if t is None:
                 continue
             groups.append(group)
             weights.append(t)
-            remaining = tuple(i for i in rest if i not in combo)
-            if backtrack(remaining):
+            if backtrack(tuple(i for i in rest if i not in combo)):
                 return True
             groups.pop()
             weights.pop()
@@ -333,13 +389,43 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
         sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))
         for group, t in zip(groups, weights)
     ]
-    code = code_subspace(basis, tol)
     return GroupingCode(
         complex(lam),
         tuple(groups),
         tuple(tuple(float(x) for x in t) for t in weights),
-        code,
+        code_subspace(basis, tol),
     )
+
+
+def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
+    """Build a rank-k code by partitioning the eigenstates into k groups of
+    N/k whose eigenvalue hulls all contain ``lam``.
+
+    Group members are combined as sum_j sqrt(t_j) |psi_j>, which is
+    orthonormal across groups because the eigenbasis is.  Backtracking over
+    partitions is lexicographic in phase order: each level fills the group of
+    the first unused eigenstate with every choice of N/k - 1 others in turn.
+
+    Feasibility of a group depends only on which eigenvalues it holds, so the
+    search first tabulates the minimal supports of ``lam``: the singles,
+    pairs and triples of eigenstates whose hull holds it (Caratheodory), each
+    with its convex weights.  A group is feasible when it contains one, and
+    takes the weights of the first it contains (singles, then pairs, then
+    triples, each in lexicographic order), looked up by the group's own
+    singles, pairs and triples and memoised per group.  A branch is cut when
+    its unused eigenstates cannot hold one disjoint support for each group
+    still to fill: when a greedy set of them that meets every support among
+    them is smaller than the number of those groups.  That only drops
+    branches that fail, so the partition found is the first in the
+    lexicographic order.
+    """
+    u = as_matrix(u)
+    _require_divides(u.shape[0], k)
+    dec = unitary_eigen(u, tol)
+    region = _range_from_eigen(dec, k, tol)
+    if not region.contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
+        raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
+    return _grouping_from_eigen(dec, k, lam, tol)
 
 
 def dfs_exists(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, complex | None]:

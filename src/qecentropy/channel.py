@@ -76,7 +76,7 @@ def channel(kraus_ops) -> QuantumChannel:
 
 def channel_from_json(obj) -> QuantumChannel:
     try:
-        dim, kraus = int(obj["dim"]), obj["kraus"]
+        dim, kraus = serialization.size_from_json(obj["dim"], "dim"), obj["kraus"]
     except (KeyError, TypeError) as exc:
         raise ValueError("channel JSON must have 'dim' and 'kraus'") from exc
     if not isinstance(kraus, list):

@@ -20,13 +20,12 @@ from . import catalog, serialization
 from .binary_unitary import (
     BinaryUnitaryChannel,
     NumRangeRegion,
+    _grouping_from_eigen,
     _hulls_from_eigen,
     _range_from_eigen,
     biunitary_code_entropy,
     entropy_vs_p,
     extremal_lambda,
-    grouping_code,
-    numerical_range,
 )
 from .channel import channel_from_json, choi_gram, validate_channel
 from .code import build_recovery, classify_code, code_from_json, kl_check, sigma_equals_lambda_check
@@ -74,7 +73,13 @@ def _load_tolerances(path: str | None) -> ToleranceConfig:
     unknown = set(obj) - fields
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-    return ToleranceConfig(**{k: float(v) for k, v in obj.items()})
+    for key, value in obj.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"tolerance {key!r} must be a number, got {value!r}")
+    try:
+        return ToleranceConfig(**{k: float(v) for k, v in obj.items()})
+    except OverflowError as exc:
+        raise ValueError(f"tolerance value out of range: {exc}") from exc
 
 
 def _parse_complex(text: str) -> complex:
@@ -233,9 +238,11 @@ def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> int:
     u = _load_unitary(args.unitary, tol)
     if not 0.0 <= args.p <= 1.0:
         raise ValueError(f"mixing probability must be in [0, 1], got {args.p}")
-    region = numerical_range(u, args.k, tol)
+    dec = unitary_eigen(u, tol)
+    region = _range_from_eigen(dec, args.k, tol)
     lam = extremal_lambda(region).min_entropy_lambdas[0]
-    built = grouping_code(u, args.k, lam, tol)
+    # lam is a vertex of the range, so the search needs no membership test.
+    built = _grouping_from_eigen(dec, args.k, lam, tol)
     binary = BinaryUnitaryChannel(args.p, u)
     # Independent verification of the construction before anything is printed.
     lam_matrix, residual = kl_check(binary.to_channel(tol), built.code, tol)

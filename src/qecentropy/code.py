@@ -15,6 +15,12 @@ from .errors import NotCorrectable, RecoveryVerificationError
 from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, numerical_rank
 from .sampling import random_density
 
+# Entrywise tolerance between the exchange matrix of a code state and Lambda.
+# Both are O(1) matrices formed by different products of the Kraus operators,
+# and a code is accepted with a KL residual up to eps_kl (1e-8 by default), so
+# the two may differ by that much on an accepted code.
+SIGMA_LAMBDA_ATOL = 1e-8
+
 
 @dataclasses.dataclass(frozen=True)
 class CodeSubspace:
@@ -108,7 +114,7 @@ def span_code(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
 
 def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     try:
-        dim, basis = int(obj["dim"]), obj["basis"]
+        dim, basis = serialization.size_from_json(obj["dim"], "dim"), obj["basis"]
     except (KeyError, TypeError) as exc:
         raise ValueError("code JSON must have 'dim' and 'basis'") from exc
     if not isinstance(basis, list):
@@ -190,7 +196,7 @@ def sigma_equals_lambda_check(
     samples: int,
     seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
-    atol: float = 1e-8,
+    atol: float = SIGMA_LAMBDA_ATOL,
 ) -> bool:
     """Exchange state equals the correction matrix for states on the code."""
     lam, _ = kl_check(c, code, tol)

@@ -16,6 +16,11 @@ from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag
 # channel output to rounding error, relative to omega's largest entry.
 MARGINAL_CHECK_RTOL = 1e-10
 
+# Slack on the Lindblad inequalities, in bits.  The bounds hold with equality
+# for pure inputs and for unitary channels, so the rounding of the eigensolves
+# behind the three entropies must not turn an equality into a failure.
+LINDBLAD_SLACK = 1e-8
+
 
 def _entropy_of_spectrum(w: np.ndarray, tol: ToleranceConfig) -> float:
     w = np.asarray(w, dtype=float)
@@ -144,7 +149,7 @@ def partial_trace_environment(omega: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def check_lindblad_bounds(
-    c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL, slack: float = 1e-8
+    c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL, slack: float = LINDBLAD_SLACK
 ) -> LindbladReport:
     """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``slack``."""
     rho = validate_density(rho, tol)

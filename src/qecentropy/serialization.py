@@ -56,12 +56,21 @@ def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def size_from_json(value, name: str) -> int:
+    """A dimension read from JSON: a finite, integral, non-negative number."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"'{name}' must be a non-negative integer, got {value!r}")
+    return value
+
+
 def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValueError("complex value must be a two-element [re, im] array")
     try:
         z = complex(float(obj[0]), float(obj[1]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("complex value components must be numbers") from exc
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ValueError("complex value has non-finite components")
@@ -80,9 +89,10 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError("matrix JSON must have 'rows', 'cols' and 'data'") from exc
+    rows, cols = size_from_json(rows, "rows"), size_from_json(cols, "cols")
     if rows <= 0 or cols <= 0:
         raise ValueError("matrix dimensions must be positive")
     if not isinstance(data, list):
@@ -100,7 +110,7 @@ def vector_to_json(v: np.ndarray) -> dict:
 
 def vector_from_json(obj) -> np.ndarray:
     try:
-        dim, data = int(obj["dim"]), obj["data"]
+        dim, data = size_from_json(obj["dim"], "dim"), obj["data"]
     except (KeyError, TypeError) as exc:
         raise ValueError("vector JSON must have 'dim' and 'data'") from exc
     if not isinstance(data, list):

@@ -14,14 +14,16 @@ from qecentropy.binary_unitary import (
     dfs_exists,
     entropy_vs_p,
     extremal_lambda,
+    LAMBDA_MEMBERSHIP_FLOOR,
     grouping_code,
     lambda_spectrum,
     numerical_range,
 )
-from qecentropy.code import kl_check
+from qecentropy.code import code_subspace, kl_check
 from qecentropy.errors import (
     LambdaOutsideRegionError,
     NoCodeError,
+    NoFeasiblePartitionError,
     UnsupportedCodeDimensionError,
 )
 from qecentropy.numerics import DEFAULT_TOL, dag, unitary_eigen
@@ -302,3 +304,155 @@ def test_constituent_hulls_are_the_distinct_runs():
     # ZZ has two clusters of two; every run of three holds both.
     assert [len(h) for h in constituent_hulls(ZZ, 2)] == [2]
     assert len(constituent_hulls(U4, 4)) == 4
+
+
+# Differential oracle for grouping_code: the search as it was before the table
+# of minimal supports, which solves for the weights of every candidate group
+# (up to C(N/k, 3) 3x3 solves each) and prunes nothing.  Slow, and kept only
+# as a reference.
+
+
+def _solve_group_weights(zs, lam, atol):
+    m = len(zs)
+    for i in range(m):
+        if abs(zs[i] - lam) <= atol:
+            t = np.zeros(m)
+            t[i] = 1.0
+            return t
+    for i, j in itertools.combinations(range(m), 2):
+        d = zs[j] - zs[i]
+        den = abs(d) ** 2
+        if den == 0:
+            continue
+        tj = float(np.clip((np.conj(d) * (lam - zs[i])).real / den, 0.0, 1.0))
+        if abs(zs[i] + tj * d - lam) <= atol:
+            t = np.zeros(m)
+            t[i], t[j] = 1.0 - tj, tj
+            return t
+    for i, j, l in itertools.combinations(range(m), 3):
+        a = np.array([
+            [zs[i].real, zs[j].real, zs[l].real],
+            [zs[i].imag, zs[j].imag, zs[l].imag],
+            [1.0, 1.0, 1.0],
+        ])
+        try:
+            sol = np.linalg.solve(a, np.array([lam.real, lam.imag, 1.0]))
+        except np.linalg.LinAlgError:
+            continue
+        if np.min(sol) < -atol:
+            continue
+        sol = np.clip(sol, 0.0, None)
+        sol /= sol.sum()
+        if abs(sol[0] * zs[i] + sol[1] * zs[j] + sol[2] * zs[l] - lam) <= atol:
+            t = np.zeros(m)
+            t[[i, j, l]] = sol
+            return t
+    return None
+
+
+def _grouping_reference(u, k, lam, tol=DEFAULT_TOL):
+    """(partition, weights, code basis) of the old search, raising as it did."""
+    n = u.shape[0]
+    if k < 1 or n % k != 0:
+        raise UnsupportedCodeDimensionError(f"k={k}, N={n}")
+    dec = unitary_eigen(u, tol)
+    atol = max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
+    if not numerical_range(u, k, tol).contains(lam, atol):
+        raise LambdaOutsideRegionError(f"lambda {lam}")
+    eigs, size = dec.eigenvalues, n // k
+    groups, weights = [], []
+
+    def backtrack(unused):
+        if not unused:
+            return True
+        anchor, rest = unused[0], unused[1:]
+        for combo in itertools.combinations(rest, size - 1):
+            group = (anchor,) + combo
+            t = _solve_group_weights(eigs[list(group)], lam, atol)
+            if t is None:
+                continue
+            groups.append(group)
+            weights.append(t)
+            if backtrack(tuple(i for i in rest if i not in combo)):
+                return True
+            groups.pop()
+            weights.pop()
+        return False
+
+    if not backtrack(tuple(range(n))):
+        raise NoFeasiblePartitionError(f"lambda {lam}")
+    basis = [
+        sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))
+        for group, t in zip(groups, weights)
+    ]
+    return (tuple(groups), tuple(tuple(float(x) for x in t) for t in weights),
+            code_subspace(basis, tol).basis)
+
+
+def _assert_grouping_matches_reference(u, k, lam):
+    """Same partition, weights (==) and basis (array_equal), or the same error;
+    returns the error type or None."""
+    try:
+        partition, weights, basis = _grouping_reference(u, k, lam)
+    except (LambdaOutsideRegionError, NoFeasiblePartitionError) as exc:
+        with pytest.raises(type(exc)):
+            grouping_code(u, k, lam)
+        return type(exc)
+    built = grouping_code(u, k, lam)
+    assert built.partition == partition, (k, lam)
+    assert built.weights == weights, (k, lam)
+    assert np.array_equal(built.code.basis, basis), (k, lam)
+    return None
+
+
+def _grouping_lambdas(region, rng):
+    """A vertex, a random interior point, and a vertex pushed outward by up to
+    3e-9, which lands inside the membership slack but often outside every
+    group hull, so all three outcomes occur."""
+    vertices = region.vertices
+    vertex = complex(vertices[rng.integers(len(vertices))])
+    interior = complex(rng.dirichlet(np.ones(len(vertices))) @ vertices)
+    outward = vertex - complex(np.mean(vertices))
+    if outward == 0:
+        outward = vertex
+    nudged = vertex + outward / abs(outward) * rng.uniform(0, 3e-9)
+    return vertex, interior, nudged
+
+
+# Spectra per dimension N with a divisor k, 2k <= N (families in turn, so
+# N = 15 and 16 get one evenly spaced spectrum); fewer where the old search is
+# slow.  With the other families it takes 2-40 s per case at N = 15 and 16.
+GROUPING_SPECTRA = {4: 24, 6: 24, 8: 16, 9: 12, 10: 12, 12: 8, 14: 4, 15: 1, 16: 1}
+
+
+@pytest.mark.parametrize("n", sorted(GROUPING_SPECTRA))
+def test_grouping_code_matches_reference(n):
+    rng = np.random.default_rng(400 + n)
+    outcomes = []
+    for trial in range(GROUPING_SPECTRA[n]):
+        family = ORACLE_FAMILIES[trial % len(ORACLE_FAMILIES)]
+        u = _unitary_with_phases(_oracle_phases(family, n, rng), rng)
+        for k in range(2, n // 2 + 1):
+            if n % k:
+                continue
+            region = numerical_range(u, k)
+            if region.kind is RegionKind.EMPTY:
+                continue
+            for lam in _grouping_lambdas(region, rng):
+                outcomes.append(_assert_grouping_matches_reference(u, k, lam))
+    assert None in outcomes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([4, 6, 8, 9, 10]), st.data())
+def test_grouping_code_matches_reference_property(n, data):
+    # Phases on a 24-point grid, so repeated eigenvalues and collinear triples
+    # (through antipodal pairs) are common.
+    steps = data.draw(st.lists(st.integers(0, 23), min_size=n, max_size=n), label="steps")
+    k = data.draw(st.sampled_from([k for k in range(2, n // 2 + 1) if n % k == 0]), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = _unitary_with_phases(2 * np.pi * np.array(steps) / 24, rng)
+    region = numerical_range(u, k)
+    if region.kind is not RegionKind.EMPTY:
+        for lam in _grouping_lambdas(region, rng):
+            _assert_grouping_matches_reference(u, k, lam)

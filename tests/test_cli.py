@@ -72,17 +72,29 @@ def test_code_analyze_rank_one_codes(tmp_path, capsys):
         assert report["decoherence_free"] is (cls == "DecoherenceFree")
 
 
+BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
+
+
 @pytest.mark.parametrize("command, obj", [
     ("channel", {"dim": 1, "kraus": 5}),
     ("channel", {"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": 5}]}),
     ("channel", {"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[None, 1]]}]}),
     ("code", {"dim": 8, "basis": 5}),
     ("code", {"dim": 8, "basis": [{"dim": 8, "data": 5}]}),
+    # JSON 1e400 parses as infinity, which int() cannot convert.
+    ("channel", '{"dim": 1, "kraus": [{"rows": 1e400, "cols": 1, "data": [[1, 0]]}]}'),
+    ("channel", '{"dim": 1, "kraus": [{"rows": 1, "cols": 1.5, "data": [[1, 0]]}]}'),
+    ("channel", '{"dim": 1e400, "kraus": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}'),
+    ("channel", '{"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[%s, 0]]}]}' % BIG_INT),
+    ("code", '{"dim": 1e400, "basis": [{"dim": 8, "data": []}]}'),
+    ("code", '{"dim": 8, "basis": [{"dim": 1e400, "data": []}]}'),
 ], ids=["kraus-not-a-list", "data-not-a-list", "null-component",
-        "basis-not-a-list", "vector-data-not-a-list"])
+        "basis-not-a-list", "vector-data-not-a-list", "matrix-rows-infinite",
+        "matrix-cols-fractional", "channel-dim-infinite", "component-too-large",
+        "code-dim-infinite", "vector-dim-infinite"])
 def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, obj):
     bad = tmp_path / "malformed.json"
-    bad.write_text(json.dumps(obj))
+    bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
     if command == "channel":
         argv = ["channel", "info", str(bad)]
     else:
@@ -170,6 +182,30 @@ def test_min_entropy_code(files, capsys):
     assert main(["min-entropy-code", files["u4.json"], "4", "0.01"]) == 2
 
 
+def test_min_entropy_code_decomposes_once(files, capsys, monkeypatch):
+    from qecentropy import binary_unitary, cli, numerics
+
+    u = serialization.matrix_from_json(json.loads(open(files["u9.json"]).read()))
+    lam = binary_unitary.extremal_lambda(binary_unitary.numerical_range(u, 3)).min_entropy_lambdas[0]
+    built = binary_unitary.grouping_code(u, 3, lam)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return numerics.unitary_eigen(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "unitary_eigen", counting)
+    monkeypatch.setattr(binary_unitary, "unitary_eigen", counting)
+    assert main(["min-entropy-code", files["u9.json"], "3", "0.01"]) == 0
+    assert len(calls) == 1
+    # 17-digit floats round-trip, so equal parsed values mean equal bytes.
+    report = json.loads(capsys.readouterr().out)
+    assert report["lambda"] == serialization.complex_to_json(lam)
+    assert report["partition"] == [list(g) for g in built.partition]
+    assert report["weights"] == [list(w) for w in built.weights]
+    assert report["code"] == json.loads(serialization.dumps(built.code.to_json()))
+
+
 def test_entropy_vs_p(files, capsys):
     assert main(["entropy-vs-p", files["u4.json"], "2", "--lam", "0",
                  "--p-grid", "0,0.5,1"]) == 0
@@ -231,6 +267,19 @@ def test_tolerances_file(files, tmp_path, capsys):
     tol_path.write_text('{"bogus": 1}')
     assert main(["--tolerances", str(tol_path), "channel", "info",
                  files["chan.json"]]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"eps_kl": null}', '{"eps_kl": true}', '{"eps_geom": "1e-10"}', '{"eps_eig": [1e-10]}',
+    '{"eps_rank": %s}' % BIG_INT,
+], ids=["null", "bool", "string", "list", "too-large"])
+def test_tolerances_file_rejects_non_numbers(files, tmp_path, capsys, text):
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(text)
+    assert main(["--tolerances", str(tol_path), "channel", "info", files["chan.json"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 def test_output_to_file(files, tmp_path):
