@@ -195,7 +195,7 @@ def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeR
     return NumRangeRegion(k, RegionKind.POLYGON, pts)
 
 
-def extremal_lambda(region: NumRangeRegion, tie_atol: float = VERTEX_TIE_ATOL) -> ExtremalLambdas:
+def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
     """Entropy extremes over a region.
 
     The modulus is convex, so its maximum over a convex set is attained at a
@@ -206,7 +206,7 @@ def extremal_lambda(region: NumRangeRegion, tie_atol: float = VERTEX_TIE_ATOL) -
         raise NoCodeError("the rank-k numerical range is empty; no rank-k code exists")
     moduli = np.abs(region.vertices)
     best = float(moduli.max())
-    winners = [complex(z) for z, m in zip(region.vertices, moduli) if best - m <= tie_atol]
+    winners = [complex(z) for z, m in zip(region.vertices, moduli) if best - m <= VERTEX_TIE_ATOL]
     winners.sort(key=lambda z: (z.real, z.imag))
     closest = geometry.closest_point(region.vertices, 0.0 + 0.0j, 0.0)
     return ExtremalLambdas(tuple(winners), closest)

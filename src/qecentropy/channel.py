@@ -8,7 +8,7 @@ import numpy as np
 
 from . import serialization
 from .errors import NotTracePreserving
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, hermitian_eigen, is_unitary, numerical_rank
+from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, is_unitary, psd_eigen
 
 # Hermiticity of a density matrix is checked relative to its Frobenius norm
 # (at least 1), at the resolution of a few rounding errors per entry.
@@ -16,6 +16,8 @@ DENSITY_HERMITIAN_RTOL = 1e-10
 # A density matrix built in double precision has unit trace to ~1e-15; 1e-12
 # leaves room for sums over a few hundred entries.
 DENSITY_TRACE_ATOL = 1e-12
+# Pauli weights in double precision sum to one up to a few rounding errors.
+PAULI_WEIGHT_SUM_ATOL = 1e-12
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -93,7 +95,7 @@ def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> N
     rows = c.kraus.reshape(-1, c.dim)
     total = dag(rows) @ rows
     residual = frobenius(total - np.eye(c.dim))
-    if residual > tol.eps_kl * c.dim:
+    if not residual <= tol.eps_kl * c.dim:
         raise NotTracePreserving(residual)
 
 
@@ -114,13 +116,17 @@ def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return rho
 
 
-def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:
-    """Gram matrix of the Kraus family; its rank is the Choi rank of the map."""
+def _kraus_gram(c: QuantumChannel) -> np.ndarray:
     flat = c.kraus.reshape(c.num_kraus, -1)
     g = np.conj(flat) @ flat.T
-    g = (g + dag(g)) / 2
+    return (g + dag(g)) / 2
+
+
+def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:
+    """Gram matrix of the Kraus family; its rank is the Choi rank of the map."""
+    g = _kraus_gram(c)
     weights = np.clip(np.linalg.eigvalsh(g), 0.0, None)
-    return ChoiGram(g, weights, numerical_rank(g, tol))
+    return ChoiGram(g, weights, psd_eigen(g, tol)[2])
 
 
 def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
@@ -129,12 +135,7 @@ def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> Qu
     The output implements the same map with exactly ``choi_rank`` nonzero
     operators; operators with Gram weight at the rank cutoff are dropped.
     """
-    gram = choi_gram(c, tol)
-    w, vecs = np.linalg.eigh(gram.matrix)
-    order = np.argsort(w)[::-1]
-    w, vecs = w[order], vecs[:, order]
-    cutoff = tol.eps_rank * max(1.0, float(w[0]))
-    rank = int(np.count_nonzero(w > cutoff))
+    _, vecs, rank = psd_eigen(_kraus_gram(c), tol)
     return _stacked(np.tensordot(vecs[:, :rank].T, c.kraus, axes=1))
 
 
@@ -194,7 +195,7 @@ def pauli_channel(terms) -> QuantumChannel:
     weights = [float(w) for w, _ in terms]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    if abs(sum(weights) - 1.0) > 1e-12:
+    if abs(sum(weights) - 1.0) > PAULI_WEIGHT_SUM_ATOL:
         raise ValueError(f"weights must sum to 1, got {sum(weights)}")
     nq = len(terms[0][1])
     if any(len(word) != nq for _, word in terms):

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import catalog, serialization
 from .binary_unitary import (
-    BinaryUnitaryChannel,
     NumRangeRegion,
     _grouping_from_eigen,
     _hulls_from_eigen,
@@ -27,8 +26,8 @@ from .binary_unitary import (
     entropy_vs_p,
     extremal_lambda,
 )
-from .channel import channel_from_json, choi_gram, validate_channel
-from .code import build_recovery, classify_code, code_from_json, kl_check, sigma_equals_lambda_check
+from .channel import binary_unitary_kraus, channel_from_json, choi_gram, validate_channel
+from .code import _sigma_matches, build_recovery, classify_code, code_from_json, kl_check
 from .errors import (
     LambdaOutsideRegionError,
     NoCodeError,
@@ -202,11 +201,11 @@ def _cmd_channel_info(args, tol: ToleranceConfig) -> int:
 def _cmd_code_analyze(args, tol: ToleranceConfig) -> int:
     c = channel_from_json(_load_json_file(args.channel))
     code = code_from_json(_load_json_file(args.code), tol)
-    report = classify_code(c, code, tol).to_json()
+    result = classify_code(c, code, tol)
+    report = result.to_json()
     if args.sigma_samples > 0:
-        report["sigma_matches_lambda"] = sigma_equals_lambda_check(
-            c, code, args.sigma_samples, seed=args.seed, tol=tol
-        )
+        report["sigma_matches_lambda"] = _sigma_matches(c, code, result.lam, args.sigma_samples,
+                                                        args.seed)
     _emit(serialization.dumps(report, indent=2), args.output)
     return 0
 
@@ -236,16 +235,15 @@ def _cmd_numrange(args, tol: ToleranceConfig) -> int:
 
 def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> int:
     u = _load_unitary(args.unitary, tol)
-    if not 0.0 <= args.p <= 1.0:
-        raise ValueError(f"mixing probability must be in [0, 1], got {args.p}")
+    # Under the tolerances that accepted U; also rejects p outside [0, 1] early.
+    binary = binary_unitary_kraus(args.p, u, tol)
     dec = unitary_eigen(u, tol)
     region = _range_from_eigen(dec, args.k, tol)
     lam = extremal_lambda(region).min_entropy_lambdas[0]
     # lam is a vertex of the range, so the search needs no membership test.
     built = _grouping_from_eigen(dec, args.k, lam, tol)
-    binary = BinaryUnitaryChannel(args.p, u)
     # Independent verification of the construction before anything is printed.
-    lam_matrix, residual = kl_check(binary.to_channel(tol), built.code, tol)
+    lam_matrix, residual = kl_check(binary, built.code, tol)
     report = {
         "lambda": serialization.complex_to_json(lam),
         "entropy_bits": biunitary_code_entropy(args.p, lam),

@@ -12,7 +12,7 @@ from . import serialization
 from .channel import QuantumChannel, channel, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, exchange_matrix
 from .errors import NotCorrectable, RecoveryVerificationError
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, numerical_rank
+from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, psd_eigen
 from .sampling import random_density
 
 # Entrywise tolerance between the exchange matrix of a code state and Lambda.
@@ -20,6 +20,11 @@ from .sampling import random_density
 # and a code is accepted with a KL residual up to eps_kl (1e-8 by default), so
 # the two may differ by that much on an accepted code.
 SIGMA_LAMBDA_ATOL = 1e-8
+
+# Process-identity residual a built recovery must meet: an accepted code keeps
+# a KL residual up to eps_kl (1e-8 by default), which the 1/sqrt(w) scaling of
+# the isometries magnifies for small Lambda weights w.
+RECOVERY_VERIFY_ATOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,10 +50,16 @@ class CodeSubspace:
 
 @dataclasses.dataclass(frozen=True)
 class ErrorCorrectionMatrix:
-    """The positive unit-trace matrix of compression coefficients, with spectrum."""
+    """Positive unit-trace matrix Lambda of compression coefficients.  The
+    reported ``spectrum`` (ascending) is from ``eigvalsh``; ``weights``
+    (descending), ``vectors`` and ``rank`` are from one ``psd_eigen`` call, via
+    ``eigh``, whose values can differ from ``eigvalsh``'s in the last bits."""
 
     matrix: np.ndarray
     spectrum: np.ndarray
+    weights: np.ndarray
+    vectors: np.ndarray
+    rank: int
 
 
 class CodeClass(str, enum.Enum):
@@ -98,7 +109,7 @@ def code_subspace(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     if k > n:
         raise ValueError(f"code dimension {k} exceeds ambient dimension {n}")
     gram = dag(basis) @ basis
-    if frobenius(gram - np.eye(k)) > tol.eps_eig * max(1, n):
+    if not frobenius(gram - np.eye(k)) <= tol.eps_eig * max(1, n):
         raise ValueError("code basis is not orthonormal")
     return CodeSubspace(n, basis)
 
@@ -152,7 +163,7 @@ def kl_check(
         raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2
     spectrum = np.clip(np.linalg.eigvalsh(lam), 0.0, None)
-    return ErrorCorrectionMatrix(lam, spectrum), residual
+    return ErrorCorrectionMatrix(lam, spectrum, *psd_eigen(lam, tol)), residual
 
 
 def code_entropy(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -161,59 +172,51 @@ def code_entropy(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = D
     return _entropy_of_spectrum(lam.spectrum, tol)
 
 
-def _dfs_check(c: QuantumChannel, code: CodeSubspace, lam: ErrorCorrectionMatrix,
-               tol: ToleranceConfig) -> bool:
-    # Rank-one coefficients mean all restricted operators share one isometry;
-    # the code is decoherence free iff that isometry is the identity on the
-    # code up to a global phase.
-    w, vecs = np.linalg.eigh(lam.matrix)
-    common = np.tensordot(vecs[:, -1], c.kraus @ code.basis, axes=1)
-    phase = np.trace(dag(code.basis) @ common) / code.k
-    scale = tol.eps_kl * max(1.0, np.sqrt(code.k))
-    return bool(abs(abs(phase) - 1.0) <= scale and frobenius(common - phase * code.basis) <= scale)
-
-
 def classify_code(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CodeReport:
     """Full report: coefficients, entropy, rank data and extremal classification."""
     lam, residual = kl_check(c, code, tol)
     entropy = _entropy_of_spectrum(lam.spectrum, tol)
-    lam_rank = numerical_rank(lam.matrix, tol)
     d = choi_gram(c, tol).choi_rank
-    if lam_rank == 1:
-        dfs = _dfs_check(c, code, lam, tol)
+    if lam.rank == 1:
+        # All restricted operators share one isometry; the code is decoherence
+        # free iff it is the identity on the code up to a global phase.
+        common = np.tensordot(lam.vectors[:, 0], c.kraus @ code.basis, axes=1)
+        phase = np.trace(dag(code.basis) @ common) / code.k
+        scale = tol.eps_kl * max(1.0, np.sqrt(code.k))
+        dfs = bool(abs(abs(phase) - 1.0) <= scale
+                   and frobenius(common - phase * code.basis) <= scale)
         cls = CodeClass.DECOHERENCE_FREE if dfs else CodeClass.UNITARILY_CORRECTABLE
-        return CodeReport(lam, entropy, lam_rank, d, cls, True, dfs, residual)
-    flat = bool(np.max(np.abs(lam.spectrum - 1.0 / d)) <= tol.eps_kl)
-    cls = CodeClass.NON_DEGENERATE if (lam_rank == d and flat) else CodeClass.PARTIALLY_DEGENERATE
-    return CodeReport(lam, entropy, lam_rank, d, cls, False, False, residual)
+        return CodeReport(lam, entropy, 1, d, cls, True, dfs, residual)
+    flat = d > 0 and bool(np.max(np.abs(lam.spectrum - 1.0 / d)) <= tol.eps_kl)
+    cls = CodeClass.NON_DEGENERATE if (lam.rank == d and flat) else CodeClass.PARTIALLY_DEGENERATE
+    return CodeReport(lam, entropy, lam.rank, d, cls, False, False, residual)
 
 
-def sigma_equals_lambda_check(
-    c: QuantumChannel,
-    code: CodeSubspace,
-    samples: int,
-    seed: int = 0,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    atol: float = SIGMA_LAMBDA_ATOL,
-) -> bool:
-    """Exchange state equals the correction matrix for states on the code."""
-    lam, _ = kl_check(c, code, tol)
+def _sigma_matches(c: QuantumChannel, code: CodeSubspace, lam: ErrorCorrectionMatrix,
+                   samples: int, seed: int) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         rho_code = random_density(code.k, rng)
         rho = code.basis @ rho_code @ dag(code.basis)
         sigma = exchange_matrix(c, rho)
-        if np.max(np.abs(sigma - lam.matrix)) > atol:
+        if np.max(np.abs(sigma - lam.matrix)) > SIGMA_LAMBDA_ATOL:
             return False
     return True
+
+
+def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: int, seed: int = 0,
+                              tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Exchange state equals the correction matrix for states on the code."""
+    lam, _ = kl_check(c, code, tol)
+    return _sigma_matches(c, code, lam, samples, seed)
 
 
 def rank_bound_check(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Rank of the correction matrix never exceeds the Choi rank."""
     lam, _ = kl_check(c, code, tol)
-    return numerical_rank(lam.matrix, tol) <= choi_gram(c, tol).choi_rank
+    return lam.rank <= choi_gram(c, tol).choi_rank
 
 
 def _recovery_residual(recovery: QuantumChannel, c: QuantumChannel, code: CodeSubspace) -> float:
@@ -238,8 +241,7 @@ def _recovery_residual(recovery: QuantumChannel, c: QuantumChannel, code: CodeSu
 
 
 def build_recovery(
-    c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL,
-    verify_atol: float = 1e-6,
+    c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RecoveryOperation:
     """Construct a trace-preserving recovery map for a correctable code.
 
@@ -252,22 +254,17 @@ def build_recovery(
     lam, _ = kl_check(c, code, tol)
     b = code.basis
     n, k = code.ambient_dim, code.k
-    w, vecs = np.linalg.eigh(lam.matrix)
-    order = np.argsort(w)[::-1]
-    w, vecs = w[order], vecs[:, order]
-    cutoff = tol.eps_rank * max(1.0, float(w[0]))
-    rank = int(np.count_nonzero(w > cutoff))
     # Restricted canonical operators (sum_i v_i E_i) B, scaled to isometries.
-    isometries = np.tensordot(vecs[:, :rank].T, c.kraus @ b, axes=1)
-    isometries /= np.sqrt(w[:rank])[:, None, None]
-    images = isometries.transpose(1, 0, 2).reshape(n, rank * k)
+    isometries = np.tensordot(lam.vectors[:, :lam.rank].T, c.kraus @ b, axes=1)
+    isometries /= np.sqrt(lam.weights[:lam.rank])[:, None, None]
+    images = isometries.transpose(1, 0, 2).reshape(n, lam.rank * k)
     returns = b @ np.conj(isometries).transpose(0, 2, 1)
     psi = channel([*returns, np.eye(n) - images @ dag(images)])
     validate_channel(psi, tol)
 
     residual = _recovery_residual(psi, c, code)
-    if residual > verify_atol:
+    if residual > RECOVERY_VERIFY_ATOL:
         raise RecoveryVerificationError(
-            f"recovery verification residual {residual:.3e} exceeds {verify_atol:.1e}"
+            f"recovery verification residual {residual:.3e} exceeds {RECOVERY_VERIFY_ATOL:.1e}"
         )
     return RecoveryOperation(psi, residual)

@@ -148,13 +148,12 @@ def partial_trace_environment(omega: np.ndarray, n: int, m: int) -> np.ndarray:
     return np.einsum("aibi->ab", omega.reshape(n, m, n, m))
 
 
-def check_lindblad_bounds(
-    c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL, slack: float = LINDBLAD_SLACK
-) -> LindbladReport:
-    """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``slack``."""
+def check_lindblad_bounds(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LindbladReport:
+    """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``LINDBLAD_SLACK``."""
     rho = validate_density(rho, tol)
     s_rho = von_neumann_entropy(rho, tol)
     s_out = von_neumann_entropy(apply_channel(c, rho), tol)
     _, s_sigma = entropy_exchange(c, rho, tol)
+    slack = LINDBLAD_SLACK
     holds = abs(s_out - s_sigma) <= s_rho + slack and s_rho <= s_sigma + s_out + slack
     return LindbladReport(s_rho, s_out, s_sigma, holds)

@@ -28,8 +28,9 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("eps_rank", "eps_kl", "eps_geom", "eps_eig"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -65,11 +66,6 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; output dimension is the product of the inputs'."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _require_square(a: np.ndarray):
@@ -159,12 +155,18 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     return EigenDecomposition(eigs, v, clusters)
 
 
-def numerical_rank(a, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of eigenvalues of a PSD Hermitian matrix above the rank cutoff."""
-    dec = hermitian_eigen(a, tol)
-    w = dec.eigenvalues.real
-    lam_max = float(w[-1]) if len(w) else 0.0
-    cutoff = tol.eps_rank * max(1.0, lam_max)
-    if len(w) and float(w[0]) < -cutoff:
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    return int(np.count_nonzero(w > cutoff))
+def psd_eigen(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, int]:
+    """Descending eigenvalues, their eigenvectors (columns) and the rank of a
+    PSD Hermitian matrix: the count above ``eps_rank * max(1, largest)``.
+    Ties keep ``np.argsort(w)[::-1]`` order; ValueError below minus the cutoff."""
+    a = as_matrix(a)
+    _require_square(a)
+    w, v = np.linalg.eigh((a + dag(a)) / 2)
+    order = np.argsort(w)[::-1]
+    w, v = w[order], v[:, order]
+    cutoff = tol.eps_rank * max(1.0, float(w[0]))
+    # Rounding leaves the zero eigenvalues of a PSD matrix slightly negative,
+    # so an eps_rank below the default does not tighten this check.
+    if float(w[-1]) < -max(cutoff, DEFAULT_TOL.eps_rank * max(1.0, float(w[0]))):
+        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})")
+    return w, v, int(np.count_nonzero(w > cutoff))

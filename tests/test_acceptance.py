@@ -28,6 +28,7 @@ from qecentropy.catalog import (
 )
 from qecentropy.channel import apply_channel, remix_kraus, validate_channel
 from qecentropy.code import (
+    SIGMA_LAMBDA_ATOL,
     CodeClass,
     build_recovery,
     classify_code,
@@ -157,9 +158,10 @@ def test_criterion_05_lindblad_property_suite():
 
 
 def test_criterion_06_sigma_equals_lambda():
+    assert SIGMA_LAMBDA_ATOL == 1e-8
     ok = True
     for name, chan, code in _instance_code_pairs():
-        ok &= sigma_equals_lambda_check(chan, code, samples=20, seed=11, atol=1e-8)
+        ok &= sigma_equals_lambda_check(chan, code, samples=20, seed=11)
     _report(6, "sigma = Lambda entrywise for 20 code states per instance", ok)
 
 

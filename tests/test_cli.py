@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qecentropy import catalog, serialization
-from qecentropy.channel import unitary_channel
+from qecentropy.channel import unitary_channel, validate_channel
 from qecentropy.cli import main
 from qecentropy.code import span_code
 
@@ -52,6 +52,22 @@ def test_code_analyze_and_exit_codes(files, capsys):
     assert "residual" in err
     # Missing file: exit 1.
     assert main(["code", "analyze", files["dir"] + "/nope.json", files["code1.json"]]) == 1
+
+
+def test_code_analyze_with_sigma_samples_runs_one_analysis(files, capsys, monkeypatch):
+    from qecentropy import code as code_module
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return validate_channel(*args, **kwargs)
+
+    monkeypatch.setattr(code_module, "validate_channel", counting)
+    assert main(["code", "analyze", files["chan.json"], files["code1.json"],
+                 "--sigma-samples", "3", "--seed", "7"]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["sigma_matches_lambda"] is True
 
 
 def test_code_analyze_rank_one_codes(tmp_path, capsys):
@@ -103,6 +119,21 @@ def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, o
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_inputs_fail_their_validity_checks(files, tmp_path, capsys):
+    # An entry 1e300(1 + i) squares to inf - inf = nan in the Gram products,
+    # and a nan residual must fail the orthonormality and trace checks.
+    big = [1e300, 1e300]
+    code_path, chan_path = tmp_path / "big_code.json", tmp_path / "big_chan.json"
+    code_path.write_text(json.dumps({"dim": 8, "basis": [{"dim": 8, "data": [big] + [[0, 0]] * 7}]}))
+    chan_path.write_text(json.dumps({"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [big]}]}))
+    for argv, message in ((["code", "recovery", files["chan.json"], str(code_path)], "orthonormal"),
+                          (["channel", "info", str(chan_path)], "not trace preserving")):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_code_recovery(files, capsys):
@@ -206,6 +237,19 @@ def test_min_entropy_code_decomposes_once(files, capsys, monkeypatch):
     assert report["code"] == json.loads(serialization.dumps(built.code.to_json()))
 
 
+def test_min_entropy_code_checks_unitarity_under_the_tolerances(tmp_path, capsys):
+    # Unitary to 3e-7: rejected at the default eps_eig, accepted at 1e-7.
+    u_path, tol_path = tmp_path / "u.json", tmp_path / "tol.json"
+    u_path.write_text(serialization.dumps(serialization.matrix_to_json(
+        U9 @ np.diag(1 + 1e-8 * np.arange(9)))))
+    tol_path.write_text('{"eps_eig": 1e-7}')
+    assert main(["min-entropy-code", str(u_path), "3", "0.1"]) == 1
+    capsys.readouterr()
+    assert main(["--tolerances", str(tol_path), "numrange", str(u_path), "3"]) == 0
+    assert main(["--tolerances", str(tol_path), "min-entropy-code", str(u_path), "3", "0.1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_entropy_vs_p(files, capsys):
     assert main(["entropy-vs-p", files["u4.json"], "2", "--lam", "0",
                  "--p-grid", "0,0.5,1"]) == 0
@@ -277,6 +321,44 @@ def test_tolerances_file_rejects_non_numbers(files, tmp_path, capsys, text):
     tol_path = tmp_path / "tol.json"
     tol_path.write_text(text)
     assert main(["--tolerances", str(tol_path), "channel", "info", files["chan.json"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_rank_one_code_under_a_tiny_rank_cutoff(files, tmp_path, capsys):
+    # Rounding leaves Lambda's zero eigenvalues near -1e-16, which an eps_rank
+    # of 1e-300 must not turn into a "not positive semidefinite" error.
+    code_path, tol_path = tmp_path / "code3.json", tmp_path / "tol.json"
+    code_path.write_text(serialization.dumps(catalog.table1_instances().code("code3").to_json()))
+    tol_path.write_text('{"eps_rank": 1e-300}')
+    for command in ("analyze", "recovery"):
+        assert main(["--tolerances", str(tol_path), "code", command, files["chan.json"],
+                     str(code_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_code_analyze_zero_channel_under_loose_tolerance(tmp_path, capsys):
+    # eps_kl = 1 accepts the 1x1 zero map as trace preserving; its Choi rank
+    # is 0, which the flat-spectrum test must not divide by.
+    chan_path, code_path, tol_path = (tmp_path / n for n in ("chan.json", "code.json", "tol.json"))
+    chan_path.write_text('{"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[0, 0]]}]}')
+    code_path.write_text('{"dim": 1, "basis": [{"dim": 1, "data": [[1, 0]]}]}')
+    tol_path.write_text('{"eps_kl": 1.0}')
+    assert main(["--tolerances", str(tol_path), "code", "analyze", str(chan_path),
+                 str(code_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["choi_rank"] == 0 and report["classification"] == "PartiallyDegenerate"
+
+
+@pytest.mark.parametrize("text", ['{"eps_kl": Infinity}', '{"eps_rank": -Infinity}',
+                                  '{"eps_eig": NaN}'], ids=["inf", "minus-inf", "nan"])
+def test_tolerances_file_rejects_non_finite_numbers(files, tmp_path, capsys, text):
+    # An infinite eps_kl would accept this non-code, which exits 2 by default.
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(text)
+    assert main(["--tolerances", str(tol_path), "code", "analyze",
+                 files["chan.json"], files["bad.json"]]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")

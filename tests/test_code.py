@@ -42,6 +42,25 @@ def _table1_codes():
     return code1, code2, code3
 
 
+def test_rank_one_code_decomposes_lambda_once(monkeypatch):
+    chan, code3 = _table1_channel(), _table1_codes()[2]
+    lam = kl_check(chan, code3)[0].matrix
+    eigh, calls = np.linalg.eigh, []
+
+    def counting(a, *args, **kwargs):
+        if a.shape == lam.shape and np.allclose(a, lam, atol=1e-12):
+            calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    report = classify_code(chan, code3)
+    assert report.lambda_rank == 1 and report.classification is CodeClass.DECOHERENCE_FREE
+    assert len(calls) == 1
+    calls.clear()
+    build_recovery(chan, code3)
+    assert len(calls) == 1
+
+
 def test_code_subspace_requires_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         code_subspace([_ket(4, 0), (_ket(4, 0) + _ket(4, 1)) / np.sqrt(2)])

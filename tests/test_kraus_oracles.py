@@ -20,7 +20,14 @@ from qecentropy.channel import (
     remix_kraus,
     unitary_channel,
 )
-from qecentropy.code import _recovery_residual, build_recovery, code_subspace, kl_check, span_code
+from qecentropy.code import (
+    RECOVERY_VERIFY_ATOL,
+    _recovery_residual,
+    build_recovery,
+    code_subspace,
+    kl_check,
+    span_code,
+)
 from qecentropy.entropy import (
     _entropy_of_spectrum,
     exchange_matrix,
@@ -32,7 +39,6 @@ from qecentropy.numerics import DEFAULT_TOL, dag, frobenius
 from qecentropy.sampling import haar_unitary, random_channel, random_density
 
 ORACLE_ATOL = 1e-12
-VERIFY_ATOL = 1e-6  # build_recovery's default verify_atol
 
 
 # Slow references: the per-pair loops -------------------------------------
@@ -239,7 +245,7 @@ def test_recovery_residual_matches_loop_reference_on_built_recoveries():
 def _broken_recoveries(ops, code, rng):
     """Recovery families with one operator dropped, a logical swap of two
     code states after one branch, or one operator perturbed at scales on
-    both sides of VERIFY_ATOL."""
+    both sides of RECOVERY_VERIFY_ATOL."""
     for j in range(len(ops)):
         yield [r for i, r in enumerate(ops) if i != j]
     if code.k >= 2:
@@ -262,9 +268,9 @@ def test_recovery_residual_flags_broken_recoveries_like_the_loop():
             got = _recovery_residual(recovery, c, code)
             ref = _recovery_residual_reference(recovery, c, code)
             assert abs(got - ref) <= ORACLE_ATOL * max(1.0, ref)
-            assert (got > VERIFY_ATOL) == (ref > VERIFY_ATOL)
-            flagged += ref > VERIFY_ATOL
-            passed += ref <= VERIFY_ATOL
+            assert (got > RECOVERY_VERIFY_ATOL) == (ref > RECOVERY_VERIFY_ATOL)
+            flagged += ref > RECOVERY_VERIFY_ATOL
+            passed += ref <= RECOVERY_VERIFY_ATOL
     assert flagged and passed
 
 

@@ -7,7 +7,7 @@ from qecentropy.numerics import (
     dag,
     hermitian_eigen,
     is_unitary,
-    numerical_rank,
+    psd_eigen,
     unitary_eigen,
 )
 
@@ -17,6 +17,13 @@ def test_tolerance_config_rejects_nonpositive():
         ToleranceConfig(eps_rank=0.0)
     with pytest.raises(ValueError):
         ToleranceConfig(eps_kl=-1e-8)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_tolerance_config_rejects_non_finite(value):
+    for name in ("eps_rank", "eps_kl", "eps_geom", "eps_eig"):
+        with pytest.raises(ValueError, match="finite positive"):
+            ToleranceConfig(**{name: value})
 
 
 def test_hermitian_eigen_known_spectrum():
@@ -75,18 +82,21 @@ def test_is_unitary():
     assert not is_unitary(np.ones((2, 3)))
 
 
-def test_numerical_rank_and_invariance():
+def test_psd_eigen_rank_and_invariance():
     a = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex) / 3
-    assert numerical_rank(a) == 2
+    w, v, rank = psd_eigen(a)
+    assert rank == 2
+    assert np.all(np.diff(w) <= 0)
+    assert np.allclose((v * w) @ dag(v), a, atol=1e-12)
     rng = np.random.default_rng(5)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(g)
-    assert numerical_rank(q @ a @ dag(q)) == 2
+    assert psd_eigen(q @ a @ dag(q))[2] == 2
 
 
-def test_numerical_rank_rejects_indefinite():
+def test_psd_eigen_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        numerical_rank(np.diag([1.0, -0.5]))
+        psd_eigen(np.diag([1.0, -0.5]))
 
 
 def test_default_tolerances():
