@@ -60,10 +60,9 @@ class BinaryUnitaryChannel:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"mixing probability must be in [0, 1], got {self.p}")
-        if not is_unitary(self.u):
-            raise ValueError("binary unitary channel requires a unitary matrix")
 
     def to_channel(self, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
+        """Kraus form; checks U for unitarity under ``tol``."""
         return binary_unitary_kraus(self.p, self.u, tol)
 
 
@@ -111,55 +110,71 @@ class GroupingCode:
     code: CodeSubspace
 
 
-def _run_supports(dec: EigenDecomposition, k: int) -> tuple[np.ndarray, list[frozenset]]:
-    """Cluster representatives and the distinct cluster sets of the N cyclic
-    runs of N-k+1 eigenvalues in phase order.
+def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tuple[int, int]]]:
+    """Cluster representatives in phase order, and the distinct arcs of
+    clusters, as (first, size), held by the N cyclic runs of N-k+1
+    eigenvalues in phase order.
 
     For normal U the rank-k range is the intersection of the closed
     half-planes that hold at least N-k+1 eigenvalues counted with
     multiplicity.  The eigenvalues inside such a half-plane fill an arc of
     the unit circle, so each of these half-planes holds one of the runs, and
     the run hulls alone cut out the same region as all (N-k+1)-subset hulls.
+
+    Clusters are contiguous in phase order, so a run holds the clusters from
+    its first eigenvalue's on, one more for each cluster boundary it crosses.
+    A run that holds all m clusters is the arc (0, m).
     """
-    n = len(dec.eigenvalues)
+    eigs, clusters = dec.eigenvalues, dec.cluster_map
+    n, m = len(eigs), len(clusters)
     if not 1 <= k <= n:
         raise ValueError(f"rank k must be in [1, {n}], got {k}")
+    # A single eigenvalue is its own mean, without a numpy call.
+    reps = [complex(eigs[c[0]] if len(c) == 1 else np.mean(eigs[list(c)])) for c in clusters]
     owner = np.empty(n, dtype=int)
-    reps = []
-    for ci, cluster in enumerate(dec.cluster_map):
-        owner[list(cluster)] = ci
-        reps.append(complex(np.mean(dec.eigenvalues[list(cluster)])))
-    runs = (np.arange(n)[:, None] + np.arange(n - k + 1)[None, :]) % n
-    supports = dict.fromkeys(frozenset(row) for row in owner[runs].tolist())
-    return np.array(reps), list(supports)
+    owner[np.concatenate(clusters)] = np.repeat(np.arange(m), [len(c) for c in clusters])
+    # crossed[i]: how many of eigenvalues 0..i-1, twice round, start a cluster.
+    boundary = np.tile(owner != np.roll(owner, 1), 2)
+    crossed = np.concatenate([[0], np.cumsum(boundary)])
+    starts = np.arange(n)
+    sizes = np.minimum(crossed[starts + n - k + 1] - crossed[starts + 1] + 1, m)
+    firsts = np.where(sizes == m, 0, owner)
+    return reps, list(dict.fromkeys(zip(firsts.tolist(), sizes.tolist())))
 
 
 def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> NumRangeRegion:
-    """Rank-k range: the hull of the cluster representatives clipped by every
-    phase-contiguous run hull.
+    """Rank-k range in one pass: the polygon of the cluster representatives
+    cut by one or two chord half-planes per distinct run.
 
-    The representatives lie in convex position on the unit circle and a run
-    holds a contiguous arc of them, so a run hull with three or more vertices
-    is the full hull cut by one chord: from the run's last cluster to its
-    first, across the excluded arc.  Runs of one or two clusters are clipped
-    by their point or segment hull.
+    The representatives come in phase order on the unit circle, so they are
+    already the vertices of their CCW hull, and a run holds an arc of them.
+    The hull of a run of three or more clusters is the full hull cut by one
+    chord, from the run's last cluster to its first across the excluded arc.
+    A run of two clusters holds the chord between two hull vertices, which is
+    where the two opposite half-planes through it meet the hull.  A run of one
+    cluster holds only its representative: the range is then that point, if
+    every other run keeps it, or empty.
+
+    The clips run on a plain vertex list and may leave collinear vertices;
+    ``_classify_region`` canonicalises once, at the end.
     """
-    reps, supports = _run_supports(dec, k)
+    reps, arcs = _run_arcs(dec, k)
     m, eps = len(reps), tol.eps_geom
-    region = geometry.canonical_vertices(geometry.convex_hull(reps, eps), eps)
-    for support in supports:
-        if len(region) == 0:
+    points = [reps[first] for first, size in arcs if size == 1]
+    region = points[:1] or reps
+    for first, size in arcs:
+        if not region:
             break
-        if len(support) == m:
-            continue
-        if len(support) >= 3:
-            last = next(c for c in support if (c + 1) % m not in support)
-            first = next(c for c in support if (c - 1) % m not in support)
-            region = geometry.clip_left_of(region, reps[last], reps[first], eps)
-        else:
-            hull = geometry.convex_hull(reps[sorted(support)], eps)
-            region = geometry.clip_by_hull(region, hull, eps)
-    return _classify_region(k, region, tol)
+        if size == 1:
+            region = [reps[first]] if abs(region[0] - reps[first]) <= eps else []
+        elif size < m:
+            a, b = reps[(first + size - 1) % m], reps[first]
+            normal = -1j * (b - a)
+            offset = (normal.conjugate() * a).real
+            region = geometry.clip_halfplane(region, normal, offset, eps)
+            if size == 2 and region:
+                region = geometry.clip_halfplane(region, -normal, -offset, eps)
+    return _classify_region(k, np.array(region, dtype=complex), tol)
 
 
 def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRegion:
@@ -171,17 +186,19 @@ def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRe
 def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Vertex sets of the distinct phase-contiguous run hulls (at most N)
     whose intersection is the rank-k range."""
-    return _hulls_from_eigen(unitary_eigen(as_matrix(u), tol), k, tol)
+    return _hulls_from_eigen(unitary_eigen(as_matrix(u), tol), k)
 
 
-def _hulls_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> list[np.ndarray]:
-    reps, supports = _run_supports(dec, k)
-    return [
-        geometry.canonical_vertices(
-            geometry.convex_hull(reps[sorted(s)], tol.eps_geom), tol.eps_geom
-        )
-        for s in supports
-    ]
+def _hulls_from_eigen(dec: EigenDecomposition, k: int) -> list[np.ndarray]:
+    """Each run's representatives in arc order, which is CCW, started at the
+    lexicographically smallest as ``geometry.canonical_vertices`` would."""
+    reps, arcs = _run_arcs(dec, k)
+    reps, m = np.array(reps), len(reps)
+    hulls = []
+    for first, size in arcs:
+        pts = reps[(first + np.arange(size)) % m]
+        hulls.append(np.roll(pts, -int(np.lexsort((pts.imag, pts.real))[0])))
+    return hulls
 
 
 def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeRegion:

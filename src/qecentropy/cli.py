@@ -226,7 +226,7 @@ def _cmd_numrange(args, tol: ToleranceConfig) -> int:
     region = _range_from_eigen(dec, args.k, tol)
     _emit(serialization.dumps(region.to_json(), indent=2), args.output)
     if args.svg is not None:
-        hulls = _hulls_from_eigen(dec, args.k, tol) if args.hulls else None
+        hulls = _hulls_from_eigen(dec, args.k) if args.hulls else None
         svg = render_region_svg(region, dec.eigenvalues, hulls, size=args.size)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -3,8 +3,8 @@ membership tests.
 
 A convex set is carried as an array of complex vertices: empty array,
 single point, segment endpoints, or a CCW convex polygon.  All predicates
-take an absolute tolerance; coordinates here are O(1) (inside the unit
-disk), so no rescaling is needed.
+take an absolute tolerance, a distance: a side test compares a point's
+distance from a line with it, never an area.
 """
 
 from __future__ import annotations
@@ -13,77 +13,87 @@ import numpy as np
 
 
 def _cross(o: complex, a: complex, b: complex) -> float:
+    """Twice the signed area of the triangle o, a, b: positive for a left turn.
+    Divided by the length of one side it is the distance of the third vertex
+    from that side's line, which is what the predicates compare with ``eps``."""
     return ((a - o).conjugate() * (b - o)).imag
 
 
 def dedupe_points(pts: np.ndarray, eps: float) -> np.ndarray:
     """Drop points within ``eps`` of an already-kept point (greedy, ordered)."""
     kept: list[complex] = []
-    for z in pts:
+    for z in np.asarray(pts, dtype=complex).tolist():
         if all(abs(z - w) > eps for w in kept):
-            kept.append(complex(z))
+            kept.append(z)
     return np.array(kept, dtype=complex)
 
 
 def convex_hull(pts: np.ndarray, eps: float) -> np.ndarray:
-    """Monotone-chain hull, CCW; collinear inputs collapse to a segment."""
-    pts = dedupe_points(np.asarray(pts, dtype=complex), eps)
+    """Monotone-chain hull, CCW from the lexicographically smallest vertex;
+    a vertex within ``eps`` of the chord of its neighbours is dropped, and
+    collinear inputs collapse to a segment."""
+    pts = dedupe_points(pts, eps)
     if len(pts) <= 2:
         return pts
-    order = np.lexsort((pts.imag, pts.real))
-    pts = pts[order]
-    lower: list[complex] = []
-    for z in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], z) <= eps:
-            lower.pop()
-        lower.append(complex(z))
-    upper: list[complex] = []
-    for z in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], z) <= eps:
-            upper.pop()
-        upper.append(complex(z))
-    return np.array(lower[:-1] + upper[:-1], dtype=complex)
+    zs = pts[np.lexsort((pts.imag, pts.real))].tolist()
+
+    def chain(zs: list[complex]) -> list[complex]:
+        out: list[complex] = []
+        for z in zs:
+            while len(out) >= 2 and _cross(out[-2], out[-1], z) <= eps * abs(z - out[-2]):
+                out.pop()
+            out.append(z)
+        return out
+
+    return np.array(chain(zs)[:-1] + chain(zs[::-1])[:-1], dtype=complex)
 
 
-def _clip_halfplane(pts: np.ndarray, normal: complex, offset: float, eps: float) -> np.ndarray:
-    """Intersect a convex vertex set with {z : Re(conj(normal) z) <= offset}."""
+def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: float) -> list[complex]:
+    """Intersect a convex vertex list with {z : Re(conj(normal) z) <= offset},
+    keeping vertices within distance ``eps`` outside the line.
 
-    def value(z: complex) -> float:
-        return (normal.conjugate() * z).real - offset
-
-    if len(pts) == 0:
+    The list is a point, a segment's endpoints or a CCW polygon, which may
+    repeat vertices or hold collinear ones; the result is of the same form.
+    """
+    conj, slack = normal.conjugate(), eps * abs(normal)
+    vals = [(conj * z).real - offset for z in pts]
+    inside = [v <= slack for v in vals]
+    if all(inside):
         return pts
-    if len(pts) == 1:
-        return pts if value(pts[0]) <= eps else pts[:0]
+    if not any(inside):
+        return []
     if len(pts) == 2:
-        a, b = pts
-        va, vb = value(a), value(b)
-        if va <= eps and vb <= eps:
-            return pts
-        if va > eps and vb > eps:
-            return pts[:0]
-        t = va / (va - vb)
-        cut = a + t * (b - a)
-        inside = a if va <= eps else b
-        return np.array([inside, cut], dtype=complex)
+        (a, b), (va, vb) = pts, vals
+        kept, cut = (a if inside[0] else b), a + va / (va - vb) * (b - a)
+        return [kept] if abs(cut - kept) <= eps else [kept, cut]
+    # A cut lands next to the inside end of its edge in the output.  When the
+    # two are within eps, only the one that comes first is kept, as a greedy
+    # dedupe in output order would.  A chord through two vertices would
+    # otherwise add a near-copy of each.
     out: list[complex] = []
-    n = len(pts)
+    n, skip = len(pts), False
     for i in range(n):
-        cur, nxt = pts[i], pts[(i + 1) % n]
-        vc, vn = value(cur), value(nxt)
-        if vc <= eps:
-            out.append(complex(cur))
-        if (vc <= eps) != (vn <= eps) and abs(vc - vn) > 0:
-            t = vc / (vc - vn)
-            out.append(complex(cur + t * (nxt - cur)))
-    return np.array(out, dtype=complex)
+        j = (i + 1) % n
+        if inside[i] and not skip:
+            out.append(pts[i])
+        skip = False
+        if inside[i] != inside[j]:
+            cut = pts[i] + vals[i] / (vals[i] - vals[j]) * (pts[j] - pts[i])
+            near = abs(cut - pts[i if inside[i] else j]) <= eps
+            if inside[i] or j == 0:  # the vertex comes first
+                if not near:
+                    out.append(cut)
+            else:
+                out.append(cut)
+                skip = near
+    return out
 
 
 def _hull_halfplanes(hull: np.ndarray) -> list[tuple[complex, float]]:
     """Half-planes whose intersection is the hull (polygon or segment slab)."""
     planes: list[tuple[complex, float]] = []
     if len(hull) == 2:
-        a, b = hull
+        a, b = hull.tolist()
         d = b - a
         n = 1j * d  # left normal of the segment direction
         planes.append((n, (n.conjugate() * a).real))
@@ -91,9 +101,10 @@ def _hull_halfplanes(hull: np.ndarray) -> list[tuple[complex, float]]:
         planes.append((-d, (-d.conjugate() * a).real))
         planes.append((d, (d.conjugate() * b).real))
         return planes
-    m = len(hull)
+    zs = hull.tolist()
+    m = len(zs)
     for i in range(m):
-        a, b = hull[i], hull[(i + 1) % m]
+        a, b = zs[i], zs[(i + 1) % m]
         n = -1j * (b - a)  # inward side of a CCW edge is the left side
         planes.append((n, (n.conjugate() * a).real))
     return planes
@@ -106,47 +117,38 @@ def clip_by_hull(pts: np.ndarray, hull: np.ndarray, eps: float) -> np.ndarray:
     if len(hull) == 1:
         p = complex(hull[0])
         return np.array([p], dtype=complex) if contains(pts, p, eps) else pts[:0]
+    zs = np.asarray(pts, dtype=complex).tolist()
     for normal, offset in _hull_halfplanes(hull):
-        pts = _clip_halfplane(pts, normal, offset, eps)
-        if len(pts) == 0:
+        zs = clip_halfplane(zs, normal, offset, eps)
+        if not zs:
             break
-    return canonical_vertices(pts, eps)
-
-
-def clip_left_of(pts: np.ndarray, a: complex, b: complex, eps: float) -> np.ndarray:
-    """Intersect a convex vertex set with the closed half-plane left of the
-    directed line a -> b (the inner side of a CCW hull edge)."""
-    normal = -1j * (b - a)
-    pts = _clip_halfplane(pts, normal, (normal.conjugate() * a).real, eps)
-    return canonical_vertices(pts, eps)
+    return canonical_vertices(np.array(zs, dtype=complex), eps)
 
 
 def canonical_vertices(pts: np.ndarray, eps: float) -> np.ndarray:
-    """Reduce to canonical form: dedupe, re-hull, rotate to a fixed start."""
-    pts = dedupe_points(np.asarray(pts, dtype=complex), eps)
-    if len(pts) <= 2:
-        if len(pts) == 2:
-            order = np.lexsort((pts.imag, pts.real))
-            return pts[order]
-        return pts
+    """Reduce to canonical form: dedupe and re-hull, which starts a polygon at
+    its lexicographically smallest vertex; a segment's endpoints are sorted
+    the same way."""
     hull = convex_hull(pts, eps)
-    if len(hull) <= 2:
-        return canonical_vertices(hull, eps)
-    start = int(np.lexsort((hull.imag, hull.real))[0])
-    return np.roll(hull, -start)
+    if len(hull) == 2:
+        return hull[np.lexsort((hull.imag, hull.real))]
+    return hull
 
 
 def contains(pts: np.ndarray, z: complex, eps: float) -> bool:
-    """Membership of a point in the convex set carried by ``pts``."""
+    """Membership of a point in the convex set carried by ``pts``, within
+    distance ``eps``."""
     if len(pts) == 0:
         return False
     if len(pts) == 1:
         return abs(z - pts[0]) <= eps
     if len(pts) == 2:
         return segment_distance(pts[0], pts[1], z) <= eps
-    n = len(pts)
+    zs = np.asarray(pts, dtype=complex).tolist()
+    n = len(zs)
     for i in range(n):
-        if _cross(pts[i], pts[(i + 1) % n], z) < -eps:
+        a, b = zs[i], zs[(i + 1) % n]
+        if _cross(a, b, z) < -eps * abs(b - a):
             return False
     return True
 
@@ -164,7 +166,7 @@ def contains_many(pts: np.ndarray, zs: np.ndarray, eps: float) -> np.ndarray:
     n = len(pts)
     for i in range(n):
         a, b = pts[i], pts[(i + 1) % n]
-        ok &= (np.conj(b - a) * (zs - a)).imag >= -eps
+        ok &= (np.conj(b - a) * (zs - a)).imag >= -eps * abs(b - a)
     return ok
 
 

@@ -31,6 +31,10 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        # The rank cutoff eps_rank * max(1, largest) would reach the largest
+        # eigenvalue and make every rank 0.
+        if self.eps_rank >= 1:
+            raise ValueError(f"eps_rank must be below 1, got {self.eps_rank!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -74,24 +78,26 @@ def _require_square(a: np.ndarray):
 
 
 def _chain_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[int, ...], ...]:
-    """Group indices whose values are chained within ``threshold`` of each other."""
+    """Group indices whose values are chained within ``threshold`` of each other.
+
+    ``values`` must be ascending reals or unimodular values in cyclic phase
+    order.  Only neighbours, and the last and first values, are compared: two
+    values within the threshold have every value between them (along the
+    shorter arc, for phases) within it too, since chord length grows with
+    arc length.  So each group is a contiguous run, or, for phases, one run
+    that wraps from the end to the start.
+    """
     n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= threshold:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+    if n == 0:
+        return ()
+    breaks = (np.flatnonzero(np.abs(np.diff(values)) > threshold) + 1).tolist()
+    if not breaks:
+        return (tuple(range(n)),)
+    bounds = [0, *breaks, n]
+    groups = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    if abs(values[-1] - values[0]) <= threshold:
+        groups[0] = groups[0] + groups.pop()
+    return tuple(groups)
 
 
 def hermitian_eigen(a, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
@@ -108,7 +114,7 @@ def hermitian_eigen(a, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition
     if max_asym > tol.eps_eig * scale:
         raise ValueError(f"matrix is not Hermitian: max asymmetry {max_asym:.3e}")
     w, v = np.linalg.eigh((a + dag(a)) / 2)
-    clusters = _chain_clusters(w.astype(complex), tol.eps_eig * a.shape[0])
+    clusters = _chain_clusters(w, tol.eps_eig * a.shape[0])
     return EigenDecomposition(w, v, clusters)
 
 
@@ -138,7 +144,7 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     h = (u + dag(u)) / 2
     k = (u - dag(u)) / (2j)
     w, v = np.linalg.eigh(h)
-    for cluster in _chain_clusters(w.astype(complex), tol.eps_eig * n):
+    for cluster in _chain_clusters(w, tol.eps_eig * n):
         if len(cluster) > 1:
             idx = list(cluster)
             block = dag(v[:, idx]) @ k @ v[:, idx]
@@ -146,7 +152,7 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
             v[:, idx] = v[:, idx] @ rot
 
     # Rayleigh quotients recover the unimodular eigenvalues in the joint basis.
-    eigs = np.einsum("ij,ik,kj->j", np.conj(v), u, v)
+    eigs = np.sum(np.conj(v) * (u @ v), axis=0)
     phases = np.mod(np.angle(eigs), 2 * np.pi)
     phases[phases > 2 * np.pi - tol.eps_eig * n] -= 2 * np.pi
     order = np.argsort(phases, kind="stable")

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qecentropy.errors import (
     NoFeasiblePartitionError,
     UnsupportedCodeDimensionError,
 )
-from qecentropy.numerics import DEFAULT_TOL, dag, unitary_eigen
+from qecentropy.numerics import DEFAULT_TOL, ToleranceConfig, dag, unitary_eigen
 from qecentropy.sampling import haar_unitary
 
 U4 = np.diag(np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4))
@@ -41,6 +42,14 @@ def test_from_pair_reduces_to_single_unitary():
     assert np.allclose(c.u, dag(w1) @ w2, atol=1e-14)
     with pytest.raises(ValueError):
         BinaryUnitaryChannel(1.2, np.eye(2))
+
+
+def test_binary_unitary_channel_checks_u_under_the_callers_tolerances():
+    # Unitary to 3e-7: accepted at eps_eig = 1e-7, rejected at the default.
+    c = BinaryUnitaryChannel(0.1, U9 @ np.diag(1 + 1e-8 * np.arange(9)))
+    assert c.to_channel(ToleranceConfig(eps_eig=1e-7)).num_kraus == 2
+    with pytest.raises(ValueError, match="unitary"):
+        c.to_channel()
 
 
 def test_numerical_range_point_at_origin():
@@ -298,6 +307,107 @@ def test_numerical_range_matches_subset_reference_property(steps, data):
     _assert_matches_reference(u, k)
 
 
+def test_numerical_range_canonicalises_once(monkeypatch):
+    # One pass over the chord half-planes, then one dedupe and re-hull.
+    calls = {"canonical_vertices": 0, "convex_hull": 0}
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(geometry, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(geometry, name, counting)
+    region = numerical_range(U9, 3)
+    assert region.kind is RegionKind.POLYGON
+    assert calls == {"canonical_vertices": 1, "convex_hull": 1}
+
+
+def test_range_with_a_cluster_across_phase_zero_matches_subset_reference():
+    # The cluster of eigenvalues 0, 1 and 4 wraps past phase 0.
+    u = np.diag(np.exp(1j * np.array([2 * np.pi - 5.5e-10, 1.0, 2 * np.pi - 1e-10, 2.0, 0.0])))
+    assert unitary_eigen(u).cluster_map == ((0, 1, 4), (2,), (3,))
+    for k in range(1, 6):
+        _assert_matches_reference(u, k)
+
+
+# Exact oracle for spectra with close eigenvalues: the range cut from the
+# float eigenvalues in rational arithmetic, with no tolerance, by the hull
+# edges of every cyclic run; its vertex count after dropping repeated and
+# collinear vertices.
+
+
+def _exact_clip_left_of(pts, a, b):
+    def side(p):
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    out = []
+    for i, p in enumerate(pts):
+        q = pts[(i + 1) % len(pts)]
+        sp, sq = side(p), side(q)
+        if sp >= 0:
+            out.append(p)
+        if (sp >= 0) != (sq >= 0):
+            t = sp / (sp - sq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _exact_vertex_count(eigs, k):
+    """Vertex count of the rank-k range of ``eigs``: distinct unimodular
+    values in phase order."""
+    zs = [(Fraction(float(z.real)), Fraction(float(z.imag))) for z in eigs]
+    n = len(zs)
+    region = list(zs)
+    for start in range(n):
+        run = [zs[(start + j) % n] for j in range(n - k + 1)]
+        if len(run) == 1:
+            inside = len(region) > 2 and all(
+                _exact_clip_left_of([run[0]], region[i - 1], region[i]) for i in range(len(region)))
+            region = [run[0]] if run[0] in region or inside else []
+        else:
+            for i in range(len(run) if len(run) > 2 else 2):
+                region = _exact_clip_left_of(region, run[i - 1], run[i])
+        if not region:
+            return 0
+    pts = list(dict.fromkeys(region))
+    while len(pts) > 2:
+        flat = [i for i in range(len(pts)) if _exact_clip_left_of(
+            [pts[i]], pts[i - 1], pts[(i + 1) % len(pts)]) and _exact_clip_left_of(
+            [pts[i]], pts[(i + 1) % len(pts)], pts[i - 1])]
+        if not flat:
+            break
+        del pts[flat[0]]
+    return len(pts)
+
+
+def _near_phases(n, rng):
+    """Spread phases, some replaced by a twin 1e-7 to 1e-5 from another."""
+    phases = 2 * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n + rng.uniform(0, 2 * np.pi)
+    twins = rng.choice(n, size=2 * int(rng.integers(1, n // 3 + 1)), replace=False)
+    for i, j in twins.reshape(-1, 2):
+        phases[i] = phases[j] + rng.choice([-1, 1]) * 10 ** rng.uniform(-7, -5)
+    return phases
+
+
+@pytest.mark.parametrize("d", [1e-7, 1e-6, 1e-5])
+def test_numerical_range_keeps_vertices_near_a_close_pair(d):
+    # Comparing an area with eps_geom drops one of these vertices for
+    # d <= 1e-6; the side tests compare distances with it.
+    u = np.diag(np.exp(1j * np.array([0, d, 1, 2, 3, 4, 5])))
+    region = numerical_range(u, 2)
+    assert _exact_vertex_count(unitary_eigen(u).eigenvalues, 2) == 7
+    assert region.kind is RegionKind.POLYGON and len(region.vertices) == 7
+
+
+def test_numerical_range_near_spectra_match_exact_vertex_count():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n = int(rng.integers(4, 13))
+        u = _unitary_with_phases(_near_phases(n, rng), rng)
+        eigs = unitary_eigen(u).eigenvalues
+        for k in range(1, n + 1):
+            assert len(numerical_range(u, k).vertices) == _exact_vertex_count(eigs, k), (n, k)
+
+
 def test_constituent_hulls_are_the_distinct_runs():
     # Nine distinct eigenvalues, k = 3: nine runs of seven, none repeated.
     assert len(constituent_hulls(U9, 3)) == 9
@@ -414,7 +524,7 @@ def _grouping_lambdas(region, rng):
     interior = complex(rng.dirichlet(np.ones(len(vertices))) @ vertices)
     outward = vertex - complex(np.mean(vertices))
     if outward == 0:
-        outward = vertex
+        outward = vertex or 1.0
     nudged = vertex + outward / abs(outward) * rng.uniform(0, 3e-9)
     return vertex, interior, nudged
 

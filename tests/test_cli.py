@@ -1,3 +1,4 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
@@ -186,6 +187,25 @@ def test_numrange_svg_decomposes_once(files, tmp_path, capsys, monkeypatch):
     assert svg_path.read_text(encoding="utf-8") == expected
 
 
+# SHA-256 of `numrange u9.json K --svg FILE --hulls` for the qutrit unitary,
+# as written when each run hull was still built by a hull algorithm and the
+# range re-hulled after every clip.
+QUTRIT_SVG_SHA256 = {
+    1: "1cf67bc5c1c8bac3f9b960869de1fb3b07a3e9d1e3f33849de6c817075c9d9db",
+    2: "2874bc33c200b0e3551e5cf6d5b5c291551f7c36420f36cbf33612a979510a71",
+    3: "3c868adbd100767658f8a5619928b34a42435f0c572d1764f77e4ebc4f4dc111",
+    4: "6434a789d11379d92b732119655278e20cfb5b01d3a6aa0465eb199598419573",
+    5: "0afaee99773d5f92e7568b1b9dfd428ea15f8c435821e9194e2b19a8031e94e1",
+}
+
+
+@pytest.mark.parametrize("k", sorted(QUTRIT_SVG_SHA256))
+def test_numrange_svg_with_hulls_is_byte_stable(files, tmp_path, capsys, k):
+    svg_path = tmp_path / "fig.svg"
+    assert main(["numrange", files["u9.json"], str(k), "--svg", str(svg_path), "--hulls"]) == 0
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == QUTRIT_SVG_SHA256[k]
+
+
 def test_numrange_rejects_nonpositive_svg_size(files, tmp_path, capsys):
     svg_path = tmp_path / "fig.svg"
     assert main(["numrange", files["u9.json"], "3", "--svg", str(svg_path), "--size", "-5"]) == 1
@@ -336,6 +356,18 @@ def test_rank_one_code_under_a_tiny_rank_cutoff(files, tmp_path, capsys):
         assert main(["--tolerances", str(tol_path), "code", command, files["chan.json"],
                      str(code_path)]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_tolerances_file_rejects_rank_cutoff_of_one_or_more(files, tmp_path, capsys):
+    # eps_rank >= 1 would make every rank 0 and report a Choi rank of 0.
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text('{"eps_rank": 1e300}')
+    assert main(["--tolerances", str(tol_path), "code", "analyze",
+                 files["chan.json"], files["code1.json"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "eps_rank" in captured.err
 
 
 def test_code_analyze_zero_channel_under_loose_tolerance(tmp_path, capsys):

@@ -94,3 +94,17 @@ def test_segment_distance():
     assert abs(geometry.segment_distance(0, 1, 0.5 + 1j) - 1.0) < 1e-12
     assert abs(geometry.segment_distance(0, 1, 2 + 0j) - 1.0) < 1e-12
     assert geometry.segment_distance(1j, 1j, 1j) == 0.0
+
+
+def test_predicates_compare_distances_at_every_scale():
+    # A point 0.5 eps outside a line is kept and one 2 eps outside is not,
+    # however long the edge or the normal: the tests measure distance, not area.
+    for scale in (0.01, 1.0, 100.0):
+        for off, kept in ((0.5 * EPS, True), (2 * EPS, False)):
+            z = 0.5 * scale - 1j * off
+            assert geometry.clip_halfplane([z], -1j * scale, 0.0, EPS) == ([z] if kept else [])
+            tri = np.array([0, scale, scale * (0.5 + 1j)])
+            assert geometry.contains(tri, z, EPS) is kept
+            assert geometry.contains_many(tri, np.array([z]), EPS)[0] == kept
+            hull = geometry.convex_hull(np.array([0, z, scale, scale * (0.5 + 1j)]), EPS)
+            assert len(hull) == (3 if kept else 4)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qecentropy.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _chain_clusters,
     dag,
     hermitian_eigen,
     is_unitary,
@@ -24,6 +27,16 @@ def test_tolerance_config_rejects_non_finite(value):
     for name in ("eps_rank", "eps_kl", "eps_geom", "eps_eig"):
         with pytest.raises(ValueError, match="finite positive"):
             ToleranceConfig(**{name: value})
+
+
+def test_tolerance_config_rejects_rank_cutoff_of_one_or_more():
+    # eps_rank * max(1, largest) would reach the largest eigenvalue: every rank 0.
+    for value in (1.0, 1e300):
+        with pytest.raises(ValueError, match="eps_rank must be below 1"):
+            ToleranceConfig(eps_rank=value)
+    assert ToleranceConfig(eps_rank=0.5).eps_rank == 0.5
+    # The other thresholds may be 1 or more: eps_kl = 1 is a legal loose test.
+    assert ToleranceConfig(eps_kl=1.0, eps_geom=2.0, eps_eig=1.0).eps_kl == 1.0
 
 
 def test_hermitian_eigen_known_spectrum():
@@ -104,3 +117,76 @@ def test_default_tolerances():
     assert DEFAULT_TOL.eps_kl == 1e-8
     assert DEFAULT_TOL.eps_geom == 1e-10
     assert DEFAULT_TOL.eps_eig == 1e-10
+
+
+# Differential oracle for _chain_clusters: the transitive closure of every
+# pair within the threshold, an O(N^2) double loop over values in any order.
+
+
+def _chain_clusters_reference(values, threshold):
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= threshold:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=lambda g: g[0]))
+
+
+# Gaps between neighbours, as multiples of the threshold: equal, near-equal,
+# within it and beyond it, kept off the threshold itself so that rounding in
+# chord lengths cannot decide a comparison.
+GAP_FACTORS = (0.0, 1e-6, 0.3, 0.9, 1.2, 3.0, 1e4)
+
+
+def _phase_order(phases):
+    """Unimodular values sorted by phase in [0, 2pi), as unitary_eigen orders them."""
+    phases = np.mod(phases, 2 * np.pi)
+    return np.exp(1j * np.sort(phases))
+
+
+def test_chain_clusters_matches_reference_on_seeded_spectra():
+    rng = np.random.default_rng(11)
+    threshold = 1e-9
+    for trial in range(300):
+        n = int(rng.integers(1, 40))
+        gaps = threshold * rng.choice(GAP_FACTORS, n)
+        # Start just below 2pi half the time, so runs wrap past phase 0.
+        start = 2 * np.pi - threshold * rng.uniform(0, 2 * n) if trial % 2 else rng.uniform(0, 6)
+        values = _phase_order(start + np.cumsum(gaps))
+        assert _chain_clusters(values, threshold) == _chain_clusters_reference(values, threshold)
+        reals = np.sort(rng.uniform(-1, 1) + np.cumsum(gaps))
+        assert _chain_clusters(reals, threshold) == _chain_clusters_reference(reals, threshold)
+    # Evenly spaced on the circle: every value chained to the next, round the wrap.
+    values = _phase_order(2 * np.pi * np.arange(8) / 8)
+    assert _chain_clusters(values, 0.8) == ((0, 1, 2, 3, 4, 5, 6, 7),)
+    assert _chain_clusters(values, 0.7) == tuple((i,) for i in range(8))
+    assert _chain_clusters(np.array([]), 1.0) == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(GAP_FACTORS), min_size=1, max_size=30),
+       st.floats(0, 2 * np.pi), st.sampled_from([1e-10, 1e-9 * 7, 1e-6]))
+def test_chain_clusters_matches_reference_property(factors, start, threshold):
+    gaps = threshold * np.array(factors)
+    values = _phase_order(start + np.cumsum(gaps))
+    assert _chain_clusters(values, threshold) == _chain_clusters_reference(values, threshold)
+    reals = np.sort(start + np.cumsum(gaps))
+    assert _chain_clusters(reals, threshold) == _chain_clusters_reference(reals, threshold)
+
+
+def test_unitary_eigen_clusters_across_phase_zero():
+    # 2pi - 1e-10 sorts first (as -1e-10), 2pi - 5.5e-10 last; they are
+    # 4.5e-10 apart across phase 0, inside the threshold 5 * 1e-10.
+    u = np.diag(np.exp(1j * np.array([2 * np.pi - 5.5e-10, 1.0, 2 * np.pi - 1e-10, 2.0, 0.0])))
+    assert unitary_eigen(u).cluster_map == ((0, 1, 4), (2,), (3,))
