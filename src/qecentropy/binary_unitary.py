@@ -30,11 +30,13 @@ from .numerics import (
 )
 
 # Smallest slack when testing whether a lambda lies in a rank-k range.  A
-# vertex of a range rebuilt through another clip order, or the mean of a
-# degenerate cluster whose members spread over up to eps_eig * N, can sit a
-# little outside the computed polygon, by more than eps_geom (1e-10 by
-# default) allows.
+# vertex of a range rebuilt through another clip order can sit a little
+# outside the computed polygon, by more than eps_geom (1e-10 by default) allows.
 LAMBDA_MEMBERSHIP_FLOOR = 1e-9
+
+# How far |lambda| may exceed 1 in lambda_spectrum: a range vertex built from
+# unimodular eigenvalues exceeds 1 by rounding, within the default eps_geom.
+LAMBDA_MODULUS_SLACK = 1e-10
 
 # Vertices whose moduli agree within this count as tied maxima of |lambda|.
 # Symmetric spectra give vertices of equal modulus in exact arithmetic, which
@@ -110,6 +112,15 @@ class GroupingCode:
     code: CodeSubspace
 
 
+def _representatives(dec: EigenDecomposition, k: int) -> list[complex]:
+    """Cluster means in phase order, once k is checked to lie in [1, N]."""
+    eigs = dec.eigenvalues
+    if not 1 <= k <= len(eigs):
+        raise ValueError(f"rank k must be in [1, {len(eigs)}], got {k}")
+    # A single eigenvalue is its own mean, without a numpy call.
+    return [complex(eigs[c[0]] if len(c) == 1 else np.mean(eigs[list(c)])) for c in dec.cluster_map]
+
+
 def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tuple[int, int]]]:
     """Cluster representatives in phase order, and the distinct arcs of
     clusters, as (first, size), held by the N cyclic runs of N-k+1
@@ -127,10 +138,7 @@ def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tupl
     """
     eigs, clusters = dec.eigenvalues, dec.cluster_map
     n, m = len(eigs), len(clusters)
-    if not 1 <= k <= n:
-        raise ValueError(f"rank k must be in [1, {n}], got {k}")
-    # A single eigenvalue is its own mean, without a numpy call.
-    reps = [complex(eigs[c[0]] if len(c) == 1 else np.mean(eigs[list(c)])) for c in clusters]
+    reps = _representatives(dec, k)
     owner = np.empty(n, dtype=int)
     owner[np.concatenate(clusters)] = np.repeat(np.arange(m), [len(c) for c in clusters])
     # crossed[i]: how many of eigenvalues 0..i-1, twice round, start a cluster.
@@ -212,6 +220,14 @@ def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeR
     return NumRangeRegion(k, RegionKind.POLYGON, pts)
 
 
+def _eigen_holding(u, k: int, lam: complex, tol: ToleranceConfig) -> EigenDecomposition:
+    """Decomposition of U, once lam is checked to lie in its rank-k range."""
+    dec = unitary_eigen(as_matrix(u), tol)
+    if not _range_from_eigen(dec, k, tol).contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
+        raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
+    return dec
+
+
 def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
     """Entropy extremes over a region.
 
@@ -229,12 +245,12 @@ def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
     return ExtremalLambdas(tuple(winners), closest)
 
 
-def lambda_spectrum(p: float, lam: complex, eps_geom: float = DEFAULT_TOL.eps_geom) -> tuple[float, float]:
+def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
     """Spectrum {L+, L-} of the 2x2 coefficient matrix of a binary unitary code."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must be in [0, 1], got {p}")
     mod2 = abs(lam) ** 2
-    if mod2 > (1.0 + eps_geom) ** 2:
+    if mod2 > (1.0 + LAMBDA_MODULUS_SLACK) ** 2:
         raise ValueError(f"|lambda| = {abs(lam)} exceeds 1")
     disc = max(0.0, 1.0 - 4.0 * p * (1.0 - p) * (1.0 - min(1.0, mod2)))
     root = np.sqrt(disc)
@@ -253,9 +269,7 @@ def biunitary_code_entropy(p: float, lam: complex) -> float:
 
 def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT_TOL):
     """Code entropy along a grid of mixing probabilities for a fixed lambda."""
-    region = numerical_range(u, k, tol)
-    if not region.contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
-        raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
+    _eigen_holding(u, k, lam, tol)
     return [(float(p), biunitary_code_entropy(float(p), lam)) for p in p_grid]
 
 
@@ -438,22 +452,19 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
     """
     u = as_matrix(u)
     _require_divides(u.shape[0], k)
-    dec = unitary_eigen(u, tol)
-    region = _range_from_eigen(dec, k, tol)
-    if not region.contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
-        raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
-    return _grouping_from_eigen(dec, k, lam, tol)
+    return _grouping_from_eigen(_eigen_holding(u, k, lam, tol), k, lam, tol)
 
 
 def dfs_exists(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, complex | None]:
     """Whether a zero-entropy rank-k code exists: some eigenvalue with
-    multiplicity >= k that lies in the rank-k numerical range."""
+    multiplicity >= k, returned as the mean of the first such cluster.
+
+    It lies in the rank-k range with no test: a cluster of k or more members
+    is contiguous in phase order, so every run of N-k+1 eigenvalues holds one,
+    and its mean is a vertex of every run hull.  A run of one cluster elsewhere
+    would need N-k+1 more eigenvalues, which do not exist."""
     dec = unitary_eigen(as_matrix(u), tol)
-    region = _range_from_eigen(dec, k, tol)
-    for cluster in dec.cluster_map:
-        if len(cluster) < k:
-            continue
-        rep = complex(np.mean(dec.eigenvalues[list(cluster)]))
-        if region.contains(rep, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
+    for cluster, rep in zip(dec.cluster_map, _representatives(dec, k)):
+        if len(cluster) >= k:
             return True, rep
     return False, None

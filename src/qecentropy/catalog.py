@@ -19,7 +19,7 @@ from .binary_unitary import (
     numerical_range,
 )
 from .channel import QuantumChannel, choi_gram, pauli_channel
-from .code import CodeSubspace, classify_code, code_entropy, code_subspace
+from .code import CodeSubspace, classify_code, code_subspace
 from .numerics import DEFAULT_TOL, ToleranceConfig, dag
 
 LOG2_3 = float(np.log2(3.0))
@@ -176,59 +176,47 @@ def all_instances() -> dict[str, NamedInstance]:
     return {inst.name: inst for inst in instances}
 
 
-def _max_modulus_vertex(inst: NamedInstance, k: int, tol: ToleranceConfig) -> complex:
-    region = numerical_range(inst.binary.u, k, tol)
-    # Lexicographically smallest maximizer, for determinism under ties.
-    return extremal_lambda(region).min_entropy_lambdas[0]
-
-
-def evaluate_expectation(inst: NamedInstance, exp: Expectation,
-                         tol: ToleranceConfig = DEFAULT_TOL) -> dict:
-    """Compute one expected quantity and compare it against its target."""
-    q = exp.quantity
-    if q == "choi_rank":
-        computed = choi_gram(inst.channel, tol).choi_rank
-        err = float(abs(computed - exp.target))
-    elif q == "code_entropy":
-        computed = code_entropy(inst.channel, inst.code(exp.code_label), tol)
-        err = float(abs(computed - exp.target))
-    elif q == "classification":
-        computed = classify_code(inst.channel, inst.code(exp.code_label), tol).classification.value
-        err = 0.0 if computed == exp.target else 1.0
-    elif q == "compression_value":
-        code = inst.code(exp.code_label)
-        computed = complex(np.trace(dag(code.basis) @ inst.binary.u @ code.basis) / code.k)
-        err = float(abs(computed - exp.target))
-    elif q == "numrange_vertex":
-        region = numerical_range(inst.binary.u, exp.params["k"], tol)
-        winners = extremal_lambda(region).min_entropy_lambdas
-        computed = min(winners, key=lambda z: abs(z - exp.target))
-        err = float(abs(computed - exp.target))
-    elif q in ("lambda_plus", "lambda_minus"):
-        lam = _max_modulus_vertex(inst, exp.params["k"], tol)
-        plus, minus = lambda_spectrum(inst.binary.p, lam)
-        computed = plus if q == "lambda_plus" else minus
-        err = float(abs(computed - exp.target))
-    elif q == "min_entropy":
-        lam = _max_modulus_vertex(inst, exp.params["k"], tol)
-        computed = biunitary_code_entropy(inst.binary.p, lam)
-        err = float(abs(computed - exp.target))
-    elif q == "entropy_at_lambda":
-        computed = biunitary_code_entropy(inst.binary.p, exp.params["lam"])
-        err = float(abs(computed - exp.target))
-    else:
-        raise ValueError(f"unknown expectation quantity {q!r}")
-    label = f"{q}" if exp.code_label is None else f"{q}[{exp.code_label}]"
-    return {
-        "quantity": label,
-        "expected": exp.target,
-        "computed": computed,
-        "abs_error": err,
-        "tolerance": exp.tolerance,
-        "passed": err <= exp.tolerance,
-        "provenance": exp.provenance,
-    }
-
-
 def evaluate_instance(inst: NamedInstance, tol: ToleranceConfig = DEFAULT_TOL) -> list[dict]:
-    return [evaluate_expectation(inst, exp, tol) for exp in inst.expected]
+    """Compute each expected quantity and compare it against its target.
+    Each code is analysed once, by one ``classify_code``, and each rank-k
+    range is built once, however many quantities read them."""
+    labels = dict.fromkeys(e.code_label for e in inst.expected
+                           if e.quantity in ("code_entropy", "classification"))
+    reports = {label: classify_code(inst.channel, inst.code(label), tol) for label in labels}
+    # Maximizers of |lambda| per range, sorted: the first is kept under ties.
+    winners = {k: extremal_lambda(numerical_range(inst.binary.u, k, tol)).min_entropy_lambdas
+               for k in dict.fromkeys(e.params["k"] for e in inst.expected if "k" in e.params)}
+    rows = []
+    for exp in inst.expected:
+        q = exp.quantity
+        if q == "choi_rank":
+            computed = choi_gram(inst.channel, tol).choi_rank
+        elif q == "code_entropy":
+            computed = reports[exp.code_label].entropy_bits
+        elif q == "classification":
+            computed = reports[exp.code_label].classification.value
+        elif q == "compression_value":
+            code = inst.code(exp.code_label)
+            computed = complex(np.trace(dag(code.basis) @ inst.binary.u @ code.basis) / code.k)
+        elif q == "numrange_vertex":
+            computed = min(winners[exp.params["k"]], key=lambda z: abs(z - exp.target))
+        elif q in ("lambda_plus", "lambda_minus"):
+            plus, minus = lambda_spectrum(inst.binary.p, winners[exp.params["k"]][0])
+            computed = plus if q == "lambda_plus" else minus
+        elif q == "min_entropy":
+            computed = biunitary_code_entropy(inst.binary.p, winners[exp.params["k"]][0])
+        elif q == "entropy_at_lambda":
+            computed = biunitary_code_entropy(inst.binary.p, exp.params["lam"])
+        else:
+            raise ValueError(f"unknown expectation quantity {q!r}")
+        err = float(computed != exp.target if q == "classification" else abs(computed - exp.target))
+        rows.append({
+            "quantity": q if exp.code_label is None else f"{q}[{exp.code_label}]",
+            "expected": exp.target,
+            "computed": computed,
+            "abs_error": err,
+            "tolerance": exp.tolerance,
+            "passed": err <= exp.tolerance,
+            "provenance": exp.provenance,
+        })
+    return rows

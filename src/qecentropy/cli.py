@@ -29,11 +29,9 @@ from .binary_unitary import (
 from .channel import binary_unitary_kraus, channel_from_json, choi_gram, validate_channel
 from .code import _sigma_matches, build_recovery, classify_code, code_from_json, kl_check
 from .errors import (
-    LambdaOutsideRegionError,
     NoCodeError,
     NoFeasiblePartitionError,
     NotCorrectable,
-    NotTracePreserving,
     QecError,
     RecoveryVerificationError,
     UnsupportedCodeDimensionError,
@@ -448,9 +446,7 @@ def main(argv=None) -> int:
         return _fail(str(exc), 2)
     except UnsupportedCodeDimensionError as exc:
         return _fail(str(exc), 3)
-    except (NotTracePreserving, LambdaOutsideRegionError, QecError) as exc:
-        return _fail(str(exc), 1)
-    except (OSError, ValueError, KeyError) as exc:
+    except (QecError, OSError, ValueError, KeyError) as exc:
         return _fail(str(exc), 1)
 
 

@@ -137,8 +137,8 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     u = as_matrix(u)
     _require_square(u)
     n = u.shape[0]
-    if not is_unitary(u, tol):
-        resid = frobenius(dag(u) @ u - np.eye(n))
+    resid = frobenius(dag(u) @ u - np.eye(n))
+    if not resid <= tol.eps_eig * n:
         raise ValueError(f"matrix is not unitary (||U^dag U - I||_F = {resid:.3e})")
 
     h = (u + dag(u)) / 2

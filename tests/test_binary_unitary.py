@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qecentropy import geometry
+from qecentropy import binary_unitary, geometry
 from qecentropy.binary_unitary import (
     BinaryUnitaryChannel,
     RegionKind,
@@ -566,3 +566,71 @@ def test_grouping_code_matches_reference_property(n, data):
     if region.kind is not RegionKind.EMPTY:
         for lam in _grouping_lambdas(region, rng):
             _assert_grouping_matches_reference(u, k, lam)
+
+
+def _dfs_reference(u, k, tol=DEFAULT_TOL):
+    """Slow reference: the first cluster of >= k members whose mean passes the
+    rank-k range's membership test."""
+    dec = unitary_eigen(u, tol)
+    region = numerical_range(u, k, tol)
+    for cluster in dec.cluster_map:
+        rep = complex(np.mean(dec.eigenvalues[list(cluster)]))
+        if len(cluster) >= k and region.contains(rep, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
+            return True, rep
+    return False, None
+
+
+def _wrapped_cluster_phases(n, rng):
+    """A cluster of 1 to N eigenvalues within 5e-11 of phase 0, either side."""
+    phases = rng.uniform(0, 2 * np.pi, n)
+    size = int(rng.integers(1, n + 1))
+    phases[:size] = np.mod(rng.uniform(-5e-11, 5e-11, size), 2 * np.pi)
+    return phases
+
+
+DFS_TOLERANCES = (DEFAULT_TOL, ToleranceConfig(eps_eig=1e-6), ToleranceConfig(eps_geom=1e-6))
+
+
+@pytest.mark.parametrize("family", ["repeated", "near", "jittered", "wrapped"])
+def test_dfs_exists_matches_range_reference(family):
+    rng = np.random.default_rng(["repeated", "near", "jittered", "wrapped"].index(family))
+    for _ in range(25):
+        n = int(rng.integers(2, 11))
+        if family == "repeated":
+            phases = _oracle_phases("repeated", n, rng)
+        elif family == "near":
+            phases = _near_phases(max(n, 3), rng)
+        elif family == "jittered":
+            phases = _oracle_phases("repeated", n, rng) + rng.uniform(-1e-11, 1e-11, n)
+        else:
+            phases = _wrapped_cluster_phases(n, rng)
+        u = _unitary_with_phases(phases, rng)
+        for tol in DFS_TOLERANCES:
+            for k in range(1, len(phases) + 1):
+                assert dfs_exists(u, k, tol) == _dfs_reference(u, k, tol), (family, k, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 23), min_size=2, max_size=10), st.data())
+def test_dfs_exists_matches_range_reference_property(steps, data):
+    # Phases on a 24-point grid, so repeated eigenvalues are common.
+    k = data.draw(st.integers(1, len(steps)), label="k")
+    tol = data.draw(st.sampled_from(DFS_TOLERANCES), label="tol")
+    u = _unitary_with_phases(2 * np.pi * np.array(steps) / 24,
+                             np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed")))
+    assert dfs_exists(u, k, tol) == _dfs_reference(u, k, tol)
+
+
+def test_dfs_exists_builds_no_range(monkeypatch):
+    calls = []
+    original = binary_unitary._range_from_eigen
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(binary_unitary, "_range_from_eigen", counting)
+    assert dfs_exists(ZZ, 2)[0] and not dfs_exists(U4, 2)[0]
+    assert calls == []
+    with pytest.raises(ValueError, match=r"rank k must be in \[1, 4\], got 5"):
+        dfs_exists(ZZ, 5)

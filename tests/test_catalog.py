@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qecentropy import catalog
+from qecentropy import binary_unitary, catalog
+from qecentropy import code as code_module
 from qecentropy.code import kl_check
 from qecentropy.numerics import dag
 
@@ -65,3 +66,29 @@ def test_example33_compression_value_is_zero():
     code = inst.code("paired")
     value = np.trace(dag(code.basis) @ inst.binary.u @ code.basis) / code.k
     assert abs(value) < 1e-12
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_evaluate_instance_analyses_each_code_once(monkeypatch):
+    # table1 reads code_entropy and classification for each of its three codes.
+    calls = _count_calls(monkeypatch, code_module, "kl_check")
+    catalog.evaluate_instance(catalog.table1_instances())
+    assert len(calls) == 3
+
+
+def test_evaluate_instance_builds_each_range_once(monkeypatch):
+    # qutrit reads numrange_vertex, lambda_plus, lambda_minus and min_entropy at k = 3.
+    calls = _count_calls(monkeypatch, binary_unitary, "_range_from_eigen")
+    catalog.evaluate_instance(catalog.qutrit_instance())
+    assert len(calls) == 1

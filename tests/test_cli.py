@@ -314,6 +314,23 @@ def test_reproduce_csv_and_exit_codes(capsys):
     assert len(failing) == 1 and failing[0].startswith("min_entropy")
 
 
+# SHA-256 of each table's CSV on stdout, final newline included, and the exit
+# code; they guard the catalog evaluation against any change in its output.
+REPRODUCE_SHA256 = {
+    "table1": ("a521acaae466c27af45835cc64c7337392c4d295cf0e43c824ccb1984341d43b", 0),
+    "stabilizer": ("3f713be08a6154f78ff3afe9971a626320470fe6dcf4400eb32ad8471bb8cc64", 0),
+    "example33": ("e5a76284e88c07bd9bcc6a4b0324d5076b4fe4139c63c3898fc325eaaad29295", 0),
+    "qutrit": ("a4936e0094013fb8ec43cf540aa397f9d8a7b5e4cf38e793ebaadb7bf24e264c", 4),
+}
+
+
+@pytest.mark.parametrize("table", sorted(REPRODUCE_SHA256))
+def test_reproduce_is_byte_stable(capsys, table):
+    digest, code = REPRODUCE_SHA256[table]
+    assert main(["reproduce", table]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_reproduce_deterministic(capsys):
     assert main(["reproduce", "table1"]) == 0
     first = capsys.readouterr().out
