@@ -29,9 +29,11 @@ from .numerics import (
     unitary_eigen,
 )
 
-# Smallest slack when testing whether a lambda lies in a rank-k range.  A
-# vertex of a range rebuilt through another clip order can sit a little
-# outside the computed polygon, by more than eps_geom (1e-10 by default) allows.
+# Smallest slack when testing whether a lambda lies in a rank-k range, and the
+# grouping search's tolerance for a support holding lambda.  A lambda taken
+# from the range of another copy of U (another eigenbasis, or entries rounded
+# on the way through a file) can sit a little outside this U's polygon, by
+# more than eps_geom (1e-10 by default) allows.
 LAMBDA_MEMBERSHIP_FLOOR = 1e-9
 
 # How far |lambda| may exceed 1 in lambda_spectrum: a range vertex built from
@@ -185,16 +187,53 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
     return _classify_region(k, np.array(region, dtype=complex), tol)
 
 
+# The most recent U's analysis, (key, decomposition, {k: rank-k range}), so
+# that the calls made in turn on one U decompose it once and build each range
+# once.  The key is (shape, bytes of U as a complex matrix, tolerances): U is
+# not hashable and a caller may change it in place, so its bytes are compared,
+# and a hit reuses a unitarity verdict reached on the same bytes under equal
+# tolerances.  The entry is replaced by one assignment, so concurrent callers
+# at worst compute the same thing twice; its arrays are read-only, since a hit
+# hands the same objects to every caller.
+_last_u: tuple | None = None
+
+
+def _analysis(u, tol: ToleranceConfig) -> tuple[EigenDecomposition, dict[int, NumRangeRegion]]:
+    """U's decomposition and the ranges built from it so far."""
+    global _last_u
+    u = as_matrix(u)
+    key = (u.shape, u.tobytes(), tol)
+    last = _last_u
+    if last is not None and last[0] == key:
+        return last[1], last[2]
+    dec = unitary_eigen(u, tol)
+    dec.eigenvalues.flags.writeable = False
+    dec.eigenvectors.flags.writeable = False
+    ranges: dict[int, NumRangeRegion] = {}
+    _last_u = (key, dec, ranges)
+    return dec, ranges
+
+
+def _analysed_range(u, k: int, tol: ToleranceConfig) -> tuple[EigenDecomposition, NumRangeRegion]:
+    dec, ranges = _analysis(u, tol)
+    region = ranges.get(k)
+    if region is None:
+        region = ranges[k] = _range_from_eigen(dec, k, tol)
+    return dec, region
+
+
 def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRegion:
     """Rank-k numerical range: intersection of the phase-contiguous run hulls,
-    the hulls of the N cyclic runs of N-k+1 eigenvalues in phase order."""
-    return _range_from_eigen(unitary_eigen(as_matrix(u), tol), k, tol)
+    the hulls of the N cyclic runs of N-k+1 eigenvalues in phase order.
+
+    Later calls on the same U return the same read-only region."""
+    return _analysed_range(u, k, tol)[1]
 
 
 def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Vertex sets of the distinct phase-contiguous run hulls (at most N)
     whose intersection is the rank-k range."""
-    return _hulls_from_eigen(unitary_eigen(as_matrix(u), tol), k)
+    return _hulls_from_eigen(_analysis(u, tol)[0], k)
 
 
 def _hulls_from_eigen(dec: EigenDecomposition, k: int) -> list[np.ndarray]:
@@ -211,6 +250,7 @@ def _hulls_from_eigen(dec: EigenDecomposition, k: int) -> list[np.ndarray]:
 
 def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeRegion:
     pts = geometry.canonical_vertices(pts, tol.eps_geom)
+    pts.flags.writeable = False
     if len(pts) == 0:
         return NumRangeRegion(k, RegionKind.EMPTY, pts)
     if len(pts) == 1:
@@ -221,9 +261,10 @@ def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeR
 
 
 def _eigen_holding(u, k: int, lam: complex, tol: ToleranceConfig) -> EigenDecomposition:
-    """Decomposition of U, once lam is checked to lie in its rank-k range."""
-    dec = unitary_eigen(as_matrix(u), tol)
-    if not _range_from_eigen(dec, k, tol).contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
+    """U's decomposition, once lam is checked to lie in its rank-k range; both
+    come from the memo of the most recent U."""
+    dec, region = _analysed_range(u, k, tol)
+    if not region.contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
         raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
     return dec
 
@@ -310,7 +351,7 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
             den = abs(d) ** 2
             if den == 0:
                 continue
-            tj = float(np.clip((np.conj(d) * (lam - eigs[i])).real / den, 0.0, 1.0))
+            tj = min(max(float((np.conj(d) * (lam - eigs[i])).real / den), 0.0), 1.0)
             if abs(eigs[i] + tj * d - lam) <= atol:
                 supports[(i, j)] = (1.0 - tj, tj)
     if size < 3 or n < 3:
@@ -463,7 +504,7 @@ def dfs_exists(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, com
     is contiguous in phase order, so every run of N-k+1 eigenvalues holds one,
     and its mean is a vertex of every run hull.  A run of one cluster elsewhere
     would need N-k+1 more eigenvalues, which do not exist."""
-    dec = unitary_eigen(as_matrix(u), tol)
+    dec = _analysis(u, tol)[0]
     for cluster, rep in zip(dec.cluster_map, _representatives(dec, k)):
         if len(cluster) >= k:
             return True, rep

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -41,6 +42,14 @@ class QuantumChannel:
     @property
     def num_kraus(self) -> int:
         return len(self.kraus)
+
+    @functools.cached_property
+    def _trace_residual(self) -> float:
+        """||sum_i E_i^dag E_i - I||_F, formed once per channel, as ``kraus``
+        is read-only."""
+        # Stacking the operators row-wise turns the sum into one product.
+        rows = self.kraus.reshape(-1, self.dim)
+        return frobenius(dag(rows) @ rows - np.eye(self.dim))
 
     def to_json(self) -> dict:
         return {
@@ -91,10 +100,7 @@ def channel_from_json(obj) -> QuantumChannel:
 
 def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Check trace preservation; raises NotTracePreserving on failure."""
-    # Stacking the operators row-wise turns sum_i E_i^dag E_i into one product.
-    rows = c.kraus.reshape(-1, c.dim)
-    total = dag(rows) @ rows
-    residual = frobenius(total - np.eye(c.dim))
+    residual = c._trace_residual
     if not residual <= tol.eps_kl * c.dim:
         raise NotTracePreserving(residual)
 

@@ -517,8 +517,7 @@ def _assert_grouping_matches_reference(u, k, lam):
 
 def _grouping_lambdas(region, rng):
     """A vertex, a random interior point, and a vertex pushed outward by up to
-    3e-9, which lands inside the membership slack but often outside every
-    group hull, so all three outcomes occur."""
+    3e-9, which the membership test keeps when it lands within its slack."""
     vertices = region.vertices
     vertex = complex(vertices[rng.integers(len(vertices))])
     interior = complex(rng.dirichlet(np.ones(len(vertices))) @ vertices)
@@ -529,15 +528,52 @@ def _grouping_lambdas(region, rng):
     return vertex, interior, nudged
 
 
+def _corner_lambdas(region, rng):
+    """Points just past each vertex of a polygonal region that lies on the
+    unit circle, a k-fold eigenvalue, along the outward bisector.
+
+    The membership test keeps a point within eps of every edge line, which
+    past a vertex of interior angle theta reaches eps / sin(theta / 2) from
+    it.  These points lie between eps and that reach, so they pass the test,
+    but they are more than eps from the eigenvalue, and a group hull holds a
+    point of the circle only as a vertex, so in the seeded cases no group
+    hull comes within eps of them.  Interior and edge points admitted a
+    partition throughout seeded sweeps, so these are what reach
+    NoFeasiblePartitionError."""
+    if region.kind is not RegionKind.POLYGON:
+        return []
+    eps = max(DEFAULT_TOL.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
+    vertices = [complex(z) for z in region.vertices]
+    corners = []
+    for prev, vertex, nxt in zip(np.roll(vertices, 1), vertices, np.roll(vertices, -1)):
+        if abs(abs(vertex) - 1.0) > 1e-12:
+            continue
+        along, back = (nxt - vertex) / abs(nxt - vertex), (prev - vertex) / abs(prev - vertex)
+        reach = 2 / abs(along - back)  # 1 / sin(theta / 2)
+        inward = (along + back) / abs(along + back)
+        corners.append(vertex - inward * eps * (1 + rng.uniform(0.2, 0.8) * (reach - 1)))
+    return corners
+
+
 # Spectra per dimension N with a divisor k, 2k <= N (families in turn, so
 # N = 15 and 16 get one evenly spaced spectrum); fewer where the old search is
 # slow.  With the other families it takes 2-40 s per case at N = 15 and 16.
 GROUPING_SPECTRA = {4: 24, 6: 24, 8: 16, 9: 12, 10: 12, 12: 8, 14: 4, 15: 1, 16: 1}
+# Corner points are tried up to this N: the old search proves that no
+# partition exists by trying every one, about 1.5 s per case at N = 14.
+GROUPING_CORNERS_MAX_N = 12
+# Fewest (codes, LambdaOutsideRegionError, NoFeasiblePartitionError) per N,
+# about half of what the seeded cases give, so that a change in which
+# candidates reach each outcome shows.  N = 4 and 9 draw no polygon with a
+# vertex on the circle.
+GROUPING_MIN_OUTCOMES = {4: (29, 7, 0), 6: (40, 10, 1), 8: (26, 8, 2), 9: (14, 4, 0), 10: (19, 4, 3),
+                         12: (30, 8, 3), 14: (5, 2, 0), 15: (3, 0, 0), 16: (4, 0, 0)}
 
 
 @pytest.mark.parametrize("n", sorted(GROUPING_SPECTRA))
 def test_grouping_code_matches_reference(n):
     rng = np.random.default_rng(400 + n)
+    corner_rng = np.random.default_rng(700 + n)
     outcomes = []
     for trial in range(GROUPING_SPECTRA[n]):
         family = ORACLE_FAMILIES[trial % len(ORACLE_FAMILIES)]
@@ -548,9 +584,14 @@ def test_grouping_code_matches_reference(n):
             region = numerical_range(u, k)
             if region.kind is RegionKind.EMPTY:
                 continue
-            for lam in _grouping_lambdas(region, rng):
+            lams = list(_grouping_lambdas(region, rng))
+            if n <= GROUPING_CORNERS_MAX_N:
+                lams += _corner_lambdas(region, corner_rng)
+            for lam in lams:
                 outcomes.append(_assert_grouping_matches_reference(u, k, lam))
-    assert None in outcomes
+    counts = (outcomes.count(None), outcomes.count(LambdaOutsideRegionError),
+              outcomes.count(NoFeasiblePartitionError))
+    assert all(c >= low for c, low in zip(counts, GROUPING_MIN_OUTCOMES[n])), counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -634,3 +675,162 @@ def test_dfs_exists_builds_no_range(monkeypatch):
     assert calls == []
     with pytest.raises(ValueError, match=r"rank k must be in \[1, 4\], got 5"):
         dfs_exists(ZZ, 5)
+
+
+# The binary-unitary entry points share one memo of the most recent U's
+# decomposition and rank-k ranges.
+
+
+def _count_decompositions(monkeypatch):
+    """(unitary_eigen calls, rank of each range built), recorded from here on."""
+    eigen_calls, range_ks = [], []
+    eigen, build = binary_unitary.unitary_eigen, binary_unitary._range_from_eigen
+
+    def counting_eigen(*args):
+        eigen_calls.append(args)
+        return eigen(*args)
+
+    def counting_build(dec, k, tol):
+        range_ks.append(k)
+        return build(dec, k, tol)
+
+    monkeypatch.setattr(binary_unitary, "unitary_eigen", counting_eigen)
+    monkeypatch.setattr(binary_unitary, "_range_from_eigen", counting_build)
+    return eigen_calls, range_ks
+
+
+def test_one_unitary_is_decomposed_once_across_the_calls(monkeypatch):
+    eigen_calls, range_ks = _count_decompositions(monkeypatch)
+    region = numerical_range(U9, 3)
+    lam = extremal_lambda(region).min_entropy_lambdas[0]
+    assert not dfs_exists(U9, 3)[0]
+    entropy_vs_p(U9, 3, lam, [0.1, 0.5])
+    constituent_hulls(U9, 3)
+    grouping_code(U9, 3, lam)
+    assert numerical_range(U9, 3) is region
+    numerical_range(U9, 2)
+    entropy_vs_p(U9, 2, 0j, [0.1])
+    assert len(eigen_calls) == 1
+    assert range_ks == [3, 2]
+
+
+def test_memo_follows_the_bytes_of_u_and_the_tolerances():
+    rng = np.random.default_rng(5)
+    u = _unitary_with_phases(_oracle_phases("random", 8, rng), rng)
+    other = _unitary_with_phases(_oracle_phases("repeated", 8, rng), rng)
+
+    def cold(v, k, tol=DEFAULT_TOL):
+        binary_unitary._last_u = None
+        return numerical_range(v.copy(), k, tol)
+
+    def same(a, b):
+        return a.kind is b.kind and a.vertices.tobytes() == b.vertices.tobytes()
+
+    numerical_range(u, 3)
+    u[:] = other  # changed in place after a call
+    warm_region, warm_dfs = numerical_range(u, 3), dfs_exists(u, 2)
+    assert same(warm_region, cold(other, 3))
+    binary_unitary._last_u = None
+    assert warm_dfs == dfs_exists(other.copy(), 2)
+
+    # Two eigenvalues 1e-8 apart: one cluster under eps_eig = 1e-6 only.
+    near = _unitary_with_phases([0.0, 1e-8, 1.0, 2.0, 3.0, 4.0], rng)
+    loose = ToleranceConfig(eps_eig=1e-6)
+    default_region = numerical_range(near, 2)
+    loose_region = numerical_range(near, 2, loose)
+    assert same(loose_region, cold(near, 2, loose))
+    assert not same(loose_region, default_region)
+    assert same(numerical_range(near, 2), cold(near, 2))
+
+    # A unitarity verdict holds only for the tolerances that reached it.
+    skewed = near.copy()
+    skewed[0, 0] += 1e-8
+    numerical_range(skewed, 2, loose)
+    with pytest.raises(ValueError, match="not unitary"):
+        numerical_range(skewed, 2)
+    numerical_range(near, 2)
+    near[0, 0] += 1e-8
+    with pytest.raises(ValueError, match="not unitary"):
+        numerical_range(near, 2)
+
+
+def test_memoised_arrays_are_read_only():
+    region = numerical_range(U9, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        region.vertices[0] = 0
+    dec = binary_unitary._analysis(U9, DEFAULT_TOL)[0]
+    for array in (dec.eigenvalues, dec.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def _exact(x):
+    """A result in comparable exact form: floats by float.hex, arrays element
+    by element, regions and codes by their fields, errors by type and text."""
+    if isinstance(x, Exception):
+        return type(x).__name__, str(x)
+    if isinstance(x, binary_unitary.NumRangeRegion):
+        return x.k, x.kind.value, _exact(x.vertices)
+    if isinstance(x, binary_unitary.GroupingCode):
+        return _exact(x.lam), x.partition, _exact(x.weights), _exact(x.code.basis)
+    if isinstance(x, np.ndarray):
+        return x.shape, _exact(x.ravel().tolist())
+    if isinstance(x, (list, tuple)):
+        return tuple(_exact(y) for y in x)
+    if isinstance(x, complex):
+        return float(x.real).hex(), float(x.imag).hex()
+    if isinstance(x, float):
+        return float(x).hex()
+    return x
+
+
+def _memo_calls(u, rng):
+    """Every entry point on u at every k (and one k out of range), with a
+    vertex, an interior point, a point 1e-3 outside and the corner points of
+    each region as lambda."""
+    n = u.shape[0]
+    calls = []
+    for k in range(1, n + 2):
+        calls += [(numerical_range, (u, k)), (constituent_hulls, (u, k)), (dfs_exists, (u, k))]
+        if k > n:
+            continue
+        region = binary_unitary._range_from_eigen(unitary_eigen(u), k, DEFAULT_TOL)
+        if region.kind is RegionKind.EMPTY:
+            continue
+        vertex = complex(region.vertices[0])
+        centre = complex(np.mean(region.vertices))
+        lams = [vertex, centre, vertex + 1e-3 * ((vertex - centre) or 1.0)]
+        lams += _corner_lambdas(region, rng)
+        for lam in lams:
+            calls.append((entropy_vs_p, (u, k, lam, [0.0, 0.25, 0.5])))
+            if n % k == 0 and 2 * k <= n:
+                calls.append((grouping_code, (u, k, lam)))
+    return calls
+
+
+def _run(fn, args):
+    """("ok", result) or (error type name, error text), in exact form."""
+    try:
+        return "ok", _exact(fn(*args))
+    except (ValueError, LambdaOutsideRegionError, NoFeasiblePartitionError) as exc:
+        return _exact(exc)
+
+
+def test_memo_gives_the_cold_results():
+    rng = np.random.default_rng(31)
+    calls = []
+    for family in ORACLE_FAMILIES:
+        for n in (6, 8, 9, 12):
+            for _ in range(2):
+                calls += _memo_calls(_unitary_with_phases(_oracle_phases(family, n, rng), rng), rng)
+    cold = []
+    for fn, args in calls:
+        binary_unitary._last_u = None
+        cold.append(_run(fn, args))
+    binary_unitary._last_u = None
+    warm = [_run(fn, args) for fn, args in calls]
+    assert warm == cold
+    outcomes = [outcome for outcome, _ in cold]
+    assert outcomes.count("ValueError") >= 10
+    assert outcomes.count("LambdaOutsideRegionError") >= 10
+    assert outcomes.count("NoFeasiblePartitionError") >= 1

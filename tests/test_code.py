@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,27 @@ def test_rank_one_code_decomposes_lambda_once(monkeypatch):
     assert len(calls) == 1
     calls.clear()
     build_recovery(chan, code3)
+    assert len(calls) == 1
+
+
+def test_one_channel_checks_trace_preservation_once(monkeypatch):
+    # The residual ||sum_i E_i^dag E_i - I||_F starts from dag of the stacked
+    # Kraus operators, a view of the channel's own array.
+    # The package's own ``channel`` attribute is the constructor function.
+    channel_module = importlib.import_module("qecentropy.channel")
+    chan, code1 = _table1_channel(), _table1_codes()[0]
+    dag_of, calls = channel_module.dag, []
+
+    def counting(a):
+        if np.shares_memory(a, chan.kraus):
+            calls.append(a)
+        return dag_of(a)
+
+    monkeypatch.setattr(channel_module, "dag", counting)
+    kl_check(chan, code1)
+    classify_code(chan, code1)
+    build_recovery(chan, code1)
+    assert sigma_equals_lambda_check(chan, code1, 2)
     assert len(calls) == 1
 
 
