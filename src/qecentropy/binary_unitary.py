@@ -232,14 +232,10 @@ def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRe
 
 def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
     """Vertex sets of the distinct phase-contiguous run hulls (at most N)
-    whose intersection is the rank-k range."""
-    return _hulls_from_eigen(_analysis(u, tol)[0], k)
-
-
-def _hulls_from_eigen(dec: EigenDecomposition, k: int) -> list[np.ndarray]:
-    """Each run's representatives in arc order, which is CCW, started at the
-    lexicographically smallest as ``geometry.canonical_vertices`` would."""
-    reps, arcs = _run_arcs(dec, k)
+    whose intersection is the rank-k range: each run's representatives in
+    arc order, which is CCW, started at the lexicographically smallest as
+    ``geometry.canonical_vertices`` would."""
+    reps, arcs = _run_arcs(_analysis(u, tol)[0], k)
     reps, m = np.array(reps), len(reps)
     hulls = []
     for first, size in arcs:
@@ -385,21 +381,36 @@ def _group_weights(group: tuple[int, ...], supports: dict) -> np.ndarray | None:
     return None
 
 
-def _require_divides(n: int, k: int) -> None:
+def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
+    """Build a rank-k code by partitioning the eigenstates into k groups of
+    N/k whose eigenvalue hulls all contain ``lam``.
+
+    Group members are combined as sum_j sqrt(t_j) |psi_j>, which is
+    orthonormal across groups because the eigenbasis is.  Backtracking over
+    partitions is lexicographic in phase order: each level fills the group of
+    the first unused eigenstate with every choice of N/k - 1 others in turn.
+
+    Feasibility of a group depends only on which eigenvalues it holds, so the
+    search first tabulates the minimal supports of ``lam``: the singles,
+    pairs and triples of eigenstates whose hull holds it (Caratheodory), each
+    with its convex weights.  A group is feasible when it contains one, and
+    takes the weights of the first it contains (singles, then pairs, then
+    triples, each in lexicographic order), looked up by the group's own
+    singles, pairs and triples and memoised per group.  A branch is cut when
+    its unused eigenstates cannot hold one disjoint support for each group
+    still to fill: when a greedy set of them that meets every support among
+    them is smaller than the number of those groups.  That only drops
+    branches that fail, so the partition found is the first in the
+    lexicographic order.
+    """
+    u = as_matrix(u)
+    n = u.shape[0]
     if k < 1 or n % k != 0:
         raise UnsupportedCodeDimensionError(
             f"eigenstate grouping requires k | N; got k={k}, N={n}"
         )
-
-
-def _grouping_from_eigen(
-    dec: EigenDecomposition, k: int, lam: complex, tol: ToleranceConfig
-) -> GroupingCode:
-    """Grouping search on one eigendecomposition; the caller has checked that
-    lam lies in the rank-k range."""
+    dec = _eigen_holding(u, k, lam, tol)
     eigs = dec.eigenvalues
-    n = len(eigs)
-    _require_divides(n, k)
     size = n // k
     supports = _lambda_supports(eigs, lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR), size)
     members = np.zeros((len(supports), n), dtype=bool)
@@ -467,33 +478,6 @@ def _grouping_from_eigen(
         tuple(tuple(float(x) for x in t) for t in weights),
         code_subspace(basis, tol),
     )
-
-
-def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
-    """Build a rank-k code by partitioning the eigenstates into k groups of
-    N/k whose eigenvalue hulls all contain ``lam``.
-
-    Group members are combined as sum_j sqrt(t_j) |psi_j>, which is
-    orthonormal across groups because the eigenbasis is.  Backtracking over
-    partitions is lexicographic in phase order: each level fills the group of
-    the first unused eigenstate with every choice of N/k - 1 others in turn.
-
-    Feasibility of a group depends only on which eigenvalues it holds, so the
-    search first tabulates the minimal supports of ``lam``: the singles,
-    pairs and triples of eigenstates whose hull holds it (Caratheodory), each
-    with its convex weights.  A group is feasible when it contains one, and
-    takes the weights of the first it contains (singles, then pairs, then
-    triples, each in lexicographic order), looked up by the group's own
-    singles, pairs and triples and memoised per group.  A branch is cut when
-    its unused eigenstates cannot hold one disjoint support for each group
-    still to fill: when a greedy set of them that meets every support among
-    them is smaller than the number of those groups.  That only drops
-    branches that fail, so the partition found is the first in the
-    lexicographic order.
-    """
-    u = as_matrix(u)
-    _require_divides(u.shape[0], k)
-    return _grouping_from_eigen(_eigen_holding(u, k, lam, tol), k, lam, tol)
 
 
 def dfs_exists(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, complex | None]:

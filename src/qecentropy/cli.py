@@ -18,15 +18,17 @@ import numpy as np
 
 from . import catalog, serialization
 from .binary_unitary import (
+    BinaryUnitaryChannel,
     NumRangeRegion,
-    _grouping_from_eigen,
-    _hulls_from_eigen,
-    _range_from_eigen,
+    _analysed_range,
     biunitary_code_entropy,
+    constituent_hulls,
     entropy_vs_p,
     extremal_lambda,
+    grouping_code,
+    numerical_range,
 )
-from .channel import binary_unitary_kraus, channel_from_json, choi_gram, validate_channel
+from .channel import channel_from_json, choi_gram, validate_channel
 from .code import _sigma_matches, build_recovery, classify_code, code_from_json, kl_check
 from .errors import (
     NoCodeError,
@@ -36,7 +38,7 @@ from .errors import (
     RecoveryVerificationError,
     UnsupportedCodeDimensionError,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, is_unitary, unitary_eigen
+from .numerics import DEFAULT_TOL, ToleranceConfig
 
 TOLERANCES_ENV = "QECENTROPY_TOLERANCES"
 
@@ -88,11 +90,9 @@ def _parse_complex(text: str) -> complex:
     raise ValueError(f"complex value must be 'RE' or 'RE,IM', got {text!r}")
 
 
-def _load_unitary(path: str, tol: ToleranceConfig) -> np.ndarray:
-    u = as_matrix(serialization.matrix_from_json(_load_json_file(path)))
-    if not is_unitary(u, tol):
-        raise ValueError(f"matrix in {path} is not unitary")
-    return u
+def _load_unitary(path: str) -> np.ndarray:
+    # Unitarity is checked where U is first decomposed, under the tolerances.
+    return serialization.matrix_from_json(_load_json_file(path))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -220,11 +220,12 @@ def _cmd_code_recovery(args, tol: ToleranceConfig) -> int:
 def _cmd_numrange(args, tol: ToleranceConfig) -> int:
     if args.size < 1:
         raise ValueError(f"--size must be a positive number of pixels, got {args.size}")
-    dec = unitary_eigen(_load_unitary(args.unitary, tol), tol)
-    region = _range_from_eigen(dec, args.k, tol)
+    u = _load_unitary(args.unitary)
+    # The figure draws every eigenvalue, so the decomposition is taken along.
+    dec, region = _analysed_range(u, args.k, tol)
     _emit(serialization.dumps(region.to_json(), indent=2), args.output)
     if args.svg is not None:
-        hulls = _hulls_from_eigen(dec, args.k) if args.hulls else None
+        hulls = constituent_hulls(u, args.k, tol) if args.hulls else None
         svg = render_region_svg(region, dec.eigenvalues, hulls, size=args.size)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -232,16 +233,13 @@ def _cmd_numrange(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> int:
-    u = _load_unitary(args.unitary, tol)
-    # Under the tolerances that accepted U; also rejects p outside [0, 1] early.
-    binary = binary_unitary_kraus(args.p, u, tol)
-    dec = unitary_eigen(u, tol)
-    region = _range_from_eigen(dec, args.k, tol)
+    # Rejects p outside [0, 1] before any range is built.
+    binary = BinaryUnitaryChannel(args.p, _load_unitary(args.unitary))
+    region = numerical_range(binary.u, args.k, tol)
     lam = extremal_lambda(region).min_entropy_lambdas[0]
-    # lam is a vertex of the range, so the search needs no membership test.
-    built = _grouping_from_eigen(dec, args.k, lam, tol)
+    built = grouping_code(binary.u, args.k, lam, tol)
     # Independent verification of the construction before anything is printed.
-    lam_matrix, residual = kl_check(binary, built.code, tol)
+    lam_matrix, residual = kl_check(binary.to_channel(tol), built.code, tol)
     report = {
         "lambda": serialization.complex_to_json(lam),
         "entropy_bits": biunitary_code_entropy(args.p, lam),
@@ -256,7 +254,7 @@ def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> int:
 
 
 def _cmd_entropy_vs_p(args, tol: ToleranceConfig) -> int:
-    u = _load_unitary(args.unitary, tol)
+    u = _load_unitary(args.unitary)
     lam = _parse_complex(args.lam)
     if args.p_grid is not None:
         grid = [float(x) for x in args.p_grid.split(",")]

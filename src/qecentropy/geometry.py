@@ -89,42 +89,6 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
     return out
 
 
-def _hull_halfplanes(hull: np.ndarray) -> list[tuple[complex, float]]:
-    """Half-planes whose intersection is the hull (polygon or segment slab)."""
-    planes: list[tuple[complex, float]] = []
-    if len(hull) == 2:
-        a, b = hull.tolist()
-        d = b - a
-        n = 1j * d  # left normal of the segment direction
-        planes.append((n, (n.conjugate() * a).real))
-        planes.append((-n, (-n.conjugate() * a).real))
-        planes.append((-d, (-d.conjugate() * a).real))
-        planes.append((d, (d.conjugate() * b).real))
-        return planes
-    zs = hull.tolist()
-    m = len(zs)
-    for i in range(m):
-        a, b = zs[i], zs[(i + 1) % m]
-        n = -1j * (b - a)  # inward side of a CCW edge is the left side
-        planes.append((n, (n.conjugate() * a).real))
-    return planes
-
-
-def clip_by_hull(pts: np.ndarray, hull: np.ndarray, eps: float) -> np.ndarray:
-    """Intersect a convex vertex set with the hull of another point set."""
-    if len(pts) == 0 or len(hull) == 0:
-        return pts[:0]
-    if len(hull) == 1:
-        p = complex(hull[0])
-        return np.array([p], dtype=complex) if contains(pts, p, eps) else pts[:0]
-    zs = np.asarray(pts, dtype=complex).tolist()
-    for normal, offset in _hull_halfplanes(hull):
-        zs = clip_halfplane(zs, normal, offset, eps)
-        if not zs:
-            break
-    return canonical_vertices(np.array(zs, dtype=complex), eps)
-
-
 def canonical_vertices(pts: np.ndarray, eps: float) -> np.ndarray:
     """Reduce to canonical form: dedupe and re-hull, which starts a polygon at
     its lexicographically smallest vertex; a segment's endpoints are sorted

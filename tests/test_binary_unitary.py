@@ -216,7 +216,69 @@ def test_region_json():
 # Differential oracle: the rank-k range as the intersection of the hulls of
 # every (N-k+1)-subset of the spectrum, C(N, k-1) of them, deduplicated by the
 # distinct eigenvalues each subset holds.  Slow, and kept only as a reference
-# for the phase-contiguous run construction in numerical_range.
+# for the phase-contiguous run construction in numerical_range; the clipping
+# by a whole hull below serves only this oracle.
+
+
+def _hull_halfplanes(hull: np.ndarray) -> list[tuple[complex, float]]:
+    """Half-planes whose intersection is the hull (polygon or segment slab)."""
+    planes: list[tuple[complex, float]] = []
+    if len(hull) == 2:
+        a, b = hull.tolist()
+        d = b - a
+        n = 1j * d  # left normal of the segment direction
+        planes.append((n, (n.conjugate() * a).real))
+        planes.append((-n, (-n.conjugate() * a).real))
+        planes.append((-d, (-d.conjugate() * a).real))
+        planes.append((d, (d.conjugate() * b).real))
+        return planes
+    zs = hull.tolist()
+    m = len(zs)
+    for i in range(m):
+        a, b = zs[i], zs[(i + 1) % m]
+        n = -1j * (b - a)  # inward side of a CCW edge is the left side
+        planes.append((n, (n.conjugate() * a).real))
+    return planes
+
+
+def _clip_by_hull(pts: np.ndarray, hull: np.ndarray, eps: float) -> np.ndarray:
+    """Intersect a convex vertex set with the hull of another point set."""
+    if len(pts) == 0 or len(hull) == 0:
+        return pts[:0]
+    if len(hull) == 1:
+        p = complex(hull[0])
+        return np.array([p], dtype=complex) if geometry.contains(pts, p, eps) else pts[:0]
+    zs = np.asarray(pts, dtype=complex).tolist()
+    for normal, offset in _hull_halfplanes(hull):
+        zs = geometry.clip_halfplane(zs, normal, offset, eps)
+        if not zs:
+            break
+    return geometry.canonical_vertices(np.array(zs, dtype=complex), eps)
+
+
+def test_clip_by_hull_polygon_intersection():
+    square = np.array([0, 2, 2 + 2j, 2j])
+    shifted = np.array([1 + 1j, 3 + 1j, 3 + 3j, 1 + 3j])
+    out = _clip_by_hull(square, shifted, DEFAULT_TOL.eps_geom)
+    assert len(out) == 4
+    assert {complex(z) for z in np.round(out, 9)} == {1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j}
+
+
+def test_clip_by_hull_to_point_and_empty():
+    square = np.array([0, 1, 1 + 1j, 1j])
+    touching = np.array([1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j])
+    out = _clip_by_hull(square, touching, DEFAULT_TOL.eps_geom)
+    assert len(out) == 1 and abs(out[0] - (1 + 1j)) < 1e-9
+    disjoint = touching + 1 + 1j
+    assert len(_clip_by_hull(square, disjoint, DEFAULT_TOL.eps_geom)) == 0
+
+
+def test_clip_polygon_by_segment_gives_chord():
+    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
+    seg = np.array([-2.0 + 0j, 2.0 + 0j])
+    out = _clip_by_hull(seg, square, DEFAULT_TOL.eps_geom)
+    assert len(out) == 2
+    assert np.allclose(sorted(out, key=lambda z: z.real), [-1, 1], atol=1e-9)
 
 
 def _subset_range_reference(u, k, tol=DEFAULT_TOL):
@@ -241,7 +303,7 @@ def _subset_range_reference(u, k, tol=DEFAULT_TOL):
         if support == full:
             continue
         hull = geometry.convex_hull(np.array([reps[i] for i in sorted(support)]), eps)
-        region = geometry.clip_by_hull(region, hull, eps)
+        region = _clip_by_hull(region, hull, eps)
         if len(region) == 0:
             break
     region = geometry.canonical_vertices(region, eps)
@@ -681,26 +743,8 @@ def test_dfs_exists_builds_no_range(monkeypatch):
 # decomposition and rank-k ranges.
 
 
-def _count_decompositions(monkeypatch):
-    """(unitary_eigen calls, rank of each range built), recorded from here on."""
-    eigen_calls, range_ks = [], []
-    eigen, build = binary_unitary.unitary_eigen, binary_unitary._range_from_eigen
-
-    def counting_eigen(*args):
-        eigen_calls.append(args)
-        return eigen(*args)
-
-    def counting_build(dec, k, tol):
-        range_ks.append(k)
-        return build(dec, k, tol)
-
-    monkeypatch.setattr(binary_unitary, "unitary_eigen", counting_eigen)
-    monkeypatch.setattr(binary_unitary, "_range_from_eigen", counting_build)
-    return eigen_calls, range_ks
-
-
-def test_one_unitary_is_decomposed_once_across_the_calls(monkeypatch):
-    eigen_calls, range_ks = _count_decompositions(monkeypatch)
+def test_one_unitary_is_decomposed_once_across_the_calls(analysis_counts):
+    eigen_calls, range_ks = analysis_counts
     region = numerical_range(U9, 3)
     lam = extremal_lambda(region).min_entropy_lambdas[0]
     assert not dfs_exists(U9, 3)[0]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pathlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -164,25 +165,23 @@ def test_numrange_json_and_svg(files, tmp_path, capsys):
     assert any(el.get("class") == "hull" for el in root.iter())
 
 
-def test_numrange_svg_decomposes_once(files, tmp_path, capsys, monkeypatch):
+def test_numrange_svg_decomposes_once(files, tmp_path, capsys, analysis_counts):
     from qecentropy import binary_unitary, cli, numerics
 
-    u = serialization.matrix_from_json(json.loads(open(files["u9.json"]).read()))
+    u = serialization.matrix_from_json(json.loads(pathlib.Path(files["u9.json"]).read_text()))
     region = binary_unitary.numerical_range(u, 3)
     expected = cli.render_region_svg(region, numerics.unitary_eigen(u).eigenvalues,
                                      binary_unitary.constituent_hulls(u, 3), size=300)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return numerics.unitary_eigen(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "unitary_eigen", counting)
-    monkeypatch.setattr(binary_unitary, "unitary_eigen", counting)
     svg_path = tmp_path / "fig.svg"
+    # The calls above left this U in the memo and in the counts; the command
+    # must start from neither.
+    binary_unitary._last_u = None
+    eigen_calls, range_ks = analysis_counts
+    eigen_calls.clear()
+    range_ks.clear()
     assert main(["numrange", files["u9.json"], "3", "--svg", str(svg_path),
                  "--hulls", "--size", "300"]) == 0
-    assert len(calls) == 1
+    assert len(eigen_calls) == 1 and range_ks == [3]
     assert json.loads(capsys.readouterr().out) == json.loads(serialization.dumps(region.to_json()))
     assert svg_path.read_text(encoding="utf-8") == expected
 
@@ -233,28 +232,65 @@ def test_min_entropy_code(files, capsys):
     assert main(["min-entropy-code", files["u4.json"], "4", "0.01"]) == 2
 
 
-def test_min_entropy_code_decomposes_once(files, capsys, monkeypatch):
-    from qecentropy import binary_unitary, cli, numerics
+def test_min_entropy_code_decomposes_once(files, capsys, analysis_counts):
+    from qecentropy import binary_unitary
 
-    u = serialization.matrix_from_json(json.loads(open(files["u9.json"]).read()))
+    u = serialization.matrix_from_json(json.loads(pathlib.Path(files["u9.json"]).read_text()))
     lam = binary_unitary.extremal_lambda(binary_unitary.numerical_range(u, 3)).min_entropy_lambdas[0]
     built = binary_unitary.grouping_code(u, 3, lam)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return numerics.unitary_eigen(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "unitary_eigen", counting)
-    monkeypatch.setattr(binary_unitary, "unitary_eigen", counting)
+    # The calls above left this U in the memo and in the counts; the command
+    # must start from neither.
+    binary_unitary._last_u = None
+    eigen_calls, range_ks = analysis_counts
+    eigen_calls.clear()
+    range_ks.clear()
     assert main(["min-entropy-code", files["u9.json"], "3", "0.01"]) == 0
-    assert len(calls) == 1
+    assert len(eigen_calls) == 1 and range_ks == [3]
     # 17-digit floats round-trip, so equal parsed values mean equal bytes.
     report = json.loads(capsys.readouterr().out)
     assert report["lambda"] == serialization.complex_to_json(lam)
     assert report["partition"] == [list(g) for g in built.partition]
     assert report["weights"] == [list(w) for w in built.weights]
     assert report["code"] == json.loads(serialization.dumps(built.code.to_json()))
+
+
+# SHA-256 of stdout for the qutrit unitary, at the p values of the benchmark's
+# CLI workload; the library calls that the decompose-once tests compare with
+# would change along with the command, these would not.
+QUTRIT_STDOUT_SHA256 = {
+    ("min-entropy-code", "3", "0.01"): "3c1f589ea79c0e2083ec380d26712b410cec8345a515db5c9a1acead6434b5e7",
+    ("min-entropy-code", "3", "0.1"): "6ea0e78848af494b11514bc38426cffb0e4938f0f33cc2eafa7836c7347b8200",
+    ("min-entropy-code", "3", "0.25"): "06d9c1b58522a3ba846ca1485d6bddcbc33c398d78b59643245a7ff01f84063b",
+    ("min-entropy-code", "3", "0.4"): "bcc6fa1d47462d364f51ae8096085732578d8565c26d52ba1e14197f6283a4c9",
+    ("entropy-vs-p", "3", "--lam", "0,0", "--p-steps", "5"):
+        "a3a3038add37d91dfe04cf310aa759499baa8b6758a6dd4a4e91d34e751b0493",
+}
+
+
+@pytest.mark.parametrize("args", sorted(QUTRIT_STDOUT_SHA256), ids=" ".join)
+def test_binary_unitary_commands_are_byte_stable(files, capsys, args):
+    command, *rest = args
+    assert main([command, files["u9.json"], *rest]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == QUTRIT_STDOUT_SHA256[args]
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.diag([1, 1, 1, 1.1]), "not unitary"),
+    (np.ones((2, 3)), "must be square"),
+], ids=["not-unitary", "not-square"])
+@pytest.mark.parametrize("command", [
+    ["numrange", "2"],
+    ["entropy-vs-p", "2", "--lam", "0"],
+    ["min-entropy-code", "2", "0.1"],
+], ids=lambda argv: argv[0])
+def test_unitary_commands_reject_a_non_unitary_matrix(tmp_path, capsys, command, matrix, message):
+    u_path = tmp_path / "u.json"
+    u_path.write_text(serialization.dumps(serialization.matrix_to_json(matrix)))
+    assert main([command[0], str(u_path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 def test_min_entropy_code_checks_unitarity_under_the_tolerances(tmp_path, capsys):

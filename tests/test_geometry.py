@@ -27,31 +27,6 @@ def test_dedupe_points():
     assert len(geometry.dedupe_points(pts, EPS)) == 2
 
 
-def test_clip_by_hull_polygon_intersection():
-    square = np.array([0, 2, 2 + 2j, 2j])
-    shifted = np.array([1 + 1j, 3 + 1j, 3 + 3j, 1 + 3j])
-    out = geometry.clip_by_hull(square, shifted, EPS)
-    assert len(out) == 4
-    assert {complex(z) for z in np.round(out, 9)} == {1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j}
-
-
-def test_clip_by_hull_to_point_and_empty():
-    square = np.array([0, 1, 1 + 1j, 1j])
-    touching = np.array([1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j])
-    out = geometry.clip_by_hull(square, touching, EPS)
-    assert len(out) == 1 and abs(out[0] - (1 + 1j)) < 1e-9
-    disjoint = touching + 1 + 1j
-    assert len(geometry.clip_by_hull(square, disjoint, EPS)) == 0
-
-
-def test_clip_polygon_by_segment_gives_chord():
-    square = np.array([-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j])
-    seg = np.array([-2.0 + 0j, 2.0 + 0j])
-    out = geometry.clip_by_hull(seg, square, EPS)
-    assert len(out) == 2
-    assert np.allclose(sorted(out, key=lambda z: z.real), [-1, 1], atol=1e-9)
-
-
 def test_contains_and_vectorized_agree():
     tri = np.array([0, 2, 1 + 2j])
     rng = np.random.default_rng(0)
