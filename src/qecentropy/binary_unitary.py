@@ -29,16 +29,14 @@ from .numerics import (
     unitary_eigen,
 )
 
-# Smallest slack when testing whether a lambda lies in a rank-k range, and the
-# grouping search's tolerance for a support holding lambda.  A lambda taken
-# from the range of another copy of U (another eigenbasis, or entries rounded
-# on the way through a file) can sit a little outside this U's polygon, by
-# more than eps_geom (1e-10 by default) allows.
+# Smallest slack when testing whether a lambda lies in a rank-k range, the
+# grouping search's tolerance for a support holding lambda, and how far
+# |lambda| may exceed 1 in lambda_spectrum.  A lambda taken from the range of
+# another copy of U (another eigenbasis, or entries rounded on the way through
+# a file) can sit a little outside this U's polygon, by more than eps_geom
+# (1e-10 by default) allows; past a vertex on the unit circle that puts
+# |lambda| above 1, and a lambda accepted as in the range must get a spectrum.
 LAMBDA_MEMBERSHIP_FLOOR = 1e-9
-
-# How far |lambda| may exceed 1 in lambda_spectrum: a range vertex built from
-# unimodular eigenvalues exceeds 1 by rounding, within the default eps_geom.
-LAMBDA_MODULUS_SLACK = 1e-10
 
 # Vertices whose moduli agree within this count as tied maxima of |lambda|.
 # Symmetric spectra give vertices of equal modulus in exact arithmetic, which
@@ -287,7 +285,7 @@ def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must be in [0, 1], got {p}")
     mod2 = abs(lam) ** 2
-    if mod2 > (1.0 + LAMBDA_MODULUS_SLACK) ** 2:
+    if mod2 > (1.0 + LAMBDA_MEMBERSHIP_FLOOR) ** 2:
         raise ValueError(f"|lambda| = {abs(lam)} exceeds 1")
     disc = max(0.0, 1.0 - 4.0 * p * (1.0 - p) * (1.0 - min(1.0, mod2)))
     root = np.sqrt(disc)

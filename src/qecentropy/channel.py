@@ -51,6 +51,16 @@ class QuantumChannel:
         rows = self.kraus.reshape(-1, self.dim)
         return frobenius(dag(rows) @ rows - np.eye(self.dim))
 
+    @functools.cached_property
+    def _kraus_gram(self) -> np.ndarray:
+        """Hermitian Gram matrix (Tr E_i^dag E_j), formed once per channel, as
+        ``kraus`` is read-only; the returned array is read-only too."""
+        flat = self.kraus.reshape(self.num_kraus, -1)
+        g = np.conj(flat) @ flat.T
+        g = (g + dag(g)) / 2
+        g.flags.writeable = False
+        return g
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -122,15 +132,9 @@ def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return rho
 
 
-def _kraus_gram(c: QuantumChannel) -> np.ndarray:
-    flat = c.kraus.reshape(c.num_kraus, -1)
-    g = np.conj(flat) @ flat.T
-    return (g + dag(g)) / 2
-
-
 def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:
     """Gram matrix of the Kraus family; its rank is the Choi rank of the map."""
-    g = _kraus_gram(c)
+    g = c._kraus_gram
     weights = np.clip(np.linalg.eigvalsh(g), 0.0, None)
     return ChoiGram(g, weights, psd_eigen(g, tol)[2])
 
@@ -141,7 +145,7 @@ def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> Qu
     The output implements the same map with exactly ``choi_rank`` nonzero
     operators; operators with Gram weight at the rank cutoff are dropped.
     """
-    _, vecs, rank = psd_eigen(_kraus_gram(c), tol)
+    _, vecs, rank = psd_eigen(c._kraus_gram, tol)
     return _stacked(np.tensordot(vecs[:, :rank].T, c.kraus, axes=1))
 
 

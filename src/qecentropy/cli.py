@@ -29,7 +29,13 @@ from .binary_unitary import (
     numerical_range,
 )
 from .channel import channel_from_json, choi_gram, validate_channel
-from .code import _sigma_matches, build_recovery, classify_code, code_from_json, kl_check
+from .code import (
+    build_recovery,
+    classify_code,
+    code_from_json,
+    kl_check,
+    sigma_equals_lambda_check,
+)
 from .errors import (
     NoCodeError,
     NoFeasiblePartitionError,
@@ -202,8 +208,8 @@ def _cmd_code_analyze(args, tol: ToleranceConfig) -> int:
     result = classify_code(c, code, tol)
     report = result.to_json()
     if args.sigma_samples > 0:
-        report["sigma_matches_lambda"] = _sigma_matches(c, code, result.lam, args.sigma_samples,
-                                                        args.seed)
+        report["sigma_matches_lambda"] = sigma_equals_lambda_check(
+            c, code, args.sigma_samples, args.seed, tol)
     _emit(serialization.dumps(report, indent=2), args.output)
     return 0
 

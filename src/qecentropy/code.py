@@ -10,9 +10,9 @@ import numpy as np
 
 from . import serialization
 from .channel import QuantumChannel, channel, choi_gram, validate_channel
-from .entropy import _entropy_of_spectrum, exchange_matrix
-from .errors import NotCorrectable, RecoveryVerificationError
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, psd_eigen
+from .entropy import _entropy_of_spectrum
+from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
+from .numerics import DEFAULT_TOL, ToleranceConfig, dag, frobenius, psd_eigen
 from .sampling import random_density
 
 # Entrywise tolerance between the exchange matrix of a code state and Lambda.
@@ -136,6 +136,64 @@ def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     return code_subspace(vectors, tol)
 
 
+# The most recent (channel, code) analysis, (channel, key, compressions E_i B,
+# Lambda or None, KL residual, threshold), so that the calls made in turn on
+# one code (kl_check, classify_code, build_recovery, ...) run the KL check
+# once.  The channel is compared by identity, since its Kraus array is
+# read-only; the key is (ambient dimension, shape, dtype and bytes of the
+# code basis, tolerances), since a caller may change the basis in place.  A
+# hit reuses a trace-preservation verdict reached under equal tolerances, and
+# a refused code (Lambda None) raises the same NotCorrectable again.  The
+# entry is replaced by one assignment, so concurrent callers at worst compute
+# the same thing twice; its arrays are read-only, since a hit hands the same
+# objects to every caller.
+_last_code: tuple | None = None
+
+
+def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) -> tuple:
+    validate_channel(c, tol)
+    if code.ambient_dim != c.dim:
+        raise ValueError(
+            f"code ambient dimension {code.ambient_dim} does not match channel dim {c.dim}"
+        )
+    k = code.k
+    compressed = c.kraus @ code.basis
+    compressed.flags.writeable = False
+    # blocks[i, j] = (E_i B)^dag (E_j B), the (k, k) compression of E_i^dag E_j.
+    blocks = np.conj(compressed).transpose(0, 2, 1)[:, None] @ compressed[None, :]
+    lam = np.trace(blocks, axis1=2, axis2=3) / k
+    residual = float(np.linalg.norm(blocks - lam[:, :, None, None] * np.eye(k), axis=(2, 3)).max())
+    scale = float(np.linalg.norm(c.kraus.reshape(c.num_kraus, -1), axis=1).max())
+    threshold = tol.eps_kl * max(1.0, scale * scale)
+    if residual > threshold:
+        return compressed, None, residual, threshold
+    lam = (lam + dag(lam)) / 2
+    spectrum = np.clip(np.linalg.eigvalsh(lam), 0.0, None)
+    matrix = ErrorCorrectionMatrix(lam, spectrum, *psd_eigen(lam, tol))
+    for a in (matrix.matrix, matrix.spectrum, matrix.weights, matrix.vectors):
+        a.flags.writeable = False
+    return compressed, matrix, residual, threshold
+
+
+def _analysed(
+    c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig
+) -> tuple[np.ndarray, ErrorCorrectionMatrix, float]:
+    """The compressions E_i B (shape (m, n, k)), Lambda and the KL residual of
+    the code, from the memo of the most recent (channel, code) pair."""
+    global _last_code
+    basis = code.basis
+    key = (code.ambient_dim, basis.shape, basis.dtype.str, basis.tobytes(), tol)
+    last = _last_code
+    if last is not None and last[0] is c and last[1] == key:
+        compressed, lam, residual, threshold = last[2:]
+    else:
+        compressed, lam, residual, threshold = _kl_analysis(c, code, tol)
+        _last_code = (c, key, compressed, lam, residual, threshold)
+    if lam is None:
+        raise NotCorrectable(residual, threshold)
+    return compressed, lam, residual
+
+
 def kl_check(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[ErrorCorrectionMatrix, float]:
@@ -144,26 +202,12 @@ def kl_check(
     Coefficients come from the least-squares extraction
     lambda_ij = Tr(P E_i^dag E_j P)/k, and the acceptance threshold scales
     with the Kraus operator norms so verdicts are invariant under global
-    rescaling.  Raises NotCorrectable when the residual exceeds it.
+    rescaling.  Raises NotCorrectable when the residual exceeds it.  The
+    returned matrix is shared with later calls on the same channel and code,
+    and read-only.
     """
-    validate_channel(c, tol)
-    if code.ambient_dim != c.dim:
-        raise ValueError(
-            f"code ambient dimension {code.ambient_dim} does not match channel dim {c.dim}"
-        )
-    k = code.k
-    compressed = c.kraus @ code.basis
-    # blocks[i, j] = (E_i B)^dag (E_j B), the (k, k) compression of E_i^dag E_j.
-    blocks = np.conj(compressed).transpose(0, 2, 1)[:, None] @ compressed[None, :]
-    lam = np.trace(blocks, axis1=2, axis2=3) / k
-    residual = float(np.linalg.norm(blocks - lam[:, :, None, None] * np.eye(k), axis=(2, 3)).max())
-    scale = float(np.linalg.norm(c.kraus.reshape(c.num_kraus, -1), axis=1).max())
-    threshold = tol.eps_kl * max(1.0, scale * scale)
-    if residual > threshold:
-        raise NotCorrectable(residual, threshold)
-    lam = (lam + dag(lam)) / 2
-    spectrum = np.clip(np.linalg.eigvalsh(lam), 0.0, None)
-    return ErrorCorrectionMatrix(lam, spectrum, *psd_eigen(lam, tol)), residual
+    _, lam, residual = _analysed(c, code, tol)
+    return lam, residual
 
 
 def code_entropy(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -182,7 +226,7 @@ def classify_code(
     if lam.rank == 1:
         # All restricted operators share one isometry; the code is decoherence
         # free iff it is the identity on the code up to a global phase.
-        common = np.tensordot(lam.vectors[:, 0], c.kraus @ code.basis, axes=1)
+        common = np.tensordot(lam.vectors[:, 0], _analysed(c, code, tol)[0], axes=1)
         phase = np.trace(dag(code.basis) @ common) / code.k
         scale = tol.eps_kl * max(1.0, np.sqrt(code.k))
         dfs = bool(abs(abs(phase) - 1.0) <= scale
@@ -194,23 +238,27 @@ def classify_code(
     return CodeReport(lam, entropy, lam.rank, d, cls, False, False, residual)
 
 
-def _sigma_matches(c: QuantumChannel, code: CodeSubspace, lam: ErrorCorrectionMatrix,
-                   samples: int, seed: int) -> bool:
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        rho_code = random_density(code.k, rng)
-        rho = code.basis @ rho_code @ dag(code.basis)
-        sigma = exchange_matrix(c, rho)
-        if np.max(np.abs(sigma - lam.matrix)) > SIGMA_LAMBDA_ATOL:
-            return False
-    return True
+def _code_exchange_matrix(compressed: np.ndarray, rho_code: np.ndarray) -> np.ndarray:
+    """The exchange state of B rho_c B^dag from the compressions E_i B alone.
+
+    sigma_ij = Tr(B rho_c B^dag E_i^dag E_j) is the Frobenius inner product of
+    E_i B with E_j B rho_c, so it costs O(m^2 n k) and no n x n state is formed.
+    """
+    m = len(compressed)
+    sigma = np.conj(compressed.reshape(m, -1)) @ (compressed @ rho_code).reshape(m, -1).T
+    return (sigma + dag(sigma)) / 2
 
 
 def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: int, seed: int = 0,
                               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Exchange state equals the correction matrix for states on the code."""
-    lam, _ = kl_check(c, code, tol)
-    return _sigma_matches(c, code, lam, samples, seed)
+    """Exchange state equals the correction matrix for random states on the code."""
+    compressed, lam, _ = _analysed(c, code, tol)
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        sigma = _code_exchange_matrix(compressed, random_density(code.k, rng))
+        if np.max(np.abs(sigma - lam.matrix)) > SIGMA_LAMBDA_ATOL:
+            return False
+    return True
 
 
 def rank_bound_check(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -240,6 +288,22 @@ def _recovery_residual(recovery: QuantumChannel, c: QuantumChannel, code: CodeSu
     return residual
 
 
+def _recovery_trace_residual(images: np.ndarray, basis: np.ndarray) -> float:
+    """||sum_j R_j^dag R_j - I||_F of the recovery built from ``images``.
+
+    With A = images (n x rk), G = A^dag A and returns R_j = B V_j^dag, the
+    recovery {R_j} + {I - A A^dag} has sum_j R_j^dag R_j - I = A X A^dag for
+    X = (I_r (x) B^dag B - I) + (G - I).  Writing A = Q R with Q's columns
+    orthonormal, its Frobenius norm is that of R X R^dag, an (rk) x (rk)
+    matrix, so no n x n product is formed.
+    """
+    size = images.shape[1]
+    gram = dag(images) @ images
+    x = np.kron(np.eye(size // basis.shape[1]), dag(basis) @ basis) + gram - 2 * np.eye(size)
+    r = np.linalg.qr(images, mode="r")
+    return frobenius(r @ x @ dag(r))
+
+
 def build_recovery(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> RecoveryOperation:
@@ -248,19 +312,22 @@ def build_recovery(
     Diagonalising the correction matrix yields restricted operators that are
     scaled isometries with mutually orthogonal ranges; the recovery maps each
     range back onto the code, completed by the projector onto the unused
-    complement.  The process identity is verified on a matrix-unit basis of
-    the code before returning.
+    complement.  Trace preservation is checked to ``eps_kl * n``, as
+    ``validate_channel`` would, and the process identity is verified on a
+    matrix-unit basis of the code before returning.
     """
-    lam, _ = kl_check(c, code, tol)
+    compressed, lam, _ = _analysed(c, code, tol)
     b = code.basis
-    n, k = code.ambient_dim, code.k
+    n, k, r = code.ambient_dim, code.k, lam.rank
     # Restricted canonical operators (sum_i v_i E_i) B, scaled to isometries.
-    isometries = np.tensordot(lam.vectors[:, :lam.rank].T, c.kraus @ b, axes=1)
-    isometries /= np.sqrt(lam.weights[:lam.rank])[:, None, None]
-    images = isometries.transpose(1, 0, 2).reshape(n, lam.rank * k)
+    isometries = np.tensordot(lam.vectors[:, :r].T, compressed, axes=1)
+    isometries /= np.sqrt(lam.weights[:r])[:, None, None]
+    images = isometries.transpose(1, 0, 2).reshape(n, r * k)
     returns = b @ np.conj(isometries).transpose(0, 2, 1)
     psi = channel([*returns, np.eye(n) - images @ dag(images)])
-    validate_channel(psi, tol)
+    trace_residual = _recovery_trace_residual(images, b)
+    if not trace_residual <= tol.eps_kl * n:
+        raise NotTracePreserving(trace_residual)
 
     residual = _recovery_residual(psi, c, code)
     if residual > RECOVERY_VERIFY_ATOL:

@@ -1,14 +1,17 @@
 import pytest
 
 from qecentropy import binary_unitary
+from qecentropy import code as code_module
 
 
 @pytest.fixture(autouse=True)
-def _forget_last_unitary():
-    # binary_unitary keeps the most recent U's decomposition and ranges; tests
-    # that count decompositions or range builds must not find an earlier
-    # test's U there.
+def _forget_last_analyses():
+    # binary_unitary keeps the most recent U's decomposition and ranges, and
+    # code the most recent (channel, code) analysis; tests that count
+    # decompositions, range builds or KL checks must not find an earlier
+    # test's U or code there.
     binary_unitary._last_u = None
+    code_module._last_code = None
 
 
 @pytest.fixture

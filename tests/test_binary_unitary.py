@@ -150,6 +150,23 @@ def test_entropy_vs_p_profile():
         entropy_vs_p(U4, 2, 0.5 + 0j, grid)
 
 
+@pytest.mark.parametrize("u, k", [
+    (np.diag(np.exp(1j * np.array([0, 0, 0, 1, 2, 3.5]))), 3),  # a 3-fold eigenvalue at 1
+    (np.diag(np.exp(2j * np.pi * np.arange(6) / 6)), 1),  # k = 1: the vertex 1 of the hexagon
+])
+def test_entropy_vs_p_takes_every_lambda_the_range_holds(u, k):
+    # lambda = 1 + 5e-10 lies past a range vertex on the unit circle, but
+    # within the membership slack, so it must get entropies, not a ValueError
+    # about its modulus.
+    lam = 1 + 5e-10
+    assert abs(lam) - 1 < LAMBDA_MEMBERSHIP_FLOOR
+    rows = entropy_vs_p(u, k, lam, [0.0, 0.25, 0.5])
+    assert [p for p, _ in rows] == [0.0, 0.25, 0.5]
+    assert all(s == 0.0 for _, s in rows)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        lambda_spectrum(0.25, 1 + 2 * LAMBDA_MEMBERSHIP_FLOOR)
+
+
 def test_grouping_code_example_antipodal_pairing():
     built = grouping_code(U4, 2, 0j)
     assert built.partition == ((0, 2), (1, 3))

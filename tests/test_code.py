@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+from qecentropy import code as code_module
 from qecentropy.channel import apply_channel, pauli_channel, unitary_channel
 from qecentropy.code import (
     CodeClass,
@@ -45,8 +46,12 @@ def _table1_codes():
 
 
 def test_rank_one_code_decomposes_lambda_once(monkeypatch):
+    # The KL analysis is memoised, so the whole chain on one code decomposes
+    # Lambda once: in the first kl_check, which classify_code,
+    # build_recovery and sigma_equals_lambda_check then reuse.
     chan, code3 = _table1_channel(), _table1_codes()[2]
     lam = kl_check(chan, code3)[0].matrix
+    code_module._last_code = None
     eigh, calls = np.linalg.eigh, []
 
     def counting(a, *args, **kwargs):
@@ -55,11 +60,11 @@ def test_rank_one_code_decomposes_lambda_once(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    kl_check(chan, code3)
     report = classify_code(chan, code3)
     assert report.lambda_rank == 1 and report.classification is CodeClass.DECOHERENCE_FREE
-    assert len(calls) == 1
-    calls.clear()
     build_recovery(chan, code3)
+    assert sigma_equals_lambda_check(chan, code3, 2)
     assert len(calls) == 1
 
 
