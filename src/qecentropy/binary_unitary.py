@@ -29,13 +29,11 @@ from .numerics import (
     unitary_eigen,
 )
 
-# Smallest slack when testing whether a lambda lies in a rank-k range, the
-# grouping search's tolerance for a support holding lambda, and how far
-# |lambda| may exceed 1 in lambda_spectrum.  A lambda taken from the range of
-# another copy of U (another eigenbasis, or entries rounded on the way through
-# a file) can sit a little outside this U's polygon, by more than eps_geom
-# (1e-10 by default) allows; past a vertex on the unit circle that puts
-# |lambda| above 1, and a lambda accepted as in the range must get a spectrum.
+# Smallest slack when testing whether a lambda lies in a rank-k range, and
+# how far |lambda| may exceed 1 in lambda_spectrum.  A lambda taken from the
+# range of another copy of U (another eigenbasis, or entries rounded on the
+# way through a file) can sit a little outside this U's polygon, by more than
+# eps_geom (1e-10 by default) allows.
 LAMBDA_MEMBERSHIP_FLOOR = 1e-9
 
 # Vertices whose moduli agree within this count as tied maxima of |lambda|.
@@ -83,8 +81,10 @@ class NumRangeRegion:
     kind: RegionKind
     vertices: np.ndarray
 
-    def contains(self, lam: complex, eps: float) -> bool:
-        return geometry.contains(self.vertices, lam, eps)
+    def distance(self, lam: complex) -> float:
+        """Euclidean distance from ``lam`` to the region, negative inside a
+        polygon and +inf for the empty region (``geometry.signed_distance``)."""
+        return geometry.signed_distance(self.vertices, lam)
 
     def to_json(self) -> dict:
         return {
@@ -254,11 +254,17 @@ def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeR
     return NumRangeRegion(k, RegionKind.POLYGON, pts)
 
 
+def _membership_slack(tol: ToleranceConfig) -> float:
+    """How far lambda may lie from a rank-k range and still be taken as in
+    it; the grouping search's supports hold lambda within the same slack."""
+    return max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
+
+
 def _eigen_holding(u, k: int, lam: complex, tol: ToleranceConfig) -> EigenDecomposition:
-    """U's decomposition, once lam is checked to lie in its rank-k range; both
-    come from the memo of the most recent U."""
+    """U's decomposition, once lam is checked to lie within the membership
+    slack of its rank-k range; both come from the memo of the most recent U."""
     dec, region = _analysed_range(u, k, tol)
-    if not region.contains(lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
+    if not region.distance(lam) <= _membership_slack(tol):
         raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
     return dec
 
@@ -276,7 +282,7 @@ def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
     best = float(moduli.max())
     winners = [complex(z) for z, m in zip(region.vertices, moduli) if best - m <= VERTEX_TIE_ATOL]
     winners.sort(key=lambda z: (z.real, z.imag))
-    closest = geometry.closest_point(region.vertices, 0.0 + 0.0j, 0.0)
+    closest = geometry.closest_point(region.vertices, 0.0 + 0.0j)
     return ExtremalLambdas(tuple(winners), closest)
 
 
@@ -305,7 +311,11 @@ def biunitary_code_entropy(p: float, lam: complex) -> float:
 def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT_TOL):
     """Code entropy along a grid of mixing probabilities for a fixed lambda."""
     _eigen_holding(u, k, lam, tol)
-    return [(float(p), biunitary_code_entropy(float(p), lam)) for p in p_grid]
+    # An accepted lambda past a vertex on the unit circle has |lambda| above 1
+    # by up to the membership slack; its entropy, which depends on |lambda|
+    # alone, is that of the vertex.
+    modulus = min(abs(lam), 1.0)
+    return [(float(p), biunitary_code_entropy(float(p), modulus)) for p in p_grid]
 
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -410,7 +420,7 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
     dec = _eigen_holding(u, k, lam, tol)
     eigs = dec.eigenvalues
     size = n // k
-    supports = _lambda_supports(eigs, lam, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR), size)
+    supports = _lambda_supports(eigs, lam, _membership_slack(tol), size)
     members = np.zeros((len(supports), n), dtype=bool)
     for row, support in enumerate(supports):
         members[row, list(support)] = True

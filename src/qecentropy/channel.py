@@ -33,7 +33,8 @@ class QuantumChannel:
     """A completely positive map given by m square Kraus operators of size n.
 
     ``kraus`` is one read-only complex array of shape (m, n, n), built by
-    :func:`channel`; iterating over it yields the operators in order.
+    :func:`channel`, or by ``_stacked`` from an array formed in the package;
+    iterating over it yields the operators in order.
     """
 
     dim: int

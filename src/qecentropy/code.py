@@ -9,7 +9,7 @@ import enum
 import numpy as np
 
 from . import serialization
-from .channel import QuantumChannel, channel, choi_gram, validate_channel
+from .channel import QuantumChannel, _stacked, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
 from .numerics import DEFAULT_TOL, ToleranceConfig, dag, frobenius, psd_eigen
@@ -267,8 +267,9 @@ def rank_bound_check(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig
     return lam.rank <= choi_gram(c, tol).choi_rank
 
 
-def _recovery_residual(recovery: QuantumChannel, c: QuantumChannel, code: CodeSubspace) -> float:
-    """Process-identity residual of ``recovery`` after ``c`` on the code.
+def _recovery_residual(recovery: QuantumChannel, compressed: np.ndarray, basis: np.ndarray) -> float:
+    """Process-identity residual of ``recovery`` after the channel whose
+    compressions E_i B (shape (m, n, k)) on the code basis B are given.
 
     The maximum over code matrix units |a><b| = B_a B_b^dag of
     ||R(E(|a><b|)) - |a><b|||_F.  With T_ji = R_j E_i B (n x k) for the J
@@ -277,13 +278,13 @@ def _recovery_residual(recovery: QuantumChannel, c: QuantumChannel, code: CodeSu
     come out of one matrix product and no n x n round trip is applied.  One
     product per |a> keeps the working set at n^2 k instead of (n k)^2.
     """
-    n, k = code.ambient_dim, code.k
-    t = np.tensordot(recovery.kraus, c.kraus @ code.basis, axes=([2], [1]))
+    n, k = basis.shape
+    t = np.tensordot(recovery.kraus, compressed, axes=([2], [1]))
     cols = t.transpose(1, 3, 0, 2).reshape(n * k, -1)  # rows (x, a), columns (j, i)
     residual = 0.0
     for a in range(k):
         roundtrips = (cols[a::k] @ dag(cols)).reshape(n, n, k)
-        diff = roundtrips - code.basis[:, a, None, None] * np.conj(code.basis)[None]
+        diff = roundtrips - basis[:, a, None, None] * np.conj(basis)[None]
         residual = max(residual, float(np.linalg.norm(diff, axis=(0, 1)).max()))
     return residual
 
@@ -314,7 +315,8 @@ def build_recovery(
     range back onto the code, completed by the projector onto the unused
     complement.  Trace preservation is checked to ``eps_kl * n``, as
     ``validate_channel`` would, and the process identity is verified on a
-    matrix-unit basis of the code before returning.
+    matrix-unit basis of the code before returning; a non-finite recovery
+    fails the first check.
     """
     compressed, lam, _ = _analysed(c, code, tol)
     b = code.basis
@@ -323,14 +325,16 @@ def build_recovery(
     isometries = np.tensordot(lam.vectors[:, :r].T, compressed, axes=1)
     isometries /= np.sqrt(lam.weights[:r])[:, None, None]
     images = isometries.transpose(1, 0, 2).reshape(n, r * k)
-    returns = b @ np.conj(isometries).transpose(0, 2, 1)
-    psi = channel([*returns, np.eye(n) - images @ dag(images)])
     trace_residual = _recovery_trace_residual(images, b)
     if not trace_residual <= tol.eps_kl * n:
         raise NotTracePreserving(trace_residual)
+    ops = np.empty((r + 1, n, n), dtype=complex)
+    np.matmul(b, np.conj(isometries).transpose(0, 2, 1), out=ops[:r])
+    np.subtract(np.eye(n), images @ dag(images), out=ops[r])
+    psi = _stacked(ops)
 
-    residual = _recovery_residual(psi, c, code)
-    if residual > RECOVERY_VERIFY_ATOL:
+    residual = _recovery_residual(psi, compressed, b)
+    if not residual <= RECOVERY_VERIFY_ATOL:
         raise RecoveryVerificationError(
             f"recovery verification residual {residual:.3e} exceeds {RECOVERY_VERIFY_ATOL:.1e}"
         )

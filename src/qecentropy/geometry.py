@@ -1,10 +1,11 @@
 """Planar convex geometry on complex points: hulls, half-plane clipping,
-membership tests.
+and the signed distance that membership tests compare with a tolerance.
 
 A convex set is carried as an array of complex vertices: empty array,
-single point, segment endpoints, or a CCW convex polygon.  All predicates
-take an absolute tolerance, a distance: a side test compares a point's
-distance from a line with it, never an area.
+single point, segment endpoints, or a CCW convex polygon.  All tolerances
+are absolute distances: a side test compares a point's distance from a line
+with one, never an area, and membership compares the true distance to the
+set, which past a polygon vertex exceeds the distance to either edge line.
 """
 
 from __future__ import annotations
@@ -99,79 +100,52 @@ def canonical_vertices(pts: np.ndarray, eps: float) -> np.ndarray:
     return hull
 
 
-def contains(pts: np.ndarray, z: complex, eps: float) -> bool:
-    """Membership of a point in the convex set carried by ``pts``, within
-    distance ``eps``."""
-    if len(pts) == 0:
-        return False
-    if len(pts) == 1:
-        return abs(z - pts[0]) <= eps
-    if len(pts) == 2:
-        return segment_distance(pts[0], pts[1], z) <= eps
+def _nearest(pts: np.ndarray, z: complex) -> tuple[complex, bool]:
+    """The point of the non-empty convex set's boundary nearest to ``z``, and
+    whether ``z`` lies inside the polygon (never inside a point or segment).
+
+    One pass over the edges: for edge a -> b, conj(b - a) (z - a) carries the
+    projection of z on the edge in its real part and twice the signed area
+    of a, b, z (``_cross``) in its imaginary part.  ``z`` is inside when it
+    is on the left of every CCW edge; the nearest boundary point is the
+    nearest of the edges' nearest points, the first of equals."""
     zs = np.asarray(pts, dtype=complex).tolist()
-    n = len(zs)
-    for i in range(n):
-        a, b = zs[i], zs[(i + 1) % n]
-        if _cross(a, b, z) < -eps * abs(b - a):
-            return False
-    return True
+    if len(zs) == 1:
+        return zs[0], False
+    best, best_dist, inside = zs[0], np.inf, len(zs) > 2
+    a = zs[0]
+    for b in zs[1:] + zs[:1] if inside else zs[1:]:
+        d = b - a
+        w = d.conjugate() * (z - a)
+        if w.imag < 0:
+            inside = False
+        den = abs(d) ** 2
+        t = w.real / den if den else 0.0
+        if not t > 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        cand = a + t * d
+        dist = abs(cand - z)
+        if dist < best_dist:
+            best, best_dist = cand, dist
+        a = b
+    return best, inside
 
 
-def contains_many(pts: np.ndarray, zs: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorised membership of many points; same semantics as :func:`contains`."""
-    zs = np.asarray(zs, dtype=complex)
+def signed_distance(pts: np.ndarray, z: complex) -> float:
+    """Euclidean distance from ``z`` to the convex set carried by ``pts``,
+    negated inside a polygon (the distance to its boundary); +inf for the
+    empty set.  A membership test within ``eps`` is ``<= eps``."""
     if len(pts) == 0:
-        return np.zeros(zs.shape, dtype=bool)
-    if len(pts) == 1:
-        return np.abs(zs - pts[0]) <= eps
-    if len(pts) == 2:
-        return segment_distance_many(pts[0], pts[1], zs) <= eps
-    ok = np.ones(zs.shape, dtype=bool)
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        ok &= (np.conj(b - a) * (zs - a)).imag >= -eps * abs(b - a)
-    return ok
+        return np.inf
+    near, inside = _nearest(pts, z)
+    return -abs(near - z) if inside else abs(near - z)
 
 
-def segment_distance(a: complex, b: complex, z: complex) -> float:
-    d = b - a
-    den = abs(d) ** 2
-    if den == 0:
-        return abs(z - a)
-    t = min(1.0, max(0.0, (d.conjugate() * (z - a)).real / den))
-    return abs(a + t * d - z)
-
-
-def segment_distance_many(a: complex, b: complex, zs: np.ndarray) -> np.ndarray:
-    d = b - a
-    den = abs(d) ** 2
-    if den == 0:
-        return np.abs(zs - a)
-    t = np.clip((np.conj(d) * (zs - a)).real / den, 0.0, 1.0)
-    return np.abs(a + t * d - zs)
-
-
-def closest_point(pts: np.ndarray, z: complex, eps: float) -> complex:
-    """Point of the convex set closest to ``z``."""
+def closest_point(pts: np.ndarray, z: complex) -> complex:
+    """Point of the non-empty convex set closest to ``z``."""
     if len(pts) == 0:
         raise ValueError("empty set has no closest point")
-    if len(pts) == 1:
-        return complex(pts[0])
-    if len(pts) == 2:
-        a, b = pts
-        d = b - a
-        t = min(1.0, max(0.0, (d.conjugate() * (z - a)).real / abs(d) ** 2))
-        return complex(a + t * d)
-    if contains(pts, z, eps):
-        return complex(z)
-    best, best_dist = None, np.inf
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        d = b - a
-        t = min(1.0, max(0.0, (d.conjugate() * (z - a)).real / abs(d) ** 2))
-        cand = a + t * d
-        if abs(cand - z) < best_dist:
-            best, best_dist = complex(cand), abs(cand - z)
-    return best
+    near, inside = _nearest(pts, z)
+    return complex(z) if inside else complex(near)

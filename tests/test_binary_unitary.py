@@ -67,7 +67,7 @@ def test_numerical_range_segment_for_zz():
 def test_numerical_range_qutrit_polygon():
     region = numerical_range(U9, 3)
     assert region.kind is RegionKind.POLYGON
-    assert region.contains(0j, 1e-9)
+    assert region.distance(0j) < 0
     best = max(np.abs(region.vertices))
     target = 0.09246 - 0.52400j
     assert min(abs(z - target) for z in region.vertices) < 1e-3
@@ -165,6 +165,27 @@ def test_entropy_vs_p_takes_every_lambda_the_range_holds(u, k):
     assert all(s == 0.0 for _, s in rows)
     with pytest.raises(ValueError, match="exceeds 1"):
         lambda_spectrum(0.25, 1 + 2 * LAMBDA_MEMBERSHIP_FLOOR)
+    # A looser eps_geom widens the membership slack past the floor that
+    # lambda_spectrum allows |lambda| above 1.
+    loose = ToleranceConfig(eps_geom=1e-6)
+    assert entropy_vs_p(u, k, 1 + 5e-7, [0.25], loose) == [(0.25, 0.0)]
+
+
+# U with three 3-fold eigenvalues, k = 3: the range is the triangle of the
+# three eigenvalues, and this lambda lies 1.5e-9 past its vertex 1, within
+# 1e-9 of both edge lines through it.
+CORNER_U = np.diag(np.exp(1j * np.array([0, 0, 0, 1, 1, 1, 2.5, 2.5, 2.5])))
+CORNER_LAMBDA = 1.0000000011513153 - 9.614952872449876e-10j
+
+
+def test_a_lambda_past_a_corner_is_outside_the_range():
+    region = numerical_range(CORNER_U, 3)
+    assert region.kind is RegionKind.POLYGON
+    assert 1.4e-9 < region.distance(CORNER_LAMBDA) < 1.6e-9
+    with pytest.raises(LambdaOutsideRegionError):
+        grouping_code(CORNER_U, 3, CORNER_LAMBDA)
+    with pytest.raises(LambdaOutsideRegionError):
+        entropy_vs_p(CORNER_U, 3, CORNER_LAMBDA, [0.25])
 
 
 def test_grouping_code_example_antipodal_pairing():
@@ -218,11 +239,9 @@ def test_dfs_exists():
 def test_constituent_hulls_cover_region():
     hulls = constituent_hulls(U9, 3)
     region = numerical_range(U9, 3)
-    from qecentropy import geometry
-
     for hull in hulls:
         for z in region.vertices:
-            assert geometry.contains(hull, complex(z), 1e-9)
+            assert geometry.signed_distance(hull, complex(z)) <= 1e-9
 
 
 def test_region_json():
@@ -264,7 +283,7 @@ def _clip_by_hull(pts: np.ndarray, hull: np.ndarray, eps: float) -> np.ndarray:
         return pts[:0]
     if len(hull) == 1:
         p = complex(hull[0])
-        return np.array([p], dtype=complex) if geometry.contains(pts, p, eps) else pts[:0]
+        return np.array([p], dtype=complex) if geometry.signed_distance(pts, p) <= eps else pts[:0]
     zs = np.asarray(pts, dtype=complex).tolist()
     for normal, offset in _hull_halfplanes(hull):
         zs = geometry.clip_halfplane(zs, normal, offset, eps)
@@ -546,7 +565,7 @@ def _grouping_reference(u, k, lam, tol=DEFAULT_TOL):
         raise UnsupportedCodeDimensionError(f"k={k}, N={n}")
     dec = unitary_eigen(u, tol)
     atol = max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
-    if not numerical_range(u, k, tol).contains(lam, atol):
+    if not numerical_range(u, k, tol).distance(lam) <= atol:
         raise LambdaOutsideRegionError(f"lambda {lam}")
     eigs, size = dec.eigenvalues, n // k
     groups, weights = [], []
@@ -611,14 +630,14 @@ def _corner_lambdas(region, rng):
     """Points just past each vertex of a polygonal region that lies on the
     unit circle, a k-fold eigenvalue, along the outward bisector.
 
-    The membership test keeps a point within eps of every edge line, which
-    past a vertex of interior angle theta reaches eps / sin(theta / 2) from
-    it.  These points lie between eps and that reach, so they pass the test,
-    but they are more than eps from the eigenvalue, and a group hull holds a
-    point of the circle only as a vertex, so in the seeded cases no group
-    hull comes within eps of them.  Interior and edge points admitted a
-    partition throughout seeded sweeps, so these are what reach
-    NoFeasiblePartitionError."""
+    A point within eps of every edge line reaches, past a vertex of interior
+    angle theta, eps / sin(theta / 2) from it.  These points lie between eps
+    and that reach: within eps of both edge lines, but more than eps from the
+    region, so the membership test, which measures the distance to the
+    region, refuses them.  An edge-line test would keep them, and then no
+    group hull comes within eps of them, since a group hull holds a point of
+    the circle only as a vertex: such a test answered NoFeasiblePartitionError
+    on every one of them in the seeded cases."""
     if region.kind is not RegionKind.POLYGON:
         return []
     eps = max(DEFAULT_TOL.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
@@ -641,19 +660,20 @@ GROUPING_SPECTRA = {4: 24, 6: 24, 8: 16, 9: 12, 10: 12, 12: 8, 14: 4, 15: 1, 16:
 # Corner points are tried up to this N: the old search proves that no
 # partition exists by trying every one, about 1.5 s per case at N = 14.
 GROUPING_CORNERS_MAX_N = 12
-# Fewest (codes, LambdaOutsideRegionError, NoFeasiblePartitionError) per N,
-# about half of what the seeded cases give, so that a change in which
-# candidates reach each outcome shows.  N = 4 and 9 draw no polygon with a
-# vertex on the circle.
-GROUPING_MIN_OUTCOMES = {4: (29, 7, 0), 6: (40, 10, 1), 8: (26, 8, 2), 9: (14, 4, 0), 10: (19, 4, 3),
-                         12: (30, 8, 3), 14: (5, 2, 0), 15: (3, 0, 0), 16: (4, 0, 0)}
+# Fewest (codes, LambdaOutsideRegionError) per N among the vertex, interior
+# and nudged points, about half of what the seeded cases give, so that a
+# change in which candidates reach each outcome shows.  Every corner point
+# must be refused as outside; N = 4 and 9 draw no polygon with a vertex on
+# the circle.
+GROUPING_MIN_OUTCOMES = {4: (29, 7), 6: (39, 12), 8: (25, 9), 9: (14, 4), 10: (19, 4),
+                         12: (30, 9), 14: (5, 2), 15: (2, 0), 16: (4, 0)}
 
 
 @pytest.mark.parametrize("n", sorted(GROUPING_SPECTRA))
 def test_grouping_code_matches_reference(n):
     rng = np.random.default_rng(400 + n)
     corner_rng = np.random.default_rng(700 + n)
-    outcomes = []
+    outcomes, corners = [], []
     for trial in range(GROUPING_SPECTRA[n]):
         family = ORACLE_FAMILIES[trial % len(ORACLE_FAMILIES)]
         u = _unitary_with_phases(_oracle_phases(family, n, rng), rng)
@@ -663,14 +683,14 @@ def test_grouping_code_matches_reference(n):
             region = numerical_range(u, k)
             if region.kind is RegionKind.EMPTY:
                 continue
-            lams = list(_grouping_lambdas(region, rng))
-            if n <= GROUPING_CORNERS_MAX_N:
-                lams += _corner_lambdas(region, corner_rng)
-            for lam in lams:
+            for lam in _grouping_lambdas(region, rng):
                 outcomes.append(_assert_grouping_matches_reference(u, k, lam))
-    counts = (outcomes.count(None), outcomes.count(LambdaOutsideRegionError),
-              outcomes.count(NoFeasiblePartitionError))
+            if n <= GROUPING_CORNERS_MAX_N:
+                for lam in _corner_lambdas(region, corner_rng):
+                    corners.append(_assert_grouping_matches_reference(u, k, lam))
+    counts = (outcomes.count(None), outcomes.count(LambdaOutsideRegionError))
     assert all(c >= low for c, low in zip(counts, GROUPING_MIN_OUTCOMES[n])), counts
+    assert corners == [LambdaOutsideRegionError] * len(corners)
 
 
 @settings(max_examples=60, deadline=None)
@@ -688,6 +708,28 @@ def test_grouping_code_matches_reference_property(n, data):
             _assert_grouping_matches_reference(u, k, lam)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_entropy_vs_p_gives_entropies_for_every_lambda_the_range_holds(n, data):
+    # Phases on a 24-point grid, so vertices on the unit circle (k-fold
+    # eigenvalues) are common; lambda is a vertex, an interior point, a
+    # nudged vertex or a corner point.
+    steps = data.draw(st.lists(st.integers(0, 23), min_size=n, max_size=n), label="steps")
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = _unitary_with_phases(2 * np.pi * np.array(steps) / 24, rng)
+    region = numerical_range(u, k)
+    if region.kind is RegionKind.EMPTY:
+        return
+    for lam in [*_grouping_lambdas(region, rng), *_corner_lambdas(region, rng)]:
+        if region.distance(lam) <= LAMBDA_MEMBERSHIP_FLOOR:
+            rows = entropy_vs_p(u, k, lam, [0.0, 0.25, 0.5])
+            assert all(0.0 <= s <= 1.0 for _, s in rows)
+        else:
+            with pytest.raises(LambdaOutsideRegionError):
+                entropy_vs_p(u, k, lam, [0.25])
+
+
 def _dfs_reference(u, k, tol=DEFAULT_TOL):
     """Slow reference: the first cluster of >= k members whose mean passes the
     rank-k range's membership test."""
@@ -695,7 +737,7 @@ def _dfs_reference(u, k, tol=DEFAULT_TOL):
     region = numerical_range(u, k, tol)
     for cluster in dec.cluster_map:
         rep = complex(np.mean(dec.eigenvalues[list(cluster)]))
-        if len(cluster) >= k and region.contains(rep, max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)):
+        if len(cluster) >= k and region.distance(rep) <= max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR):
             return True, rep
     return False, None
 
@@ -848,11 +890,13 @@ def _exact(x):
 def _memo_calls(u, rng):
     """Every entry point on u at every k (and one k out of range), with a
     vertex, an interior point, a point 1e-3 outside and the corner points of
-    each region as lambda."""
+    each region as lambda, as (function, arguments, whether lambda is a
+    corner point)."""
     n = u.shape[0]
     calls = []
     for k in range(1, n + 2):
-        calls += [(numerical_range, (u, k)), (constituent_hulls, (u, k)), (dfs_exists, (u, k))]
+        calls += [(numerical_range, (u, k), False), (constituent_hulls, (u, k), False),
+                  (dfs_exists, (u, k), False)]
         if k > n:
             continue
         region = binary_unitary._range_from_eigen(unitary_eigen(u), k, DEFAULT_TOL)
@@ -861,11 +905,11 @@ def _memo_calls(u, rng):
         vertex = complex(region.vertices[0])
         centre = complex(np.mean(region.vertices))
         lams = [vertex, centre, vertex + 1e-3 * ((vertex - centre) or 1.0)]
-        lams += _corner_lambdas(region, rng)
-        for lam in lams:
-            calls.append((entropy_vs_p, (u, k, lam, [0.0, 0.25, 0.5])))
+        corners = _corner_lambdas(region, rng)
+        for lam in lams + corners:
+            calls.append((entropy_vs_p, (u, k, lam, [0.0, 0.25, 0.5]), lam in corners))
             if n % k == 0 and 2 * k <= n:
-                calls.append((grouping_code, (u, k, lam)))
+                calls.append((grouping_code, (u, k, lam), lam in corners))
     return calls
 
 
@@ -885,13 +929,14 @@ def test_memo_gives_the_cold_results():
             for _ in range(2):
                 calls += _memo_calls(_unitary_with_phases(_oracle_phases(family, n, rng), rng), rng)
     cold = []
-    for fn, args in calls:
+    for fn, args, _ in calls:
         binary_unitary._last_u = None
         cold.append(_run(fn, args))
     binary_unitary._last_u = None
-    warm = [_run(fn, args) for fn, args in calls]
+    warm = [_run(fn, args) for fn, args, _ in calls]
     assert warm == cold
     outcomes = [outcome for outcome, _ in cold]
     assert outcomes.count("ValueError") >= 10
     assert outcomes.count("LambdaOutsideRegionError") >= 10
-    assert outcomes.count("NoFeasiblePartitionError") >= 1
+    at_corners = [outcome for (_, _, corner), outcome in zip(calls, outcomes) if corner]
+    assert at_corners and set(at_corners) == {"LambdaOutsideRegionError"}

@@ -144,6 +144,45 @@ def test_code_recovery(files, capsys):
     assert report["residual"] <= 1e-6
 
 
+# SHA-256 of `code recovery chan.json CODE.json` stdout for the table1
+# channel, as written when the recovery was built through ``channel`` and
+# verified with the channel's compressions formed again.
+RECOVERY_SHA256 = {
+    "code1": "a77287982b348348f14cfd41b4b683a2810ef1007abf866837909c602ca08e68",
+    "code3": "ccf85841176858a1374e278ec0ca48f776c8fd46462884f090446aa39d658d48",
+}
+
+
+@pytest.mark.parametrize("label", sorted(RECOVERY_SHA256))
+def test_code_recovery_is_byte_stable(files, tmp_path, capsys, label):
+    code_path = tmp_path / f"{label}.json"
+    code_path.write_text(serialization.dumps(catalog.table1_instances().code(label).to_json()))
+    assert main(["code", "recovery", files["chan.json"], str(code_path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RECOVERY_SHA256[label]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_recovery_exits_1(files, capsys, monkeypatch, bad):
+    # Compressions with a non-finite entry give a non-finite recovery, which
+    # the trace-preservation check refuses before anything is printed.
+    from qecentropy import code as code_module
+
+    analysed = code_module._analysed
+
+    def spoiled(c, code, tol):
+        compressed, lam, residual = analysed(c, code, tol)
+        compressed = compressed.copy()
+        compressed[0, 0, 0] = bad
+        return compressed, lam, residual
+
+    monkeypatch.setattr(code_module, "_analysed", spoiled)
+    assert main(["code", "recovery", files["chan.json"], files["code1.json"]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert "not trace preserving" in captured.err
+
+
 def test_numrange_json_and_svg(files, tmp_path, capsys):
     svg_path = str(tmp_path / "fig.svg")
     assert main(["numrange", files["u9.json"], "3", "--svg", svg_path, "--hulls"]) == 0
@@ -312,6 +351,20 @@ def test_entropy_vs_p(files, capsys):
     report = json.loads(capsys.readouterr().out)
     entropies = [pt["entropy_bits"] for pt in report["points"]]
     assert entropies == [0.0, 1.0, 0.0]
+
+
+def test_entropy_vs_p_refuses_a_lambda_past_a_corner(tmp_path, capsys):
+    # The range is the triangle of three 3-fold eigenvalues; lambda lies
+    # 1.5e-9 past its vertex 1, so it is outside the range, not a lambda
+    # whose modulus exceeds 1.
+    u_path = tmp_path / "u.json"
+    u_path.write_text(serialization.dumps(serialization.matrix_to_json(
+        np.diag(np.exp(1j * np.array([0, 0, 0, 1, 1, 1, 2.5, 2.5, 2.5]))))))
+    assert main(["entropy-vs-p", str(u_path), "3",
+                 "--lam", "1.0000000011513153,-9.614952872449876e-10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("error:") == 1
+    assert "not in the rank-3 numerical range" in captured.err
 
 
 def test_entropy_vs_p_rejects_single_step_grid(files, capsys):

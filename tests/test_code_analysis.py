@@ -19,7 +19,7 @@ from qecentropy.code import (
     sigma_equals_lambda_check,
 )
 from qecentropy.entropy import exchange_matrix
-from qecentropy.errors import NotCorrectable, NotTracePreserving
+from qecentropy.errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
 from qecentropy.numerics import DEFAULT_TOL, ToleranceConfig, dag, frobenius
 from qecentropy.sampling import haar_unitary, random_channel, random_density
 
@@ -324,3 +324,10 @@ def test_build_recovery_refuses_what_the_full_residual_refuses():
             assert full > tol.eps_kl * 8
             assert abs(err.residual - full) <= 1e-14
     assert verdicts.count("NotTracePreserving") >= 5 and verdicts.count("ok") >= 2
+
+
+def test_build_recovery_refuses_a_nan_verification_residual(monkeypatch):
+    chan, code = _recovery_cases()[0][:2]
+    monkeypatch.setattr(code_module, "_recovery_residual", lambda *args: float("nan"))
+    with pytest.raises(RecoveryVerificationError, match="nan"):
+        build_recovery(chan, code)

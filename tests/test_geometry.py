@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qecentropy import geometry
 
@@ -27,24 +28,48 @@ def test_dedupe_points():
     assert len(geometry.dedupe_points(pts, EPS)) == 2
 
 
-def test_contains_and_vectorized_agree():
+def _winding_inside(pts, z):
+    """Inside test by the angle the polygon subtends at z: 2 pi inside, 0
+    outside."""
+    angles = np.angle((np.roll(pts, -1) - z) / (pts - z))
+    return abs(angles.sum()) > np.pi
+
+
+def test_signed_distance_matches_a_sampled_boundary():
+    # The distance to 20001 points on each edge is within 1e-4 of the true
+    # distance; the sign is the winding test's.
     tri = np.array([0, 2, 1 + 2j])
+    boundary = np.concatenate([a + np.linspace(0, 1, 20001) * (b - a)
+                               for a, b in zip(tri, np.roll(tri, -1))])
     rng = np.random.default_rng(0)
     zs = rng.uniform(-1, 3, 200) + 1j * rng.uniform(-1, 3, 200)
-    single = np.array([geometry.contains(tri, complex(z), EPS) for z in zs])
-    many = geometry.contains_many(tri, zs, EPS)
-    assert np.array_equal(single, many)
-    assert geometry.contains(tri, 1 + 0.5j, EPS)
-    assert not geometry.contains(tri, -0.5 + 0j, EPS)
+    for z in zs.tolist():
+        d = geometry.signed_distance(tri, z)
+        assert abs(abs(d) - np.abs(boundary - z).min()) <= 1e-4
+        assert (d < 0) == _winding_inside(tri, z)
+        nearest = geometry.closest_point(tri, z)
+        assert nearest == z if d < 0 else abs(abs(nearest - z) - d) <= 1e-15
 
 
-def test_contains_degenerate_sets():
-    assert geometry.contains(np.array([1j]), 1j, EPS)
-    assert not geometry.contains(np.array([1j]), 0, EPS)
+def test_signed_distance_degenerate_sets():
+    assert geometry.signed_distance(np.array([1j]), 1j) == 0.0
+    assert geometry.signed_distance(np.array([1j]), 0) == 1.0
     seg = np.array([0, 1.0 + 0j])
-    assert geometry.contains(seg, 0.5, EPS)
-    assert not geometry.contains(seg, 0.5 + 0.1j, EPS)
-    assert not geometry.contains(np.array([], dtype=complex), 0, EPS)
+    assert geometry.signed_distance(seg, 0.5) == 0.0
+    assert abs(geometry.signed_distance(seg, 0.5 + 1j) - 1.0) < 1e-12
+    assert abs(geometry.signed_distance(seg, 2 + 0j) - 1.0) < 1e-12
+    assert geometry.signed_distance(np.array([1j, 1j]), 1j) == 0.0
+    assert geometry.signed_distance(np.array([], dtype=complex), 0) == np.inf
+
+
+def test_a_point_past_a_sharp_vertex_is_outside():
+    # Interior angle 2 atan(0.1) at the vertex 0: a point 1.5 eps past it on
+    # the bisector is 0.15 eps from both edge lines, but 1.5 eps from the set.
+    tri = np.array([0, 1 - 0.1j, 1 + 0.1j])
+    z = -1.5 * EPS
+    assert abs(geometry.signed_distance(tri, z) - 1.5 * EPS) < 1e-20
+    assert not geometry.signed_distance(tri, z) <= EPS
+    assert geometry.signed_distance(tri, 0.5) < 0
 
 
 def test_canonical_vertices_rotation_invariant():
@@ -58,28 +83,26 @@ def test_canonical_vertices_rotation_invariant():
 
 def test_closest_point():
     square = np.array([1 + 1j, 2 + 1j, 2 + 2j, 1 + 2j])
-    assert abs(geometry.closest_point(square, 0j, EPS) - (1 + 1j)) < 1e-12
-    assert abs(geometry.closest_point(square, 1.5 + 1.5j, EPS) - (1.5 + 1.5j)) < 1e-12
-    assert abs(geometry.closest_point(square, 1.5 + 0j, EPS) - (1.5 + 1j)) < 1e-12
+    assert abs(geometry.closest_point(square, 0j) - (1 + 1j)) < 1e-12
+    assert geometry.closest_point(square, 1.5 + 1.5j) == 1.5 + 1.5j
+    assert abs(geometry.closest_point(square, 1.5 + 0j) - (1.5 + 1j)) < 1e-12
     seg = np.array([-1.0 + 0j, 1.0 + 0j])
-    assert abs(geometry.closest_point(seg, 0.3 + 1j, EPS) - 0.3) < 1e-12
-
-
-def test_segment_distance():
-    assert abs(geometry.segment_distance(0, 1, 0.5 + 1j) - 1.0) < 1e-12
-    assert abs(geometry.segment_distance(0, 1, 2 + 0j) - 1.0) < 1e-12
-    assert geometry.segment_distance(1j, 1j, 1j) == 0.0
+    assert abs(geometry.closest_point(seg, 0.3 + 1j) - 0.3) < 1e-12
+    assert geometry.closest_point(np.array([1j]), 0) == 1j
+    with pytest.raises(ValueError, match="empty"):
+        geometry.closest_point(np.array([], dtype=complex), 0)
 
 
 def test_predicates_compare_distances_at_every_scale():
     # A point 0.5 eps outside a line is kept and one 2 eps outside is not,
     # however long the edge or the normal: the tests measure distance, not area.
+    # The point lies outside an edge, not past a vertex, so its distance from
+    # the triangle is its distance from the edge line.
     for scale in (0.01, 1.0, 100.0):
         for off, kept in ((0.5 * EPS, True), (2 * EPS, False)):
             z = 0.5 * scale - 1j * off
             assert geometry.clip_halfplane([z], -1j * scale, 0.0, EPS) == ([z] if kept else [])
             tri = np.array([0, scale, scale * (0.5 + 1j)])
-            assert geometry.contains(tri, z, EPS) is kept
-            assert geometry.contains_many(tri, np.array([z]), EPS)[0] == kept
+            assert (geometry.signed_distance(tri, z) <= EPS) is kept
             hull = geometry.convex_hull(np.array([0, z, scale, scale * (0.5 + 1j)]), EPS)
             assert len(hull) == (3 if kept else 4)

@@ -239,7 +239,7 @@ def test_recovery_residual_matches_loop_reference_on_built_recoveries():
         rec = build_recovery(c, code)
         ref = _recovery_residual_reference(rec.channel, c, code)
         assert abs(rec.residual - ref) <= ORACLE_ATOL
-        assert abs(_recovery_residual(rec.channel, c, code) - ref) <= ORACLE_ATOL
+        assert abs(_recovery_residual(rec.channel, c.kraus @ code.basis, code.basis) - ref) <= ORACLE_ATOL
 
 
 def _broken_recoveries(ops, code, rng):
@@ -265,7 +265,7 @@ def test_recovery_residual_flags_broken_recoveries_like_the_loop():
         ops = list(build_recovery(c, code).channel.kraus)
         for broken in _broken_recoveries(ops, code, rng):
             recovery = channel(broken)
-            got = _recovery_residual(recovery, c, code)
+            got = _recovery_residual(recovery, c.kraus @ code.basis, code.basis)
             ref = _recovery_residual_reference(recovery, c, code)
             assert abs(got - ref) <= ORACLE_ATOL * max(1.0, ref)
             assert (got > RECOVERY_VERIFY_ATOL) == (ref > RECOVERY_VERIFY_ATOL)
