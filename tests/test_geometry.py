@@ -51,15 +51,24 @@ def test_signed_distance_matches_a_sampled_boundary():
         assert nearest == z if d < 0 else abs(abs(nearest - z) - d) <= 1e-15
 
 
-def test_signed_distance_degenerate_sets():
+def test_contains_degenerate_sets():
+    # Membership is signed_distance <= eps, for a point, a segment and the
+    # empty set as for a polygon.
     assert geometry.signed_distance(np.array([1j]), 1j) == 0.0
     assert geometry.signed_distance(np.array([1j]), 0) == 1.0
+    assert not geometry.signed_distance(np.array([1j]), 0) <= EPS
     seg = np.array([0, 1.0 + 0j])
     assert geometry.signed_distance(seg, 0.5) == 0.0
+    assert not geometry.signed_distance(seg, 0.5 + 0.1j) <= EPS
+    assert geometry.signed_distance(np.array([], dtype=complex), 0) == np.inf
+
+
+def test_segment_distance():
+    # A two-point set is a segment: off it, past an end, and of zero length.
+    seg = np.array([0, 1.0 + 0j])
     assert abs(geometry.signed_distance(seg, 0.5 + 1j) - 1.0) < 1e-12
     assert abs(geometry.signed_distance(seg, 2 + 0j) - 1.0) < 1e-12
     assert geometry.signed_distance(np.array([1j, 1j]), 1j) == 0.0
-    assert geometry.signed_distance(np.array([], dtype=complex), 0) == np.inf
 
 
 def test_a_point_past_a_sharp_vertex_is_outside():
