@@ -334,13 +334,15 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> dict:
     """Minimal supports of ``lam``: the singles, pairs and triples of
     eigen-indices (ascending, at most ``size`` long) whose eigenvalues have
-    convex coefficients t with sum(t z) = lam within ``atol``, mapped to t.
+    convex coefficients t with sum(t z) = lam within ``atol``, mapped to t,
+    in table order: singles, then pairs, then triples, each lexicographic.
 
     Basic feasible solutions of sum(t) = 1, sum(t z) = lam have at most three
     nonzero coefficients (Caratheodory), so a group of eigenvalues holds lam
-    in its hull exactly when it contains one of these supports.  A pair or
-    triple that contains a feasible single or pair is left out: any group
-    holding it holds that smaller support too, which comes first.
+    in its hull exactly when it contains one of these supports, and the
+    grouping search only packs disjoint ones.  A pair or triple that contains
+    a feasible single or pair is left out: any group holding it holds that
+    smaller support too, which leaves more eigenstates to the other groups.
     """
     n = len(eigs)
     supports: dict[tuple[int, ...], tuple[float, ...]] = {}
@@ -376,40 +378,28 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
     return supports
 
 
-def _group_weights(group: tuple[int, ...], supports: dict) -> np.ndarray | None:
-    """Weights of the first support the group contains (singles, then pairs,
-    then triples, each in lexicographic order), or None."""
-    for r in (1, 2, 3):
-        for support in itertools.combinations(group, r):
-            w = supports.get(support)
-            if w is not None:
-                t = np.zeros(len(group))
-                t[[group.index(i) for i in support]] = w
-                return t
-    return None
-
-
 def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
     """Build a rank-k code by partitioning the eigenstates into k groups of
     N/k whose eigenvalue hulls all contain ``lam``.
 
     Group members are combined as sum_j sqrt(t_j) |psi_j>, which is
-    orthonormal across groups because the eigenbasis is.  Backtracking over
-    partitions is lexicographic in phase order: each level fills the group of
-    the first unused eigenstate with every choice of N/k - 1 others in turn.
+    orthonormal across groups because the eigenbasis is.  A group's hull
+    holds ``lam`` exactly when the group contains one of the minimal supports
+    of ``_lambda_supports``, so such a partition exists exactly when k
+    pairwise disjoint supports of at most N/k members do: a partition holds
+    one in each group, and k disjoint supports padded with the eigenstates
+    left over make a partition.
 
-    Feasibility of a group depends only on which eigenvalues it holds, so the
-    search first tabulates the minimal supports of ``lam``: the singles,
-    pairs and triples of eigenstates whose hull holds it (Caratheodory), each
-    with its convex weights.  A group is feasible when it contains one, and
-    takes the weights of the first it contains (singles, then pairs, then
-    triples, each in lexicographic order), looked up by the group's own
-    singles, pairs and triples and memoised per group.  A branch is cut when
-    its unused eigenstates cannot hold one disjoint support for each group
-    still to fill: when a greedy set of them that meets every support among
-    them is smaller than the number of those groups.  That only drops
-    branches that fail, so the partition found is the first in the
-    lexicographic order.
+    The search is depth first over k-subsets of the supports, in table order
+    (singles, then pairs, then triples, each in lexicographic order), so a
+    smaller support, which frees eigenstates for the other groups, is tried
+    first.  A branch is cut when the supports still disjoint from the chosen
+    ones cannot hold one for each group still to fill: when a greedy set of
+    eigenstates that meets every such support is smaller than the number of
+    those groups.  Each chosen support, in the order found, is padded with
+    the unused eigenstates in ascending order up to N/k members; the support
+    keeps its convex weights and the padding takes weight 0.  Groups are
+    sorted, and listed by their first member.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -418,72 +408,60 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
             f"eigenstate grouping requires k | N; got k={k}, N={n}"
         )
     dec = _eigen_holding(u, k, lam, tol)
-    eigs = dec.eigenvalues
     size = n // k
-    supports = _lambda_supports(eigs, lam, _membership_slack(tol), size)
-    members = np.zeros((len(supports), n), dtype=bool)
-    for row, support in enumerate(supports):
+    supports = _lambda_supports(dec.eigenvalues, lam, _membership_slack(tol), size)
+    rows = list(supports)
+    members = np.zeros((len(rows), n), dtype=bool)
+    for row, support in enumerate(rows):
         members[row, list(support)] = True
 
-    def can_hold(unused: tuple[int, ...]) -> bool:
+    def can_hold(free: np.ndarray, need: int) -> bool:
         # Disjoint supports need distinct members of any set that meets every
-        # support inside ``unused``, so a greedy such hitting set smaller than
-        # the number of groups to fill proves the branch fails.
-        used = np.ones(n, dtype=bool)
-        used[list(unused)] = False
-        inside = members[~members[:, used].any(axis=1)]
-        need = len(unused) // size
+        # one of them, so a greedy such hitting set smaller than ``need``
+        # proves the branch fails.
+        inside = members[free]
         for _ in range(need):
             if len(inside) == 0:
                 return False
             inside = inside[~inside[:, inside.sum(axis=0).argmax()]]
         return True
 
-    weights_of: dict[tuple[int, ...], np.ndarray | None] = {}
+    def pack(free: np.ndarray, need: int) -> list[int] | None:
+        # ``free``: the rows after the last chosen one that are disjoint from
+        # every chosen one.
+        if need == 0:
+            return []
+        if not can_hold(free, need):
+            return None
+        for pos, row in enumerate(free.tolist()):
+            rest = free[pos + 1 :]
+            found = pack(rest[~(members[rest] & members[row]).any(axis=1)], need - 1)
+            if found is not None:
+                return [row, *found]
+        return None
 
-    def group_weights(group: tuple[int, ...]) -> np.ndarray | None:
-        # Groups holding eigenstate 0 are tried once each, at the root, so
-        # only the others are kept.
-        if group[0] == 0:
-            return _group_weights(group, supports)
-        if group not in weights_of:
-            weights_of[group] = _group_weights(group, supports)
-        return weights_of[group]
-
-    groups: list[tuple[int, ...]] = []
-    weights: list[np.ndarray] = []
-
-    def backtrack(unused: tuple[int, ...]) -> bool:
-        if not unused:
-            return True
-        if not can_hold(unused):
-            return False
-        anchor, rest = unused[0], unused[1:]
-        for combo in itertools.combinations(rest, size - 1):
-            group = (anchor,) + combo
-            t = group_weights(group)
-            if t is None:
-                continue
-            groups.append(group)
-            weights.append(t)
-            if backtrack(tuple(i for i in rest if i not in combo)):
-                return True
-            groups.pop()
-            weights.pop()
-        return False
-
-    if not backtrack(tuple(range(n))):
+    chosen = pack(np.arange(len(rows)), k)
+    if chosen is None:
         raise NoFeasiblePartitionError(
             f"no size-{size} eigenstate partition realises lambda {lam}"
         )
+    spare = iter(sorted(set(range(n)).difference(*(rows[row] for row in chosen))))
+    grouped = []
+    for row in chosen:
+        support = rows[row]
+        group = tuple(sorted(support + tuple(itertools.islice(spare, size - len(support)))))
+        t = np.zeros(size)
+        t[[group.index(i) for i in support]] = supports[support]
+        grouped.append((group, t))
+    grouped.sort(key=lambda pair: pair[0])
     basis = [
         sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))
-        for group, t in zip(groups, weights)
+        for group, t in grouped
     ]
     return GroupingCode(
         complex(lam),
-        tuple(groups),
-        tuple(tuple(float(x) for x in t) for t in weights),
+        tuple(group for group, _ in grouped),
+        tuple(tuple(float(x) for x in t) for _, t in grouped),
         code_subspace(basis, tol),
     )
 

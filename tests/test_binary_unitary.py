@@ -20,7 +20,7 @@ from qecentropy.binary_unitary import (
     lambda_spectrum,
     numerical_range,
 )
-from qecentropy.code import code_subspace, kl_check
+from qecentropy.code import kl_check
 from qecentropy.errors import (
     LambdaOutsideRegionError,
     NoCodeError,
@@ -514,10 +514,11 @@ def test_constituent_hulls_are_the_distinct_runs():
     assert len(constituent_hulls(U4, 4)) == 4
 
 
-# Differential oracle for grouping_code: the search as it was before the table
-# of minimal supports, which solves for the weights of every candidate group
-# (up to C(N/k, 3) 3x3 solves each) and prunes nothing.  Slow, and kept only
-# as a reference.
+# Existence oracle for grouping_code: the equal-size partition search as it
+# was before the table of minimal supports, which solves for the weights of
+# every candidate group (up to C(N/k, 3) 3x3 solves each) and prunes nothing.
+# Slow, and kept only as a reference: both find a code or both fail, and each
+# code grouping_code returns is then checked on its own terms.
 
 
 def _solve_group_weights(zs, lam, atol):
@@ -559,7 +560,7 @@ def _solve_group_weights(zs, lam, atol):
 
 
 def _grouping_reference(u, k, lam, tol=DEFAULT_TOL):
-    """(partition, weights, code basis) of the old search, raising as it did."""
+    """The partition the old search found, raising as it did."""
     n = u.shape[0]
     if k < 1 or n % k != 0:
         raise UnsupportedCodeDimensionError(f"k={k}, N={n}")
@@ -568,7 +569,7 @@ def _grouping_reference(u, k, lam, tol=DEFAULT_TOL):
     if not numerical_range(u, k, tol).distance(lam) <= atol:
         raise LambdaOutsideRegionError(f"lambda {lam}")
     eigs, size = dec.eigenvalues, n // k
-    groups, weights = [], []
+    groups = []
 
     def backtrack(unused):
         if not unused:
@@ -576,40 +577,51 @@ def _grouping_reference(u, k, lam, tol=DEFAULT_TOL):
         anchor, rest = unused[0], unused[1:]
         for combo in itertools.combinations(rest, size - 1):
             group = (anchor,) + combo
-            t = _solve_group_weights(eigs[list(group)], lam, atol)
-            if t is None:
+            if _solve_group_weights(eigs[list(group)], lam, atol) is None:
                 continue
             groups.append(group)
-            weights.append(t)
             if backtrack(tuple(i for i in rest if i not in combo)):
                 return True
             groups.pop()
-            weights.pop()
         return False
 
     if not backtrack(tuple(range(n))):
         raise NoFeasiblePartitionError(f"lambda {lam}")
-    basis = [
-        sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))
-        for group, t in zip(groups, weights)
-    ]
-    return (tuple(groups), tuple(tuple(float(x) for x in t) for t in weights),
-            code_subspace(basis, tol).basis)
+    return tuple(groups)
+
+
+def _assert_grouping_code(u, k, lam, built):
+    """Checks of a grouping code on its own terms: k groups of N/k that
+    partition the eigenstates, each with convex weights on at most three
+    members whose eigenvalues they average to lam within the membership
+    slack, and an orthonormal basis with B^dag U B = lam I that passes
+    kl_check."""
+    n = u.shape[0]
+    eigs = unitary_eigen(u).eigenvalues
+    assert len(built.partition) == k and all(len(g) == n // k for g in built.partition)
+    assert sorted(i for g in built.partition for i in g) == list(range(n))
+    slack = binary_unitary._membership_slack(DEFAULT_TOL)
+    for group, t in zip(built.partition, built.weights):
+        t = np.array(t)
+        assert len(t) == len(group) and t.min() >= 0 and np.count_nonzero(t) <= 3
+        assert abs(t.sum() - 1) <= 1e-12
+        assert abs(t @ eigs[list(group)] - lam) <= slack, (group, t, lam)
+    b = built.code.basis
+    assert np.abs(dag(b) @ b - np.eye(k)).max() <= 1e-10
+    assert np.abs(dag(b) @ u @ b - lam * np.eye(k)).max() <= 1e-8
+    kl_check(BinaryUnitaryChannel(0.1, u).to_channel(), built.code)
 
 
 def _assert_grouping_matches_reference(u, k, lam):
-    """Same partition, weights (==) and basis (array_equal), or the same error;
-    returns the error type or None."""
+    """The reference's outcome, a code or the same error; a code is then
+    checked on its own terms.  Returns the error type or None."""
     try:
-        partition, weights, basis = _grouping_reference(u, k, lam)
+        _grouping_reference(u, k, lam)
     except (LambdaOutsideRegionError, NoFeasiblePartitionError) as exc:
         with pytest.raises(type(exc)):
             grouping_code(u, k, lam)
         return type(exc)
-    built = grouping_code(u, k, lam)
-    assert built.partition == partition, (k, lam)
-    assert built.weights == weights, (k, lam)
-    assert np.array_equal(built.code.basis, basis), (k, lam)
+    _assert_grouping_code(u, k, lam, grouping_code(u, k, lam))
     return None
 
 
@@ -706,6 +718,53 @@ def test_grouping_code_matches_reference_property(n, data):
     if region.kind is not RegionKind.EMPTY:
         for lam in _grouping_lambdas(region, rng):
             _assert_grouping_matches_reference(u, k, lam)
+
+
+@pytest.mark.parametrize("family", ("random", "paired", "grid"))
+def test_lambda_supports_are_the_minimal_feasible_subsets(family):
+    # A group holds lambda exactly when it contains a row of the table, which
+    # is what makes packing disjoint rows an exact grouping search: every
+    # subset of at most min(3, N/k) eigenstates is feasible by the reference
+    # solve exactly when it contains a row.
+    rng = np.random.default_rng(["random", "paired", "grid"].index(family) + 900)
+    slack = binary_unitary._membership_slack(DEFAULT_TOL)
+    sizes = set()
+    for _ in range(12):
+        n = int(rng.integers(3, 11))
+        if family == "grid":
+            phases = 2 * np.pi * rng.integers(0, 24, n) / 24
+        else:
+            phases = _oracle_phases(family, n, rng)
+        u = _unitary_with_phases(phases, rng)
+        eigs = unitary_eigen(u).eigenvalues
+        for k in [k for k in range(1, n + 1) if n % k == 0]:
+            region = numerical_range(u, k)
+            if region.kind is RegionKind.EMPTY:
+                continue
+            for lam in _grouping_lambdas(region, rng):
+                table = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
+                for support, t in table.items():
+                    assert len(support) <= min(3, n // k) and min(t) >= 0
+                    assert abs(sum(t) - 1) <= 1e-12
+                    assert abs(np.dot(t, eigs[list(support)]) - lam) <= slack
+                    sizes.add(len(support))
+                rows = [set(support) for support in table]
+                assert not any(a < b for a in rows for b in rows)
+                for r in range(1, min(3, n // k) + 1):
+                    for subset in itertools.combinations(range(n), r):
+                        feasible = _solve_group_weights(eigs[list(subset)], lam, slack) is not None
+                        assert feasible == any(row <= set(subset) for row in rows), (subset, lam)
+    assert sizes == {1, 2, 3}
+
+
+@pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 8, "even"), (64, 16, "even")])
+def test_grouping_code_past_the_reference_reach(n, k, family):
+    rng = np.random.default_rng(n + k)
+    u = _unitary_with_phases(_oracle_phases(family, n, rng), rng)
+    region = numerical_range(u, k)
+    vertex, interior, _ = _grouping_lambdas(region, rng)
+    for lam in (extremal_lambda(region).min_entropy_lambdas[0], vertex, interior):
+        _assert_grouping_code(u, k, lam, grouping_code(u, k, lam))
 
 
 @settings(max_examples=60, deadline=None)
