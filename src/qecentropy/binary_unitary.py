@@ -331,11 +331,12 @@ def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.concatenate([_solve_each(a[:half], b[:half]), _solve_each(a[half:], b[half:])])
 
 
-def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> dict:
-    """Minimal supports of ``lam``: the singles, pairs and triples of
-    eigen-indices (ascending, at most ``size`` long) whose eigenvalues have
-    convex coefficients t with sum(t z) = lam within ``atol``, mapped to t,
-    in table order: singles, then pairs, then triples, each lexicographic.
+def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> tuple[np.ndarray, list]:
+    """Minimal supports of ``lam``, one boolean row of members each, and
+    their weights t in ascending member order: the singles, pairs and
+    triples of eigen-indices (at most ``size`` long) whose eigenvalues have
+    convex coefficients t with sum(t z) = lam within ``atol``, in table
+    order: singles, then pairs, then triples, each lexicographic.
 
     Basic feasible solutions of sum(t) = 1, sum(t z) = lam have at most three
     nonzero coefficients (Caratheodory), so a group of eigenvalues holds lam
@@ -343,39 +344,40 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
     grouping search only packs disjoint ones.  A pair or triple that contains
     a feasible single or pair is left out: any group holding it holds that
     smaller support too, which leaves more eigenstates to the other groups.
+    Distances are ``np.hypot`` and the pair step loops over Python complex
+    numbers, which round as scalar arithmetic does, where ``np.abs`` and
+    products of complex arrays may not.
     """
     n = len(eigs)
-    supports: dict[tuple[int, ...], tuple[float, ...]] = {}
-    for i in range(n):
-        if abs(eigs[i] - lam) <= atol:
-            supports[(i,)] = (1.0,)
+    single = np.hypot(eigs.real - lam.real, eigs.imag - lam.imag) <= atol
+    pair = np.zeros((n, n), dtype=bool)
+    weights = [(1.0,)] * int(single.sum())
     if size >= 2:
-        for i, j in itertools.combinations(range(n), 2):
-            if (i,) in supports or (j,) in supports:
-                continue
-            d = eigs[j] - eigs[i]
+        z = eigs.tolist()
+        for i, j in itertools.combinations(np.flatnonzero(~single).tolist(), 2):
+            d = z[j] - z[i]
             den = abs(d) ** 2
             if den == 0:
                 continue
-            tj = min(max(float((np.conj(d) * (lam - eigs[i])).real / den), 0.0), 1.0)
-            if abs(eigs[i] + tj * d - lam) <= atol:
-                supports[(i, j)] = (1.0 - tj, tj)
-    if size < 3 or n < 3:
-        return supports
-    triples = np.array(list(itertools.combinations(range(n), 3)))
+            tj = min(max((d.conjugate() * (lam - z[i])).real / den, 0.0), 1.0)
+            if abs(z[i] + tj * d - lam) <= atol:
+                pair[i, j] = True
+                weights.append((1.0 - tj, tj))
+    triples = np.array(list(itertools.combinations(range(n if size >= 3 else 0), 3)), int).reshape(-1, 3)
     z = eigs[triples]
     a = np.stack([z.real, z.imag, np.ones(z.shape)], axis=1)
     b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (len(triples), 3, 1))
     sols = _solve_each(a, b)[..., 0]
+    i, j, l = triples.T
     keep = ~(sols.min(axis=1) < -atol)
-    for (i, j, l), sol in zip(triples[keep].tolist(), sols[keep]):
-        if any(sub in supports for r in (1, 2) for sub in itertools.combinations((i, j, l), r)):
-            continue
-        sol = np.clip(sol, 0.0, None)
-        sol /= sol.sum()
-        if abs(sol[0] * eigs[i] + sol[1] * eigs[j] + sol[2] * eigs[l] - lam) <= atol:
-            supports[(i, j, l)] = tuple(sol)
-    return supports
+    keep &= ~(single[i] | single[j] | single[l] | pair[i, j] | pair[i, l] | pair[j, l])
+    sols, z, triples = np.clip(sols[keep], 0.0, None), z[keep], triples[keep]
+    sols /= sols.sum(axis=1, keepdims=True)
+    held = np.hypot((sols * z.real).sum(axis=1) - lam.real, (sols * z.imag).sum(axis=1) - lam.imag) <= atol
+    weights.extend(map(tuple, sols[held].tolist()))
+    eye = np.eye(n, dtype=bool)
+    rows = np.concatenate([eye[single], eye[np.argwhere(pair)].any(axis=1), eye[triples[held]].any(axis=1)])
+    return rows, weights
 
 
 def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
@@ -409,17 +411,13 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
         )
     dec = _eigen_holding(u, k, lam, tol)
     size = n // k
-    supports = _lambda_supports(dec.eigenvalues, lam, _membership_slack(tol), size)
-    rows = list(supports)
-    members = np.zeros((len(rows), n), dtype=bool)
-    for row, support in enumerate(rows):
-        members[row, list(support)] = True
+    rows, weights = _lambda_supports(dec.eigenvalues, lam, _membership_slack(tol), size)
 
     def can_hold(free: np.ndarray, need: int) -> bool:
         # Disjoint supports need distinct members of any set that meets every
         # one of them, so a greedy such hitting set smaller than ``need``
         # proves the branch fails.
-        inside = members[free]
+        inside = rows[free]
         for _ in range(need):
             if len(inside) == 0:
                 return False
@@ -435,7 +433,7 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
             return None
         for pos, row in enumerate(free.tolist()):
             rest = free[pos + 1 :]
-            found = pack(rest[~(members[rest] & members[row]).any(axis=1)], need - 1)
+            found = pack(rest[~(rows[rest] & rows[row]).any(axis=1)], need - 1)
             if found is not None:
                 return [row, *found]
         return None
@@ -445,14 +443,14 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
         raise NoFeasiblePartitionError(
             f"no size-{size} eigenstate partition realises lambda {lam}"
         )
-    spare = iter(sorted(set(range(n)).difference(*(rows[row] for row in chosen))))
+    spare = iter(np.flatnonzero(~rows[chosen].any(axis=0)).tolist())
     grouped = []
     for row in chosen:
-        support = rows[row]
-        group = tuple(sorted(support + tuple(itertools.islice(spare, size - len(support)))))
-        t = np.zeros(size)
-        t[[group.index(i) for i in support]] = supports[support]
-        grouped.append((group, t))
+        group = rows[row].copy()
+        group[list(itertools.islice(spare, size - int(group.sum())))] = True
+        t = np.zeros(n)
+        t[rows[row]] = weights[row]
+        grouped.append((tuple(np.flatnonzero(group).tolist()), t[group]))
     grouped.sort(key=lambda pair: pair[0])
     basis = [
         sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))

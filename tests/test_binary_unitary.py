@@ -506,6 +506,37 @@ def test_numerical_range_near_spectra_match_exact_vertex_count():
             assert len(numerical_range(u, k).vertices) == _exact_vertex_count(eigs, k), (n, k)
 
 
+def _assert_ranges_nest_and_exist(u):
+    """Lambda_{k+1} lies in Lambda_k: each vertex of the smaller range within
+    the membership slack of the larger; and Lambda_k is not empty when
+    N >= 3k - 2, as for every N x N matrix (Li, Poon & Sze 2009)."""
+    n = u.shape[0]
+    slack = binary_unitary._membership_slack(DEFAULT_TOL)
+    regions = [numerical_range(u, k) for k in range(1, n + 1)]
+    for wide, narrow in zip(regions, regions[1:]):
+        assert all(wide.distance(v) <= slack for v in narrow.vertices), (n, narrow.k)
+    for region in regions[: (n + 2) // 3]:
+        assert region.kind is not RegionKind.EMPTY, (n, region.k)
+
+
+@pytest.mark.parametrize("family", ("random", "even", "twin"))
+def test_ranges_nest_and_exist_up_to_the_bound(family):
+    rng = np.random.default_rng(1300 + ("random", "even", "twin").index(family))
+    for n in range(3, 17):
+        for _ in range(4):
+            phases = _near_phases(n, rng) if family == "twin" else _oracle_phases(family, n, rng)
+            _assert_ranges_nest_and_exist(_unitary_with_phases(phases, rng))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 23), min_size=3, max_size=12), st.integers(0, 2**32 - 1))
+def test_ranges_nest_and_exist_up_to_the_bound_property(steps, seed):
+    # Phases on a 24-point grid, so repeated eigenvalues and collinear
+    # triples are common.
+    _assert_ranges_nest_and_exist(
+        _unitary_with_phases(2 * np.pi * np.array(steps) / 24, np.random.default_rng(seed)))
+
+
 def test_constituent_hulls_are_the_distinct_runs():
     # Nine distinct eigenvalues, k = 3: nine runs of seven, none repeated.
     assert len(constituent_hulls(U9, 3)) == 9
@@ -742,19 +773,111 @@ def test_lambda_supports_are_the_minimal_feasible_subsets(family):
             if region.kind is RegionKind.EMPTY:
                 continue
             for lam in _grouping_lambdas(region, rng):
-                table = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
-                for support, t in table.items():
+                members, weights = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
+                supports = [tuple(np.flatnonzero(row)) for row in members]
+                for support, t in zip(supports, weights, strict=True):
                     assert len(support) <= min(3, n // k) and min(t) >= 0
                     assert abs(sum(t) - 1) <= 1e-12
                     assert abs(np.dot(t, eigs[list(support)]) - lam) <= slack
                     sizes.add(len(support))
-                rows = [set(support) for support in table]
+                rows = [set(support) for support in supports]
                 assert not any(a < b for a in rows for b in rows)
                 for r in range(1, min(3, n // k) + 1):
                     for subset in itertools.combinations(range(n), r):
                         feasible = _solve_group_weights(eigs[list(subset)], lam, slack) is not None
                         assert feasible == any(row <= set(subset) for row in rows), (subset, lam)
     assert sizes == {1, 2, 3}
+
+
+# Differential oracle for the support table: the builder it replaced, which
+# keyed each support by its index tuple in a dict whose insertion order was
+# the table order, tested minimality by looking up every sub-tuple, and
+# clipped, normalised and tested each kept triple in a loop of its own.
+
+
+def _lambda_supports_reference(eigs, lam, atol, size):
+    n = len(eigs)
+    supports = {}
+    for i in range(n):
+        if abs(eigs[i] - lam) <= atol:
+            supports[(i,)] = (1.0,)
+    if size >= 2:
+        for i, j in itertools.combinations(range(n), 2):
+            if (i,) in supports or (j,) in supports:
+                continue
+            d = eigs[j] - eigs[i]
+            den = abs(d) ** 2
+            if den == 0:
+                continue
+            tj = min(max(float((np.conj(d) * (lam - eigs[i])).real / den), 0.0), 1.0)
+            if abs(eigs[i] + tj * d - lam) <= atol:
+                supports[(i, j)] = (1.0 - tj, tj)
+    if size < 3 or n < 3:
+        return supports
+    triples = np.array(list(itertools.combinations(range(n), 3)))
+    z = eigs[triples]
+    a = np.stack([z.real, z.imag, np.ones(z.shape)], axis=1)
+    b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (len(triples), 3, 1))
+    sols = binary_unitary._solve_each(a, b)[..., 0]
+    keep = ~(sols.min(axis=1) < -atol)
+    for (i, j, l), sol in zip(triples[keep].tolist(), sols[keep]):
+        if any(sub in supports for r in (1, 2) for sub in itertools.combinations((i, j, l), r)):
+            continue
+        sol = np.clip(sol, 0.0, None)
+        sol /= sol.sum()
+        if abs(sol[0] * eigs[i] + sol[1] * eigs[j] + sol[2] * eigs[l] - lam) <= atol:
+            supports[(i, j, l)] = tuple(sol)
+    return supports
+
+
+def _table_unitary(family, n, rng):
+    """A unitary from one of the families the table is compared on; the
+    24-point grid is taken on a diagonal U, whose exact repeats make some
+    triple systems exactly singular."""
+    if family == "grid":
+        return np.diag(np.exp(2j * np.pi * rng.integers(0, 24, n) / 24))
+    phases = _near_phases(n, rng) if family == "twin" else _oracle_phases(family, n, rng)
+    return _unitary_with_phases(phases, rng)
+
+
+def _assert_table_matches_reference(u, k, rng):
+    """The table for a vertex, an interior point, the maximum-entropy point
+    and a nudged vertex of the rank-k range: the reference's supports in its
+    order, with the same weights to the last bit.  Returns the row count."""
+    eigs, n = unitary_eigen(u).eigenvalues, u.shape[0]
+    region = numerical_range(u, k)
+    if region.kind is RegionKind.EMPTY:
+        return 0
+    vertex, interior, nudged = _grouping_lambdas(region, rng)
+    slack = binary_unitary._membership_slack(DEFAULT_TOL)
+    count = 0
+    for lam in (vertex, interior, extremal_lambda(region).max_entropy_lambda, nudged):
+        members, weights = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
+        expected = _lambda_supports_reference(eigs, lam, slack, n // k)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in members] == list(expected), (n, k, lam)
+        hexed = [[float(x).hex() for x in t] for t in weights]
+        assert hexed == [[float(x).hex() for x in t] for t in expected.values()], (n, k, lam)
+        count += len(expected)
+    return count
+
+
+@pytest.mark.parametrize("family", ("random", "even", "grid", "twin", "repeated"))
+def test_lambda_supports_match_the_reference_builder(family):
+    rng = np.random.default_rng(1100 + ["random", "even", "grid", "twin", "repeated"].index(family))
+    rows = 0
+    for n in range(3, 17):
+        for _ in range(2):
+            u = _table_unitary(family, n, rng)
+            for k in [k for k in range(1, n + 1) if n % k == 0]:
+                rows += _assert_table_matches_reference(u, k, rng)
+    assert rows > 0
+
+
+@pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 16, "twin"), (64, 16, "even"),
+                                          (64, 8, "grid")])
+def test_lambda_supports_match_the_reference_builder_at_large_n(n, k, family):
+    rng = np.random.default_rng(1200 + n + k)
+    assert _assert_table_matches_reference(_table_unitary(family, n, rng), k, rng) > 0
 
 
 @pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 8, "even"), (64, 16, "even")])

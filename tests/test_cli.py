@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import qecentropy
 from qecentropy import catalog, serialization
 from qecentropy.channel import unitary_channel, validate_channel
 from qecentropy.cli import main
@@ -123,7 +127,7 @@ def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, o
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_inputs_fail_their_validity_checks(files, tmp_path, capsys):
     # An entry 1e300(1 + i) squares to inf - inf = nan in the Gram products,
     # and a nan residual must fail the orthonormality and trace checks.
@@ -136,6 +140,19 @@ def test_overflowing_inputs_fail_their_validity_checks(files, tmp_path, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+
+
+def test_an_overflowing_channel_prints_one_error_line(tmp_path):
+    # Run as a program, so that numpy's own warnings, which pytest would
+    # capture, reach stderr too.
+    chan_path = tmp_path / "big_chan.json"
+    chan_path.write_text(json.dumps({"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[1e300, 1e300]]}]}))
+    src = str(pathlib.Path(qecentropy.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "qecentropy.cli", "channel", "info", str(chan_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("error: "), done.stderr
 
 
 def test_code_recovery(files, capsys):
@@ -161,7 +178,7 @@ def test_code_recovery_is_byte_stable(files, tmp_path, capsys, label):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RECOVERY_SHA256[label]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_non_finite_recovery_exits_1(files, capsys, monkeypatch, bad):
     # Compressions with a non-finite entry give a non-finite recovery, which
