@@ -11,8 +11,9 @@ import itertools
 import numpy as np
 
 from . import geometry, serialization
-from .channel import QuantumChannel, binary_unitary_kraus
+from .channel import QuantumChannel, _check_mixing_probability, binary_unitary_kraus
 from .code import CodeSubspace, code_subspace
+from .entropy import _entropy_of_spectrum
 from .errors import (
     LambdaOutsideRegionError,
     NoCodeError,
@@ -58,8 +59,7 @@ class BinaryUnitaryChannel:
         return cls(p, dag(w1) @ w2)
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"mixing probability must be in [0, 1], got {self.p}")
+        _check_mixing_probability(self.p)
 
     def to_channel(self, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
         """Kraus form; checks U for unitarity under ``tol``."""
@@ -288,8 +288,7 @@ def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
 
 def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
     """Spectrum {L+, L-} of the 2x2 coefficient matrix of a binary unitary code."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing probability must be in [0, 1], got {p}")
+    _check_mixing_probability(p)
     mod2 = abs(lam) ** 2
     if mod2 > (1.0 + LAMBDA_MEMBERSHIP_FLOOR) ** 2:
         raise ValueError(f"|lambda| = {abs(lam)} exceeds 1")
@@ -299,13 +298,9 @@ def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
 
 
 def biunitary_code_entropy(p: float, lam: complex) -> float:
-    """Closed-form code entropy (bits) for a binary unitary channel."""
-    plus, minus = lambda_spectrum(p, lam)
-    s = 0.0
-    for x in (plus, minus):
-        if x > 0.0:
-            s -= x * np.log2(x)
-    return float(s)
+    """Closed-form code entropy (bits) for a binary unitary channel: the
+    entropy of the spectrum {L+, L-}."""
+    return _entropy_of_spectrum(lambda_spectrum(p, lam), DEFAULT_TOL)
 
 
 def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT_TOL):
@@ -316,19 +311,6 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
     # alone, is that of the vertex.
     modulus = min(abs(lam), 1.0)
     return [(float(p), biunitary_code_entropy(float(p), modulus)) for p in p_grid]
-
-
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` on a stack of systems; a singular system's row is
-    -inf, so that it fails any feasibility test, and the others are solved
-    exactly as one ``solve`` call each would solve them."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return np.full(b.shape, -np.inf)
-        half = len(a) // 2
-        return np.concatenate([_solve_each(a[:half], b[:half]), _solve_each(a[half:], b[half:])])
 
 
 def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> tuple[np.ndarray, list]:
@@ -366,8 +348,12 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
     triples = np.array(list(itertools.combinations(range(n if size >= 3 else 0), 3)), int).reshape(-1, 3)
     z = eigs[triples]
     a = np.stack([z.real, z.imag, np.ones(z.shape)], axis=1)
-    b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (len(triples), 3, 1))
-    sols = _solve_each(a, b)[..., 0]
+    # A singular system's row is -inf, so that it fails every feasibility
+    # test: both det and solve's LU meet an exact zero pivot there.
+    ok = np.linalg.det(a) != 0
+    b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (int(ok.sum()), 3, 1))
+    sols = np.full((len(triples), 3), -np.inf)
+    sols[ok] = np.linalg.solve(a[ok], b)[..., 0]
     i, j, l = triples.T
     keep = ~(sols.min(axis=1) < -atol)
     keep &= ~(single[i] | single[j] | single[l] | pair[i, j] | pair[i, l] | pair[j, l])

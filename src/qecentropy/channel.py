@@ -177,10 +177,14 @@ def unitary_channel(u, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
     return channel([u])
 
 
-def binary_unitary_kraus(p: float, u, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
-    """Kraus form {sqrt(1-p) I, sqrt(p) U} of the two-term mixing channel."""
+def _check_mixing_probability(p: float) -> None:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing probability must be in [0, 1], got {p}")
+
+
+def binary_unitary_kraus(p: float, u, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
+    """Kraus form {sqrt(1-p) I, sqrt(p) U} of the two-term mixing channel."""
+    _check_mixing_probability(p)
     u = as_matrix(u)
     if not is_unitary(u, tol):
         raise ValueError("binary unitary channel requires a unitary matrix")

@@ -102,6 +102,8 @@ def _load_unitary(path: str) -> np.ndarray:
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write a command's report to stdout, or to the --output file without
+    the final newline."""
     if output is None:
         print(text)
     else:
@@ -117,11 +119,21 @@ def _svg_point(z: complex, size: float) -> tuple[float, float]:
     return size / 2 + scale * z.real, size / 2 - scale * z.imag
 
 
-def _svg_coords(zs, size: float) -> str:
-    return " ".join(
-        f"{serialization.format_float(x)},{serialization.format_float(y)}"
-        for x, y in (_svg_point(z, size) for z in zs)
-    )
+def _svg_shape(cls: str, zs, size: float, polygon: str = "", line: str = "", dot: str = "") -> list[str]:
+    """The element drawing the points ``zs`` as a polygon (three or more), a
+    line (two) or a circle (one), with that shape's style attributes; no
+    element when the shape has no style."""
+    points = (_svg_point(z, size) for z in np.asarray(zs, dtype=complex).tolist())
+    xy = [(serialization.format_float(x), serialization.format_float(y)) for x, y in points]
+    if len(xy) >= 3 and polygon:
+        coords = " ".join(f"{x},{y}" for x, y in xy)
+        return [f'<polygon class="{cls}" points="{coords}" {polygon}/>']
+    if len(xy) == 2 and line:
+        (x1, y1), (x2, y2) = xy
+        return [f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {line}/>']
+    if len(xy) == 1 and dot:
+        return [f'<circle class="{cls}" cx="{xy[0][0]}" cy="{xy[0][1]}" {dot}/>']
+    return []
 
 
 def render_region_svg(
@@ -142,45 +154,15 @@ def render_region_svg(
         f'<circle cx="{serialization.format_float(cx)}" cy="{serialization.format_float(cy)}" '
         f'r="{serialization.format_float(radius)}" fill="none" stroke="#888888" stroke-width="1"/>',
     ]
+    dashed = 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"'
     for hull in hulls or []:
-        if len(hull) >= 3:
-            parts.append(
-                f'<polygon class="hull" points="{_svg_coords(hull, s)}" fill="none" '
-                'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"/>'
-            )
-        elif len(hull) == 2:
-            (x1, y1), (x2, y2) = (_svg_point(z, s) for z in hull)
-            parts.append(
-                f'<line class="hull" x1="{serialization.format_float(x1)}" '
-                f'y1="{serialization.format_float(y1)}" x2="{serialization.format_float(x2)}" '
-                f'y2="{serialization.format_float(y2)}" stroke="#bbbbbb" stroke-width="1" '
-                'stroke-dasharray="4 3"/>'
-            )
-    verts = region.vertices
-    if len(verts) >= 3:
-        parts.append(
-            f'<polygon class="region" points="{_svg_coords(verts, s)}" '
-            'fill="#6699cc" fill-opacity="0.5" stroke="#336699" stroke-width="1.5"/>'
-        )
-    elif len(verts) == 2:
-        (x1, y1), (x2, y2) = (_svg_point(z, s) for z in verts)
-        parts.append(
-            f'<line class="region" x1="{serialization.format_float(x1)}" '
-            f'y1="{serialization.format_float(y1)}" x2="{serialization.format_float(x2)}" '
-            f'y2="{serialization.format_float(y2)}" stroke="#336699" stroke-width="2"/>'
-        )
-    elif len(verts) == 1:
-        x, y = _svg_point(complex(verts[0]), s)
-        parts.append(
-            f'<circle class="region" cx="{serialization.format_float(x)}" '
-            f'cy="{serialization.format_float(y)}" r="4" fill="#336699"/>'
-        )
+        parts += _svg_shape("hull", hull, s, polygon=f'fill="none" {dashed}', line=dashed)
+    parts += _svg_shape(
+        "region", region.vertices, s,
+        polygon='fill="#6699cc" fill-opacity="0.5" stroke="#336699" stroke-width="1.5"',
+        line='stroke="#336699" stroke-width="2"', dot='r="4" fill="#336699"')
     for z in eigenvalues:
-        x, y = _svg_point(complex(z), s)
-        parts.append(
-            f'<circle class="eigenvalue" cx="{serialization.format_float(x)}" '
-            f'cy="{serialization.format_float(y)}" r="3" fill="black"/>'
-        )
+        parts += _svg_shape("eigenvalue", [z], s, dot='r="3" fill="black"')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -188,21 +170,19 @@ def render_region_svg(
 # Subcommand implementations -----------------------------------------------
 
 
-def _cmd_channel_info(args, tol: ToleranceConfig) -> int:
+def _cmd_channel_info(args, tol: ToleranceConfig) -> dict:
     c = channel_from_json(_load_json_file(args.channel))
     validate_channel(c, tol)
     gram = choi_gram(c, tol)
-    report = {
+    return {
         "dim": c.dim,
         "num_kraus": c.num_kraus,
         "choi_gram_spectrum": [float(w) for w in gram.weights],
         "choi_rank": gram.choi_rank,
     }
-    _emit(serialization.dumps(report, indent=2), args.output)
-    return 0
 
 
-def _cmd_code_analyze(args, tol: ToleranceConfig) -> int:
+def _cmd_code_analyze(args, tol: ToleranceConfig) -> dict:
     c = channel_from_json(_load_json_file(args.channel))
     code = code_from_json(_load_json_file(args.code), tol)
     result = classify_code(c, code, tol)
@@ -210,35 +190,31 @@ def _cmd_code_analyze(args, tol: ToleranceConfig) -> int:
     if args.sigma_samples > 0:
         report["sigma_matches_lambda"] = sigma_equals_lambda_check(
             c, code, args.sigma_samples, args.seed, tol)
-    _emit(serialization.dumps(report, indent=2), args.output)
-    return 0
+    return report
 
 
-def _cmd_code_recovery(args, tol: ToleranceConfig) -> int:
+def _cmd_code_recovery(args, tol: ToleranceConfig) -> dict:
     c = channel_from_json(_load_json_file(args.channel))
     code = code_from_json(_load_json_file(args.code), tol)
     rec = build_recovery(c, code, tol)
-    report = {"channel": rec.channel.to_json(), "residual": rec.residual}
-    _emit(serialization.dumps(report, indent=2), args.output)
-    return 0
+    return {"channel": rec.channel.to_json(), "residual": rec.residual}
 
 
-def _cmd_numrange(args, tol: ToleranceConfig) -> int:
+def _cmd_numrange(args, tol: ToleranceConfig) -> dict:
     if args.size < 1:
         raise ValueError(f"--size must be a positive number of pixels, got {args.size}")
     u = _load_unitary(args.unitary)
     # The figure draws every eigenvalue, so the decomposition is taken along.
     dec, region = _analysed_range(u, args.k, tol)
-    _emit(serialization.dumps(region.to_json(), indent=2), args.output)
     if args.svg is not None:
         hulls = constituent_hulls(u, args.k, tol) if args.hulls else None
         svg = render_region_svg(region, dec.eigenvalues, hulls, size=args.size)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
-    return 0
+    return region.to_json()
 
 
-def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> int:
+def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> dict:
     # Rejects p outside [0, 1] before any range is built.
     binary = BinaryUnitaryChannel(args.p, _load_unitary(args.unitary))
     region = numerical_range(binary.u, args.k, tol)
@@ -246,7 +222,7 @@ def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> int:
     built = grouping_code(binary.u, args.k, lam, tol)
     # Independent verification of the construction before anything is printed.
     lam_matrix, residual = kl_check(binary.to_channel(tol), built.code, tol)
-    report = {
+    return {
         "lambda": serialization.complex_to_json(lam),
         "entropy_bits": biunitary_code_entropy(args.p, lam),
         "kl_residual": residual,
@@ -255,11 +231,9 @@ def _cmd_min_entropy_code(args, tol: ToleranceConfig) -> int:
         "weights": [list(w) for w in built.weights],
         "code": built.code.to_json(),
     }
-    _emit(serialization.dumps(report, indent=2), args.output)
-    return 0
 
 
-def _cmd_entropy_vs_p(args, tol: ToleranceConfig) -> int:
+def _cmd_entropy_vs_p(args, tol: ToleranceConfig) -> dict:
     u = _load_unitary(args.unitary)
     lam = _parse_complex(args.lam)
     if args.p_grid is not None:
@@ -269,13 +243,11 @@ def _cmd_entropy_vs_p(args, tol: ToleranceConfig) -> int:
     else:
         grid = [i / (args.p_steps - 1) for i in range(args.p_steps)]
     rows = entropy_vs_p(u, args.k, lam, grid, tol)
-    report = {
+    return {
         "k": args.k,
         "lambda": serialization.complex_to_json(lam),
         "points": [{"p": p, "entropy_bits": s} for p, s in rows],
     }
-    _emit(serialization.dumps(report, indent=2), args.output)
-    return 0
 
 
 def _instance_json(inst: catalog.NamedInstance) -> dict:
@@ -304,16 +276,14 @@ def _instance_json(inst: catalog.NamedInstance) -> dict:
     return obj
 
 
-def _cmd_catalog(args, tol: ToleranceConfig) -> int:
+def _cmd_catalog(args, tol: ToleranceConfig) -> list | dict:
     instances = catalog.all_instances()
     if args.catalog_command == "list":
-        _emit(serialization.dumps(sorted(instances), indent=2), args.output)
-        return 0
+        return sorted(instances)
     if args.name not in instances:
         raise ValueError(f"unknown catalog instance {args.name!r}; "
                          f"known: {', '.join(sorted(instances))}")
-    _emit(serialization.dumps(_instance_json(instances[args.name]), indent=2), args.output)
-    return 0
+    return _instance_json(instances[args.name])
 
 
 def _csv_value(value) -> str:
@@ -330,7 +300,7 @@ def _csv_value(value) -> str:
     return serialization.format_float(float(value))
 
 
-def _cmd_reproduce(args, tol: ToleranceConfig) -> int:
+def _cmd_reproduce(args, tol: ToleranceConfig) -> tuple[str, int]:
     inst = catalog.all_instances()[args.table]
     rows = catalog.evaluate_instance(inst, tol)
     lines = ["quantity,expected,computed,abs_error,tolerance,pass"]
@@ -343,8 +313,7 @@ def _cmd_reproduce(args, tol: ToleranceConfig) -> int:
             _csv_value(row["tolerance"]),
             _csv_value(row["passed"]),
         ]))
-    _emit("\n".join(lines), args.output)
-    return 0 if all(row["passed"] for row in rows) else 4
+    return "\n".join(lines), 0 if all(row["passed"] for row in rows) else 4
 
 
 # Argument parsing ----------------------------------------------------------
@@ -370,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     chan_sub = chan.add_subparsers(dest="channel_command", required=True)
     info = chan_sub.add_parser("info", help="dimension, Choi-Gram spectrum and Choi rank")
     info.add_argument("channel", help="channel JSON file")
-    info.add_argument("--output", default=None)
     info.set_defaults(func=_cmd_channel_info)
 
     code = sub.add_parser("code", help="code analysis and recovery")
@@ -381,12 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--sigma-samples", type=int, default=0,
                          help="also test the exchange-state identity on this many random code states")
     analyze.add_argument("--seed", type=int, default=0)
-    analyze.add_argument("--output", default=None)
     analyze.set_defaults(func=_cmd_code_analyze)
     recovery = code_sub.add_parser("recovery", help="construct and verify a recovery operation")
     recovery.add_argument("channel", help="channel JSON file")
     recovery.add_argument("code", help="code JSON file")
-    recovery.add_argument("--output", default=None)
     recovery.set_defaults(func=_cmd_code_recovery)
 
     numrange = sub.add_parser(
@@ -398,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     numrange.add_argument("--hulls", action="store_true",
                           help="draw the phase-contiguous run hulls (at most N) in the SVG")
     numrange.add_argument("--size", type=int, default=600, help="SVG canvas size in pixels")
-    numrange.add_argument("--output", default=None)
     numrange.set_defaults(func=_cmd_numrange)
 
     mec = sub.add_parser("min-entropy-code",
@@ -406,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     mec.add_argument("unitary", help="unitary matrix JSON file")
     mec.add_argument("k", type=int)
     mec.add_argument("p", type=float, help="mixing probability of the binary unitary channel")
-    mec.add_argument("--output", default=None)
     mec.set_defaults(func=_cmd_min_entropy_code)
 
     evp = sub.add_parser("entropy-vs-p", help="code entropy along a mixing-probability grid")
@@ -415,24 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
     evp.add_argument("--lam", required=True, help="compression value as 'RE' or 'RE,IM'")
     evp.add_argument("--p-grid", default=None, help="comma-separated probabilities")
     evp.add_argument("--p-steps", type=int, default=21, help="uniform grid size on [0, 1]")
-    evp.add_argument("--output", default=None)
     evp.set_defaults(func=_cmd_entropy_vs_p)
 
     cat = sub.add_parser("catalog", help="named reference instances")
     cat_sub = cat.add_subparsers(dest="catalog_command", required=True)
     cat_list = cat_sub.add_parser("list", help="list instance names")
-    cat_list.add_argument("--output", default=None)
     cat_list.set_defaults(func=_cmd_catalog)
     cat_get = cat_sub.add_parser("get", help="emit one instance as JSON")
     cat_get.add_argument("name")
-    cat_get.add_argument("--output", default=None)
     cat_get.set_defaults(func=_cmd_catalog)
 
     rep = sub.add_parser("reproduce", help="check expected quantities of a named instance (CSV)")
     rep.add_argument("table", choices=["table1", "stabilizer", "example33", "qutrit"])
-    rep.add_argument("--output", default=None)
     rep.set_defaults(func=_cmd_reproduce)
 
+    # Added last, so that --output ends each leaf's option list.
+    for leaf in (info, analyze, recovery, numrange, mec, evp, cat_list, cat_get, rep):
+        leaf.add_argument("--output", default=None)
     return parser
 
 
@@ -445,7 +408,11 @@ def main(argv=None) -> int:
         return _fail(str(exc), 1)
     try:
         with np.errstate(all="ignore"):  # a nan fails every ``not x <= bound`` verdict
-            return args.func(args, tol)
+            report = args.func(args, tol)
+            # Commands return a JSON-able report, or reproduce its CSV text and exit code.
+            text, code = report if isinstance(report, tuple) else (serialization.dumps(report, indent=2), 0)
+            _emit(text, args.output)
+            return code
     except (NotCorrectable, NoCodeError, NoFeasiblePartitionError,
             RecoveryVerificationError) as exc:
         return _fail(str(exc), 2)

@@ -22,13 +22,18 @@ MARGINAL_CHECK_RTOL = 1e-10
 LINDBLAD_SLACK = 1e-8
 
 
-def _entropy_of_spectrum(w: np.ndarray, tol: ToleranceConfig) -> float:
+def _entropy_of_spectrum(w, tol: ToleranceConfig) -> float:
+    """-sum w log2 w over the positive weights, clamped at 0: a pure
+    spectrum would give -0.0, and a weight rounded above 1 a tiny negative."""
     w = np.asarray(w, dtype=float)
-    lam_max = max(1.0, float(w.max(initial=0.0)))
-    if w.min(initial=0.0) < -tol.eps_rank * lam_max:
-        raise ValueError(f"spectrum has negative weight {w.min():.3e}")
+    low = w.min(initial=0.0)
+    # low < -eps_rank * max(1, largest weight), with the largest read only
+    # when low is below -eps_rank: the binary-unitary closed form calls this
+    # once per grid point.
+    if low < -tol.eps_rank and low < -tol.eps_rank * w.max():
+        raise ValueError(f"spectrum has negative weight {low:.3e}")
     w = w[w > 0]
-    return float(-(w * np.log2(w)).sum()) if len(w) else 0.0
+    return max(0.0, float(-(w * np.log2(w)).sum()))
 
 
 def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -150,7 +155,6 @@ def partial_trace_environment(omega: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def check_lindblad_bounds(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LindbladReport:
     """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``LINDBLAD_SLACK``."""
-    rho = validate_density(rho, tol)
     s_rho = von_neumann_entropy(rho, tol)
     s_out = von_neumann_entropy(apply_channel(c, rho), tol)
     _, s_sigma = entropy_exchange(c, rho, tol)

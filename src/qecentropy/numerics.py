@@ -118,12 +118,15 @@ def hermitian_eigen(a, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition
     return EigenDecomposition(w, v, clusters)
 
 
+def _unitarity_residual(u: np.ndarray) -> float:
+    """||U^dag U - I||_F of a square matrix; U is unitary when this is at
+    most eps_eig * N."""
+    return frobenius(dag(u) @ u - np.eye(u.shape[0]))
+
+
 def is_unitary(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        return False
-    n = u.shape[0]
-    return frobenius(dag(u) @ u - np.eye(n)) <= tol.eps_eig * n
+    return u.shape[0] == u.shape[1] and _unitarity_residual(u) <= tol.eps_eig * u.shape[0]
 
 
 def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
@@ -137,7 +140,7 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     u = as_matrix(u)
     _require_square(u)
     n = u.shape[0]
-    resid = frobenius(dag(u) @ u - np.eye(n))
+    resid = _unitarity_residual(u)
     if not resid <= tol.eps_eig * n:
         raise ValueError(f"matrix is not unitary (||U^dag U - I||_F = {resid:.3e})")
 

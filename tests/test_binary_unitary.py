@@ -792,7 +792,9 @@ def test_lambda_supports_are_the_minimal_feasible_subsets(family):
 # Differential oracle for the support table: the builder it replaced, which
 # keyed each support by its index tuple in a dict whose insertion order was
 # the table order, tested minimality by looking up every sub-tuple, and
-# clipped, normalised and tested each kept triple in a loop of its own.
+# clipped, normalised and tested each kept triple in a loop of its own.  It
+# solves each triple's system alone, so that it shares no solver with the
+# stacked solve it checks.
 
 
 def _lambda_supports_reference(eigs, lam, atol, size):
@@ -812,16 +814,18 @@ def _lambda_supports_reference(eigs, lam, atol, size):
             tj = min(max(float((np.conj(d) * (lam - eigs[i])).real / den), 0.0), 1.0)
             if abs(eigs[i] + tj * d - lam) <= atol:
                 supports[(i, j)] = (1.0 - tj, tj)
-    if size < 3 or n < 3:
+    if size < 3:
         return supports
-    triples = np.array(list(itertools.combinations(range(n), 3)))
-    z = eigs[triples]
-    a = np.stack([z.real, z.imag, np.ones(z.shape)], axis=1)
-    b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (len(triples), 3, 1))
-    sols = binary_unitary._solve_each(a, b)[..., 0]
-    keep = ~(sols.min(axis=1) < -atol)
-    for (i, j, l), sol in zip(triples[keep].tolist(), sols[keep]):
+    rhs = np.array([lam.real, lam.imag, 1.0])
+    for i, j, l in itertools.combinations(range(n), 3):
         if any(sub in supports for r in (1, 2) for sub in itertools.combinations((i, j, l), r)):
+            continue
+        z = eigs[[i, j, l]]
+        try:
+            sol = np.linalg.solve(np.array([z.real, z.imag, np.ones(3)]), rhs)
+        except np.linalg.LinAlgError:
+            continue
+        if sol.min() < -atol:
             continue
         sol = np.clip(sol, 0.0, None)
         sol /= sol.sum()

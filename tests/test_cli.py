@@ -94,6 +94,20 @@ def test_code_analyze_rank_one_codes(tmp_path, capsys):
         assert report["decoherence_free"] is (cls == "DecoherenceFree")
 
 
+def test_code_analyze_prints_a_pure_lambda_entropy_as_0(tmp_path, capsys):
+    # Lambda of a unitary channel is pure: its entropy printed as -0, and the
+    # pauli-zz code's as -3.2e-16, before the entropy was clamped at 0.
+    pauli = catalog.all_instances()["pauli-zz"]
+    cases = [(unitary_channel(np.eye(2)), span_code(np.eye(2))),
+             (pauli.channel, pauli.code("plus-eigenspace"))]
+    for chan, code in cases:
+        chan_path, code_path = tmp_path / "chan.json", tmp_path / "code.json"
+        chan_path.write_text(serialization.dumps(chan.to_json()))
+        code_path.write_text(serialization.dumps(code.to_json()))
+        assert main(["code", "analyze", str(chan_path), str(code_path)]) == 0
+        assert '\n  "entropy_bits": 0,\n' in capsys.readouterr().out
+
+
 BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
 
 
@@ -259,6 +273,26 @@ def test_numrange_svg_with_hulls_is_byte_stable(files, tmp_path, capsys, k):
     svg_path = tmp_path / "fig.svg"
     assert main(["numrange", files["u9.json"], str(k), "--svg", str(svg_path), "--hulls"]) == 0
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == QUTRIT_SVG_SHA256[k]
+
+
+# SHA-256 of `numrange U.json K --svg FILE --hulls` for the shapes the qutrit
+# pins above leave out: two-point hulls drawn as lines (qutrit, k = 8, an
+# empty range), a Point region and a Segment region, each drawn by its own
+# f-string when these digests were taken.
+SHAPE_SVG_SHA256 = {
+    "hull-lines": (U9, 8, "0b247180001a0e95ffca69137f76bf371867bea1692d09d770c5ad437c156115"),
+    "point": (np.diag([1, 1, 1, -1]), 2, "81e51a67c69dba2aa0b20b0c670b31264cc1bf2f16d0aec58b817541898383e4"),
+    "segment": (np.diag([1, 1, -1, -1]), 2, "3b997b77693cfcac33f597987d2d8ead4168b4a2f24da973b18f7aadfd3a3e3b"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPE_SVG_SHA256))
+def test_numrange_svg_shapes_are_byte_stable(tmp_path, capsys, shape):
+    u, k, digest = SHAPE_SVG_SHA256[shape]
+    u_path, svg_path = tmp_path / "u.json", tmp_path / "fig.svg"
+    u_path.write_text(serialization.dumps(serialization.matrix_to_json(u)))
+    assert main(["numrange", str(u_path), str(k), "--svg", str(svg_path), "--hulls"]) == 0
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
 
 
 def test_numrange_rejects_nonpositive_svg_size(files, tmp_path, capsys):
@@ -519,7 +553,39 @@ def test_tolerances_file_rejects_non_finite_numbers(files, tmp_path, capsys, tex
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
-def test_output_to_file(files, tmp_path):
-    out = tmp_path / "report.json"
-    assert main(["channel", "info", files["chan.json"], "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["choi_rank"] == 3
+# Each leaf command on inputs it accepts (file names stand for the fixture's
+# paths) and its exit code; reproduce qutrit exits 4 by design.
+LEAF_COMMANDS = [
+    (["channel", "info", "chan.json"], 0),
+    (["code", "analyze", "chan.json", "code1.json"], 0),
+    (["code", "recovery", "chan.json", "code1.json"], 0),
+    (["numrange", "u9.json", "3"], 0),
+    (["min-entropy-code", "u9.json", "3", "0.01"], 0),
+    (["entropy-vs-p", "u9.json", "3", "--lam", "0,0", "--p-steps", "5"], 0),
+    (["catalog", "list"], 0),
+    (["catalog", "get", "example33"], 0),
+    (["reproduce", "qutrit"], 4),
+]
+
+
+def test_output_to_file(files, tmp_path, capsys):
+    out = tmp_path / "report.out"
+    for argv, code in LEAF_COMMANDS:
+        argv = [files.get(arg, arg) for arg in argv]
+        assert main(argv) == code
+        stdout = capsys.readouterr().out
+        assert main([*argv, "--output", str(out)]) == code, argv
+        assert capsys.readouterr().out == ""
+        # The file holds the report without print's final newline.
+        assert stdout.endswith("\n") and out.read_text(encoding="utf-8") == stdout[:-1], argv
+
+
+@pytest.mark.parametrize("leaf", [argv[:2] if argv[0] in ("channel", "code", "catalog") else argv[:1]
+                                  for argv, _ in LEAF_COMMANDS], ids=" ".join)
+def test_help_lists_output_last(capsys, leaf):
+    with pytest.raises(SystemExit) as exc:
+        main([*leaf, "--help"])
+    assert exc.value.code == 0
+    options = capsys.readouterr().out.split("\noptions:\n")[1].split("\n\n")[0]
+    flags = [line.split()[0] for line in options.splitlines() if line.startswith("  -")]
+    assert flags[-1] == "--output" and flags.count("--output") == 1

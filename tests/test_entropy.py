@@ -1,8 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qecentropy.binary_unitary import biunitary_code_entropy
 from qecentropy.channel import apply_channel, pauli_channel, unitary_channel
 from qecentropy.entropy import (
+    _entropy_of_spectrum,
     check_lindblad_bounds,
     entropy_exchange,
     exchange_matrix,
@@ -12,7 +18,12 @@ from qecentropy.entropy import (
     purification_exchange_entropy,
     von_neumann_entropy,
 )
+from qecentropy.numerics import DEFAULT_TOL
 from qecentropy.sampling import haar_unitary, random_channel, random_density
+
+
+def _is_plus_or_zero(s: float) -> bool:
+    return s >= 0 and math.copysign(1.0, s) == 1.0
 
 
 def test_von_neumann_entropy_values():
@@ -21,6 +32,20 @@ def test_von_neumann_entropy_values():
     assert abs(von_neumann_entropy(np.eye(8) / 8) - 3.0) < 1e-14
     assert abs(von_neumann_entropy(np.diag([0.25, 0.75])) -
                (-0.25 * np.log2(0.25) - 0.75 * np.log2(0.75))) < 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+       ulps=st.integers(0, 4), p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+       modulus=st.one_of(st.just(1.0), st.floats(0.0, 1.0)), phase=st.floats(0.0, 2 * math.pi))
+def test_entropies_are_never_negative_or_minus_zero(weights, ulps, p, modulus, phase):
+    # A pure spectrum, its weight a few ulps above 1 as rounding leaves it.
+    pure = np.zeros(len(weights))
+    pure[0] = 1.0 + ulps * 2.0 ** -52
+    for w in (np.array(weights), pure):
+        assert _is_plus_or_zero(_entropy_of_spectrum(w, DEFAULT_TOL))
+    assert _is_plus_or_zero(von_neumann_entropy(np.diag(pure / pure[0])))
+    assert _is_plus_or_zero(biunitary_code_entropy(p, modulus * complex(math.cos(phase), math.sin(phase))))
 
 
 def test_von_neumann_entropy_rejects_negative_spectrum():
