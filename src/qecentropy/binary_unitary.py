@@ -118,7 +118,8 @@ def _representatives(dec: EigenDecomposition, k: int) -> list[complex]:
     if not 1 <= k <= len(eigs):
         raise ValueError(f"rank k must be in [1, {len(eigs)}], got {k}")
     # A single eigenvalue is its own mean, without a numpy call.
-    return [complex(eigs[c[0]] if len(c) == 1 else np.mean(eigs[list(c)])) for c in dec.cluster_map]
+    z = eigs.tolist()
+    return [z[c[0]] if len(c) == 1 else complex(np.mean(eigs[list(c)])) for c in dec.cluster_map]
 
 
 def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tuple[int, int]]]:
@@ -136,18 +137,15 @@ def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tupl
     its first eigenvalue's on, one more for each cluster boundary it crosses.
     A run that holds all m clusters is the arc (0, m).
     """
-    eigs, clusters = dec.eigenvalues, dec.cluster_map
-    n, m = len(eigs), len(clusters)
+    clusters = dec.cluster_map
+    n, m = len(dec.eigenvalues), len(clusters)
     reps = _representatives(dec, k)
-    owner = np.empty(n, dtype=int)
-    owner[np.concatenate(clusters)] = np.repeat(np.arange(m), [len(c) for c in clusters])
+    owner = {i: c for c, members in enumerate(clusters) for i in members}
     # crossed[i]: how many of eigenvalues 0..i-1, twice round, start a cluster.
-    boundary = np.tile(owner != np.roll(owner, 1), 2)
-    crossed = np.concatenate([[0], np.cumsum(boundary)])
-    starts = np.arange(n)
-    sizes = np.minimum(crossed[starts + n - k + 1] - crossed[starts + 1] + 1, m)
-    firsts = np.where(sizes == m, 0, owner)
-    return reps, list(dict.fromkeys(zip(firsts.tolist(), sizes.tolist())))
+    opens = [owner[i] != owner[(i - 1) % n] for i in range(n)]
+    crossed = list(itertools.accumulate(opens * 2, initial=0))
+    sizes = [min(crossed[s + n - k + 1] - crossed[s + 1] + 1, m) for s in range(n)]
+    return reps, list(dict.fromkeys((0 if size == m else owner[s], size) for s, size in enumerate(sizes)))
 
 
 def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> NumRangeRegion:
@@ -310,7 +308,16 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
     # by up to the membership slack; its entropy, which depends on |lambda|
     # alone, is that of the vertex.
     modulus = min(abs(lam), 1.0)
-    return [(float(p), biunitary_code_entropy(float(p), modulus)) for p in p_grid]
+    ps = [float(p) for p in p_grid]
+    for p in ps:
+        _check_mixing_probability(p)
+    # biunitary_code_entropy's bits at each p: lambda_spectrum's operations
+    # on a (G, 2) stack, then -sum w log2 w per row (0 log 0 := 0), clamped.
+    p = np.array(ps)
+    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p * (1.0 - p) * (1.0 - min(1.0, modulus**2))))
+    w = 0.5 * np.stack([1.0 + root, 1.0 - root], axis=1)
+    sums = (w * np.log2(np.where(w > 0, w, 1.0))).sum(axis=1)
+    return [(x, max(0.0, -s)) for x, s in zip(ps, sums.tolist())]
 
 
 def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> tuple[np.ndarray, list]:

@@ -118,6 +118,12 @@ def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> N
 
 def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Check Hermiticity, positivity and unit trace of a density matrix."""
+    return _density_spectrum(rho, tol)[0]
+
+
+def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
+    """``validate_density``'s checks; returns rho, the ascending eigenvalues
+    of its Hermitian part, and their eigenvectors if ``vectors`` (else None)."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
@@ -127,10 +133,11 @@ def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
-    w = np.linalg.eigvalsh((rho + dag(rho)) / 2)
+    herm_part = (rho + dag(rho)) / 2
+    w, v = np.linalg.eigh(herm_part) if vectors else (np.linalg.eigvalsh(herm_part), None)
     if w[0] < -tol.eps_rank * max(1.0, float(w[-1])):
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    return rho
+    return rho, w, v
 
 
 def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:

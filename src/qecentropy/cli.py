@@ -114,17 +114,16 @@ def _emit(text: str, output: str | None) -> None:
 # SVG figure emission ------------------------------------------------------
 
 
-def _svg_point(z: complex, size: float) -> tuple[float, float]:
-    scale = 0.45 * size
-    return size / 2 + scale * z.real, size / 2 - scale * z.imag
+def _svg_point(z: complex, size: float) -> tuple[str, str]:
+    """The pixel coordinates of ``z``, formatted."""
+    x, y = size / 2 + 0.45 * size * z.real, size / 2 - 0.45 * size * z.imag
+    return serialization.format_float(x), serialization.format_float(y)
 
 
-def _svg_shape(cls: str, zs, size: float, polygon: str = "", line: str = "", dot: str = "") -> list[str]:
-    """The element drawing the points ``zs`` as a polygon (three or more), a
-    line (two) or a circle (one), with that shape's style attributes; no
-    element when the shape has no style."""
-    points = (_svg_point(z, size) for z in np.asarray(zs, dtype=complex).tolist())
-    xy = [(serialization.format_float(x), serialization.format_float(y)) for x, y in points]
+def _svg_shape(cls: str, xy: list[tuple[str, str]], polygon="", line="", dot="") -> list[str]:
+    """The element drawing the formatted points ``xy`` as a polygon (three
+    or more), a line (two) or a circle (one), with that shape's style
+    attributes; no element when the shape has no style."""
     if len(xy) >= 3 and polygon:
         coords = " ".join(f"{x},{y}" for x, y in xy)
         return [f'<polygon class="{cls}" points="{coords}" {polygon}/>']
@@ -144,25 +143,32 @@ def render_region_svg(
 ) -> str:
     """Static figure of a rank-k numerical range inside the unit circle."""
     s = float(size)
-    cx, cy = _svg_point(0.0, s)
-    radius = 0.45 * s
+    cx, cy = _svg_point(0j, s)
+    # Hull and region vertices are cluster means that many shapes share, so
+    # each distinct point is formatted once per figure.
+    formatted: dict[complex, tuple[str, str]] = {}
+
+    def xy(zs) -> list[tuple[str, str]]:
+        zs = np.asarray(zs, dtype=complex).tolist()
+        return [formatted.get(z) or formatted.setdefault(z, _svg_point(z, s)) for z in zs]
+
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<circle cx="{serialization.format_float(cx)}" cy="{serialization.format_float(cy)}" '
-        f'r="{serialization.format_float(radius)}" fill="none" stroke="#888888" stroke-width="1"/>',
+        f'<circle cx="{cx}" cy="{cy}" r="{serialization.format_float(0.45 * s)}" '
+        'fill="none" stroke="#888888" stroke-width="1"/>',
     ]
     dashed = 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"'
     for hull in hulls or []:
-        parts += _svg_shape("hull", hull, s, polygon=f'fill="none" {dashed}', line=dashed)
+        parts += _svg_shape("hull", xy(hull), polygon=f'fill="none" {dashed}', line=dashed)
     parts += _svg_shape(
-        "region", region.vertices, s,
+        "region", xy(region.vertices),
         polygon='fill="#6699cc" fill-opacity="0.5" stroke="#336699" stroke-width="1.5"',
         line='stroke="#336699" stroke-width="2"', dot='r="4" fill="#336699"')
-    for z in eigenvalues:
-        parts += _svg_shape("eigenvalue", [z], s, dot='r="3" fill="black"')
+    for pair in xy(eigenvalues):
+        parts += _svg_shape("eigenvalue", [pair], dot='r="3" fill="black"')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

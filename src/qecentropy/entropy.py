@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from .channel import QuantumChannel, apply_channel, validate_density
+from .channel import QuantumChannel, _density_spectrum, apply_channel, validate_density
 from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag
 
 # lindblad_omega's partial traces must reproduce the exchange state and the
@@ -27,10 +27,7 @@ def _entropy_of_spectrum(w, tol: ToleranceConfig) -> float:
     spectrum would give -0.0, and a weight rounded above 1 a tiny negative."""
     w = np.asarray(w, dtype=float)
     low = w.min(initial=0.0)
-    # low < -eps_rank * max(1, largest weight), with the largest read only
-    # when low is below -eps_rank: the binary-unitary closed form calls this
-    # once per grid point.
-    if low < -tol.eps_rank and low < -tol.eps_rank * w.max():
+    if low < -tol.eps_rank * max(1.0, w.max(initial=0.0)):
         raise ValueError(f"spectrum has negative weight {low:.3e}")
     w = w[w > 0]
     return max(0.0, float(-(w * np.log2(w)).sum()))
@@ -38,8 +35,7 @@ def _entropy_of_spectrum(w, tol: ToleranceConfig) -> float:
 
 def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """-Tr(rho log2 rho) with the 0*log(0) := 0 convention."""
-    rho = validate_density(rho, tol)
-    return _entropy_of_spectrum(np.linalg.eigvalsh(rho), tol)
+    return _entropy_of_spectrum(_density_spectrum(rho, tol)[1], tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,11 +92,11 @@ def purification_exchange_entropy(
 
     Agrees with :func:`entropy_exchange` for any purification.  The two
     routes stay independent: this one takes the eigendecomposition of
-    ``rho`` and a singular value decomposition, and forms neither the
-    exchange matrix nor any product E_i^dag E_j.
+    ``rho``'s Hermitian part, which its validation computes, and a singular
+    value decomposition, and forms neither the exchange matrix nor any
+    product E_i^dag E_j.
     """
-    rho = validate_density(rho, tol)
-    w, v = np.linalg.eigh(rho)
+    _, w, v = _density_spectrum(rho, tol, vectors=True)
     keep = w > tol.eps_rank * max(1.0, float(w[-1]))
     psi = v[:, keep] * np.sqrt(w[keep])
     x = (c.kraus @ psi).reshape(c.num_kraus, -1)

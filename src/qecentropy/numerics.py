@@ -87,15 +87,13 @@ def _chain_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[int, ..
     arc length.  So each group is a contiguous run, or, for phases, one run
     that wraps from the end to the start.
     """
-    n = len(values)
-    if n == 0:
+    z = values.tolist()
+    if not z:
         return ()
-    breaks = (np.flatnonzero(np.abs(np.diff(values)) > threshold) + 1).tolist()
-    if not breaks:
-        return (tuple(range(n)),)
-    bounds = [0, *breaks, n]
+    breaks = [i for i in range(1, len(z)) if abs(z[i] - z[i - 1]) > threshold]
+    bounds = [0, *breaks, len(z)]
     groups = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-    if abs(values[-1] - values[0]) <= threshold:
+    if breaks and abs(z[-1] - z[0]) <= threshold:
         groups[0] = groups[0] + groups.pop()
     return tuple(groups)
 

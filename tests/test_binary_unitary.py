@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qecentropy import binary_unitary, geometry
+from qecentropy import binary_unitary, geometry, numerics
 from qecentropy.binary_unitary import (
     BinaryUnitaryChannel,
     RegionKind,
@@ -169,6 +169,63 @@ def test_entropy_vs_p_takes_every_lambda_the_range_holds(u, k):
     # lambda_spectrum allows |lambda| above 1.
     loose = ToleranceConfig(eps_geom=1e-6)
     assert entropy_vs_p(u, k, 1 + 5e-7, [0.25], loose) == [(0.25, 0.0)]
+
+
+def _assert_grid_matches_pointwise(u, k, lam, grid):
+    """entropy_vs_p's stacked closed form gives, to the last bit, what
+    biunitary_code_entropy gives at each p, and +0.0 for every zero."""
+    rows = entropy_vs_p(u, k, lam, grid)
+    modulus = min(abs(lam), 1.0)
+    expected = [(float(p), biunitary_code_entropy(float(p), modulus)) for p in grid]
+    assert [(p.hex(), s.hex()) for p, s in rows] == [(p.hex(), s.hex()) for p, s in expected], lam
+    assert all(np.copysign(1.0, s) == 1.0 for _, s in rows)
+    return rows
+
+
+# (U, k, lambda): the centre of a square, its vertex on the unit circle, a
+# lambda 5e-10 past a 3-fold eigenvalue at 1 (inside the membership slack)
+# and 1 + 5e-10 past the hexagon's vertex 1 at k = 1.
+GRID_LAMBDAS = [
+    (U4, 2, 0j),
+    (U4, 1, complex(U4[0, 0])),
+    (np.diag(np.exp(1j * np.array([0, 0, 0, 1, 2, 3.5]))), 3, 1 + 5e-10),
+    (np.diag(np.exp(2j * np.pi * np.arange(6) / 6)), 1, 1 + 5e-10),
+]
+
+
+def test_entropy_vs_p_matches_the_pointwise_closed_form():
+    rng = np.random.default_rng(1620)
+    grids = [[0.0, 0.5, 1.0], [i / 20 for i in range(21)], np.linspace(0, 1, 101),
+             [1.0, 0.0, 0.5, 0.5, *rng.uniform(0, 1, 40)], []]
+    for u, k, lam in GRID_LAMBDAS:
+        for grid in grids:
+            _assert_grid_matches_pointwise(u, k, lam, grid)
+    assert [s for _, s in _assert_grid_matches_pointwise(U4, 2, 0j, [0.0, 0.5, 1.0])] == [0.0, 1.0, 0.0]
+    for n in (3, 8, 16):
+        u = _unitary_with_phases(rng.uniform(0, 2 * np.pi, n), rng)
+        for k in range(1, n // 2 + 2):
+            region = numerical_range(u, k)
+            if region.kind is not RegionKind.EMPTY:
+                for lam in _grouping_lambdas(region, rng)[:2]:
+                    _assert_grid_matches_pointwise(u, k, lam, grids[1] + list(rng.uniform(0, 1, 10)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=30), st.integers(0, len(GRID_LAMBDAS) - 1),
+       st.permutations([0.0, 0.5, 1.0]))
+def test_entropy_vs_p_matches_the_pointwise_closed_form_property(grid, case, ends):
+    u, k, lam = GRID_LAMBDAS[case]
+    _assert_grid_matches_pointwise(u, k, lam, [*ends, *grid])
+
+
+def test_entropy_vs_p_checks_the_grid_in_order():
+    with pytest.raises(ValueError, match=r"must be in \[0, 1\], got 1.5"):
+        entropy_vs_p(U4, 2, 0j, [0.5, 1.5, -0.5])
+    with pytest.raises(ValueError, match="got nan"):
+        entropy_vs_p(U4, 2, 0j, [0.5, float("nan")])
+    # lambda is checked first, as before any entropy.
+    with pytest.raises(LambdaOutsideRegionError):
+        entropy_vs_p(U4, 2, 0.5 + 0j, [1.5])
 
 
 # U with three 3-fold eigenvalues, k = 3: the range is the triangle of the
@@ -543,6 +600,102 @@ def test_constituent_hulls_are_the_distinct_runs():
     # ZZ has two clusters of two; every run of three holds both.
     assert [len(h) for h in constituent_hulls(ZZ, 2)] == [2]
     assert len(constituent_hulls(U4, 4)) == 4
+
+
+# Bit-for-bit oracles for the scalar passes: the numpy bodies of
+# _chain_clusters and _run_arcs before them, with the representatives as
+# _representatives formed them.
+
+
+def _chain_clusters_reference(values, threshold):
+    n = len(values)
+    if n == 0:
+        return ()
+    breaks = (np.flatnonzero(np.abs(np.diff(values)) > threshold) + 1).tolist()
+    if not breaks:
+        return (tuple(range(n)),)
+    bounds = [0, *breaks, n]
+    groups = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    if abs(values[-1] - values[0]) <= threshold:
+        groups[0] = groups[0] + groups.pop()
+    return tuple(groups)
+
+
+def _run_arcs_reference(dec, k):
+    eigs, clusters = dec.eigenvalues, dec.cluster_map
+    n, m = len(eigs), len(clusters)
+    reps = [complex(eigs[c[0]] if len(c) == 1 else np.mean(eigs[list(c)])) for c in clusters]
+    owner = np.empty(n, dtype=int)
+    owner[np.concatenate(clusters)] = np.repeat(np.arange(m), [len(c) for c in clusters])
+    boundary = np.tile(owner != np.roll(owner, 1), 2)
+    crossed = np.concatenate([[0], np.cumsum(boundary)])
+    starts = np.arange(n)
+    sizes = np.minimum(crossed[starts + n - k + 1] - crossed[starts + 1] + 1, m)
+    firsts = np.where(sizes == m, 0, owner)
+    return reps, list(dict.fromkeys(zip(firsts.tolist(), sizes.tolist())))
+
+
+SCALAR_FAMILIES = ("random", "even", "repeated", "twin", "wrap")
+
+
+def _scalar_pass_phases(family, n, rng):
+    """Phases: random, evenly spaced, repeated, near twins 1e-7 apart, or
+    a run 1e-7 apart across phase 0."""
+    if family == "random":
+        return rng.uniform(0, 2 * np.pi, n)
+    if family == "even":
+        return rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(n) / n
+    if family == "repeated":
+        base = rng.uniform(0, 2 * np.pi, int(rng.integers(1, n + 1)))
+        return base[rng.integers(0, len(base), n)]
+    if family == "twin":
+        base = rng.uniform(0, 2 * np.pi, (n + 1) // 2)
+        return np.concatenate([base, base[: n // 2] + 1e-7])[:n]
+    return np.concatenate([2 * np.pi + 1e-7 * (np.arange(n // 2 + 1) - n // 4),
+                           rng.uniform(1, 5, n - n // 2 - 1)])
+
+
+def _assert_arcs_match_reference(dec):
+    for k in range(1, len(dec.eigenvalues) + 1):
+        reps, arcs = binary_unitary._run_arcs(dec, k)
+        expected_reps, expected_arcs = _run_arcs_reference(dec, k)
+        assert arcs == expected_arcs, (len(reps), k)
+        hexed = [(z.real.hex(), z.imag.hex()) for z in reps]
+        assert hexed == [(z.real.hex(), z.imag.hex()) for z in expected_reps], k
+        assert all(type(z) is complex for z in reps)
+
+
+@pytest.mark.parametrize("family", SCALAR_FAMILIES)
+def test_scalar_passes_match_the_numpy_reference(family):
+    rng = np.random.default_rng(1610 + SCALAR_FAMILIES.index(family))
+    for n in range(1, 65):
+        phases = np.sort(np.mod(_scalar_pass_phases(family, n, rng), 2 * np.pi))
+        eigs = np.exp(1j * phases)
+        # Clustered as unitary_eigen clusters, and with thresholds that join
+        # the near twins, the run across phase 0 and then whole arcs.
+        for threshold in (DEFAULT_TOL.eps_eig * n, 1e-6, 1e-3, 0.5):
+            clusters = numerics._chain_clusters(eigs, threshold)
+            assert clusters == _chain_clusters_reference(eigs, threshold), (n, threshold)
+            reals = np.sort(eigs.real)
+            assert numerics._chain_clusters(reals, threshold) == _chain_clusters_reference(reals, threshold)
+            _assert_arcs_match_reference(numerics.EigenDecomposition(eigs, np.eye(n), clusters))
+        if n <= 16:
+            dec = unitary_eigen(_unitary_with_phases(phases, rng))
+            assert dec.cluster_map == _chain_clusters_reference(dec.eigenvalues, DEFAULT_TOL.eps_eig * n)
+            _assert_arcs_match_reference(dec)
+
+
+def test_scalar_passes_match_the_numpy_reference_on_one_cluster():
+    for n in (1, 2, 5, 16):
+        eigs = np.full(n, np.exp(0.3j))
+        clusters = numerics._chain_clusters(eigs, 1e-9)
+        assert clusters == _chain_clusters_reference(eigs, 1e-9) == ((*range(n),),)
+        _assert_arcs_match_reference(numerics.EigenDecomposition(eigs, np.eye(n), clusters))
+        assert binary_unitary._run_arcs(numerics.EigenDecomposition(eigs, np.eye(n), clusters), 1)[1] == [(0, 1)]
+    # Evenly spaced: one cluster chained round the whole circle, or none.
+    eigs = np.exp(2j * np.pi * np.arange(8) / 8)
+    assert numerics._chain_clusters(eigs, 0.8) == _chain_clusters_reference(eigs, 0.8) == (tuple(range(8)),)
+    assert numerics._chain_clusters(eigs[:0], 1.0) == _chain_clusters_reference(eigs[:0], 1.0) == ()
 
 
 # Existence oracle for grouping_code: the equal-size partition search as it

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import qecentropy
-from qecentropy import catalog, serialization
+from qecentropy import catalog, cli, serialization
 from qecentropy.channel import unitary_channel, validate_channel
 from qecentropy.cli import main
 from qecentropy.code import span_code
+from qecentropy.numerics import DEFAULT_TOL
 
 U4 = np.diag(np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4))
 U9 = np.diag(np.exp(2j * np.pi * np.arange(9) / 9))
@@ -295,6 +296,80 @@ def test_numrange_svg_shapes_are_byte_stable(tmp_path, capsys, shape):
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
 
 
+# Byte-for-byte oracle for render_region_svg: every point of every shape
+# formatted on its own, as the figure was drawn before points were shared.
+
+
+def _svg_point_reference(z, size):
+    scale = 0.45 * size
+    return size / 2 + scale * z.real, size / 2 - scale * z.imag
+
+
+def _svg_shape_reference(cls, zs, size, polygon="", line="", dot=""):
+    points = (_svg_point_reference(z, size) for z in np.asarray(zs, dtype=complex).tolist())
+    xy = [(serialization.format_float(x), serialization.format_float(y)) for x, y in points]
+    if len(xy) >= 3 and polygon:
+        coords = " ".join(f"{x},{y}" for x, y in xy)
+        return [f'<polygon class="{cls}" points="{coords}" {polygon}/>']
+    if len(xy) == 2 and line:
+        (x1, y1), (x2, y2) = xy
+        return [f'<line class="{cls}" x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {line}/>']
+    if len(xy) == 1 and dot:
+        return [f'<circle class="{cls}" cx="{xy[0][0]}" cy="{xy[0][1]}" {dot}/>']
+    return []
+
+
+def _render_region_svg_reference(region, eigenvalues, hulls=None, size=600):
+    s = float(size)
+    cx, cy = _svg_point_reference(0.0, s)
+    fmt = serialization.format_float
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<circle cx="{fmt(cx)}" cy="{fmt(cy)}" r="{fmt(0.45 * s)}" fill="none" stroke="#888888" stroke-width="1"/>',
+    ]
+    dashed = 'stroke="#bbbbbb" stroke-width="1" stroke-dasharray="4 3"'
+    for hull in hulls or []:
+        parts += _svg_shape_reference("hull", hull, s, polygon=f'fill="none" {dashed}', line=dashed)
+    parts += _svg_shape_reference(
+        "region", region.vertices, s,
+        polygon='fill="#6699cc" fill-opacity="0.5" stroke="#336699" stroke-width="1.5"',
+        line='stroke="#336699" stroke-width="2"', dot='r="4" fill="#336699"')
+    for z in eigenvalues:
+        parts += _svg_shape_reference("eigenvalue", [z], s, dot='r="3" fill="black"')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("family", ["random", "even", "repeated"])
+def test_render_region_svg_matches_the_per_point_reference(family):
+    from qecentropy.binary_unitary import _analysed_range, constituent_hulls
+    from qecentropy.sampling import haar_unitary
+
+    rng = np.random.default_rng(1630 + ["random", "even", "repeated"].index(family))
+    for _ in range(4):
+        n = 16
+        if family == "random":
+            phases = rng.uniform(0, 2 * np.pi, n)
+        elif family == "even":
+            phases = rng.uniform(0, 2 * np.pi) + 2 * np.pi * np.arange(n) / n
+        else:
+            # 5 to 10 distinct eigenvalues, some repeated: the hulls share
+            # the cluster means, and the region's vertices are among them.
+            base = rng.uniform(0, 2 * np.pi, int(rng.integers(5, 11)))
+            phases = np.concatenate([base, base[rng.integers(0, len(base), n - len(base))]])
+        q = haar_unitary(n, rng)
+        u = (q * np.exp(1j * phases)) @ q.conj().T
+        for k in (2, 3):
+            dec, region = _analysed_range(u, k, DEFAULT_TOL)
+            hulls = constituent_hulls(u, k)
+            for args in [(hulls,), (hulls, 300), (None,), ([h[:2] for h in hulls[:3]], 17)]:
+                expected = _render_region_svg_reference(region, dec.eigenvalues, *args)
+                assert cli.render_region_svg(region, dec.eigenvalues, *args) == expected, (family, k)
+
+
 def test_numrange_rejects_nonpositive_svg_size(files, tmp_path, capsys):
     svg_path = tmp_path / "fig.svg"
     assert main(["numrange", files["u9.json"], "3", "--svg", str(svg_path), "--size", "-5"]) == 1
@@ -416,6 +491,13 @@ def test_entropy_vs_p_refuses_a_lambda_past_a_corner(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("error:") == 1
     assert "not in the rank-3 numerical range" in captured.err
+
+
+def test_entropy_vs_p_rejects_a_grid_point_outside_the_unit_interval(files, capsys):
+    assert main(["entropy-vs-p", files["u4.json"], "2", "--lam", "0", "--p-grid", "0.5,1.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "mixing probability" in captured.err
 
 
 def test_entropy_vs_p_rejects_single_step_grid(files, capsys):

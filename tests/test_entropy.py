@@ -112,3 +112,32 @@ def test_dimension_mismatch_raises():
         exchange_matrix(c, np.eye(3) / 3)
     with pytest.raises(ValueError):
         lindblad_omega(c, np.eye(3) / 3)
+
+
+def test_each_density_is_diagonalised_once(monkeypatch):
+    # The positivity check's spectrum is the one the entropy reads.
+    calls = []
+
+    def counting(name):
+        solve = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return solve(*args, **kwargs)
+
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    rng = np.random.default_rng(4)
+    c, rho = random_channel(3, 2, rng), random_density(3, rng)
+    assert von_neumann_entropy(np.eye(4) / 4) == 2.0 and calls == ["eigvalsh"]
+    calls.clear()
+    purification_exchange_entropy(c, rho)
+    assert calls == ["eigh"]
+    calls.clear()
+    # S(rho), S(rho') and S(sigma): one solve each.
+    check_lindblad_bounds(c, rho)
+    assert calls == ["eigvalsh"] * 3
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        von_neumann_entropy(np.diag([1.5, -0.5]))
