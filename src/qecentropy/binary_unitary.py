@@ -13,7 +13,7 @@ import numpy as np
 from . import geometry, serialization
 from .channel import QuantumChannel, _check_mixing_probability, binary_unitary_kraus
 from .code import CodeSubspace, code_subspace
-from .entropy import _entropy_of_spectrum
+from .entropy import _entropy_of_spectrum, _entropy_rows
 from .errors import (
     LambdaOutsideRegionError,
     NoCodeError,
@@ -284,15 +284,20 @@ def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
     return ExtremalLambdas(tuple(winners), closest)
 
 
+def _closed_form_spectra(p, mod2: float) -> np.ndarray:
+    """{L+, L-} along a last axis for the mixing probability or array ``p``,
+    at |lambda|^2 = mod2 capped at 1."""
+    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p * (1.0 - p) * (1.0 - min(1.0, mod2))))
+    return 0.5 * (1.0 + np.multiply.outer(root, (1.0, -1.0)))
+
+
 def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
     """Spectrum {L+, L-} of the 2x2 coefficient matrix of a binary unitary code."""
     _check_mixing_probability(p)
     mod2 = abs(lam) ** 2
     if mod2 > (1.0 + LAMBDA_MEMBERSHIP_FLOOR) ** 2:
         raise ValueError(f"|lambda| = {abs(lam)} exceeds 1")
-    disc = max(0.0, 1.0 - 4.0 * p * (1.0 - p) * (1.0 - min(1.0, mod2)))
-    root = np.sqrt(disc)
-    return 0.5 * (1.0 + root), 0.5 * (1.0 - root)
+    return tuple(_closed_form_spectra(p, mod2))
 
 
 def biunitary_code_entropy(p: float, lam: complex) -> float:
@@ -304,20 +309,14 @@ def biunitary_code_entropy(p: float, lam: complex) -> float:
 def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT_TOL):
     """Code entropy along a grid of mixing probabilities for a fixed lambda."""
     _eigen_holding(u, k, lam, tol)
-    # An accepted lambda past a vertex on the unit circle has |lambda| above 1
-    # by up to the membership slack; its entropy, which depends on |lambda|
-    # alone, is that of the vertex.
-    modulus = min(abs(lam), 1.0)
     ps = [float(p) for p in p_grid]
     for p in ps:
         _check_mixing_probability(p)
-    # biunitary_code_entropy's bits at each p: lambda_spectrum's operations
-    # on a (G, 2) stack, then -sum w log2 w per row (0 log 0 := 0), clamped.
-    p = np.array(ps)
-    root = np.sqrt(np.maximum(0.0, 1.0 - 4.0 * p * (1.0 - p) * (1.0 - min(1.0, modulus**2))))
-    w = 0.5 * np.stack([1.0 + root, 1.0 - root], axis=1)
-    sums = (w * np.log2(np.where(w > 0, w, 1.0))).sum(axis=1)
-    return [(x, max(0.0, -s)) for x, s in zip(ps, sums.tolist())]
+    # One (G, 2) stack, with biunitary_code_entropy's bits at each p.  An
+    # accepted lambda past a vertex on the unit circle, by up to the
+    # membership slack, has the vertex's entropy: |lambda|^2 is capped at 1.
+    entropies = _entropy_rows(_closed_form_spectra(np.array(ps), abs(lam) ** 2))
+    return list(zip(ps, entropies.tolist()))
 
 
 def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> tuple[np.ndarray, list]:

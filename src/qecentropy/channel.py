@@ -122,8 +122,8 @@ def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
-    """``validate_density``'s checks; returns rho, the ascending eigenvalues
-    of its Hermitian part, and their eigenvectors if ``vectors`` (else None)."""
+    """``validate_density``'s checks; returns rho, its ascending eigenvalues
+    and their eigenvectors if ``vectors`` (else None)."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
@@ -133,8 +133,7 @@ def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
-    herm_part = (rho + dag(rho)) / 2
-    w, v = np.linalg.eigh(herm_part) if vectors else (np.linalg.eigvalsh(herm_part), None)
+    w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
     if w[0] < -tol.eps_rank * max(1.0, float(w[-1])):
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return rho, w, v

@@ -22,15 +22,23 @@ MARGINAL_CHECK_RTOL = 1e-10
 LINDBLAD_SLACK = 1e-8
 
 
+def _entropy_rows(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w along the last axis (0 log 0 := 0), clamped at +0.0,
+    since a pure spectrum gives a zero sum and a weight rounded above 1 a
+    tiny negative entropy; 0.0 - sum, as np.maximum may return -0.0."""
+    return np.maximum(0.0, 0.0 - (w * np.log2(np.where(w > 0, w, 1.0))).sum(axis=-1))
+
+
 def _entropy_of_spectrum(w, tol: ToleranceConfig) -> float:
-    """-sum w log2 w over the positive weights, clamped at 0: a pure
-    spectrum would give -0.0, and a weight rounded above 1 a tiny negative."""
+    """Entropy (bits) of one spectrum, summed over its positive weights alone
+    so that zeros do not regroup numpy's pairwise sum."""
     w = np.asarray(w, dtype=float)
     low = w.min(initial=0.0)
-    if low < -tol.eps_rank * max(1.0, w.max(initial=0.0)):
+    # low < -eps_rank * max(1, largest weight), with the largest read only
+    # when low is below -eps_rank: biunitary_code_entropy calls this per p.
+    if low < -tol.eps_rank and low < -tol.eps_rank * w.max():
         raise ValueError(f"spectrum has negative weight {low:.3e}")
-    w = w[w > 0]
-    return max(0.0, float(-(w * np.log2(w)).sum()))
+    return float(_entropy_rows(w[w > 0]))
 
 
 def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -92,9 +100,9 @@ def purification_exchange_entropy(
 
     Agrees with :func:`entropy_exchange` for any purification.  The two
     routes stay independent: this one takes the eigendecomposition of
-    ``rho``'s Hermitian part, which its validation computes, and a singular
-    value decomposition, and forms neither the exchange matrix nor any
-    product E_i^dag E_j.
+    ``rho``, which its validation computes, and a singular value
+    decomposition, and forms neither the exchange matrix nor any product
+    E_i^dag E_j.
     """
     _, w, v = _density_spectrum(rho, tol, vectors=True)
     keep = w > tol.eps_rank * max(1.0, float(w[-1]))

@@ -171,13 +171,29 @@ def test_entropy_vs_p_takes_every_lambda_the_range_holds(u, k):
     assert entropy_vs_p(u, k, 1 + 5e-7, [0.25], loose) == [(0.25, 0.0)]
 
 
+def _closed_form_reference(p, modulus):
+    """{L+, L-} and their entropy for one p in scalar arithmetic, in the
+    closed form's order of operations; the sum runs over the positive
+    weights alone."""
+    root = np.sqrt(max(0.0, 1.0 - 4.0 * p * (1.0 - p) * (1.0 - min(1.0, modulus**2))))
+    spectrum = (0.5 * (1.0 + root), 0.5 * (1.0 - root))
+    w = np.array([x for x in spectrum if x > 0])
+    return spectrum, max(0.0, float(-(w * np.log2(w)).sum()))
+
+
 def _assert_grid_matches_pointwise(u, k, lam, grid):
     """entropy_vs_p's stacked closed form gives, to the last bit, what
-    biunitary_code_entropy gives at each p, and +0.0 for every zero."""
+    biunitary_code_entropy and the scalar reference give at each p, and
+    +0.0 for every zero; lambda_spectrum matches the reference too."""
     rows = entropy_vs_p(u, k, lam, grid)
     modulus = min(abs(lam), 1.0)
-    expected = [(float(p), biunitary_code_entropy(float(p), modulus)) for p in grid]
-    assert [(p.hex(), s.hex()) for p, s in rows] == [(p.hex(), s.hex()) for p, s in expected], lam
+    ps = [float(p) for p in grid]
+    for entropy in (biunitary_code_entropy, lambda p, m: _closed_form_reference(p, m)[1]):
+        expected = [(p, entropy(p, modulus)) for p in ps]
+        assert [(p.hex(), s.hex()) for p, s in rows] == [(p.hex(), s.hex()) for p, s in expected], lam
+    for p in ps:
+        spectrum = [float(x).hex() for x in lambda_spectrum(p, modulus)]
+        assert spectrum == [x.hex() for x in _closed_form_reference(p, modulus)[0]], (p, lam)
     assert all(np.copysign(1.0, s) == 1.0 for _, s in rows)
     return rows
 
