@@ -232,11 +232,11 @@ def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.
     arc order, which is CCW, started at the lexicographically smallest as
     ``geometry.canonical_vertices`` would."""
     reps, arcs = _run_arcs(_analysis(u, tol)[0], k)
-    reps, m = np.array(reps), len(reps)
     hulls = []
     for first, size in arcs:
-        pts = reps[(first + np.arange(size)) % m]
-        hulls.append(np.roll(pts, -int(np.lexsort((pts.imag, pts.real))[0])))
+        pts = [reps[(first + a) % len(reps)] for a in range(size)]
+        start = min(range(size), key=lambda a: (pts[a].real, pts[a].imag))
+        hulls.append(np.array(pts[start:] + pts[:start]))
     return hulls
 
 
@@ -335,23 +335,37 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
     Distances are ``np.hypot`` and the pair step loops over Python complex
     numbers, which round as scalar arithmetic does, where ``np.abs`` and
     products of complex arrays may not.
+
+    Only pairs and triples that pass an orientation test are solved.  With
+    x + iy = z - lam, cross[i, j] = x_i y_j - y_i x_j is |z_i - z_j| times
+    lam's signed distance from the line z_i z_j.  An accepted support has a
+    point within atol of lam, so lam is within atol of its chord's line and
+    of the inner side of each edge line of its triangle, which the margin
+    2 atol |z_i - z_j| + 1e-13 covers (room for rounding: |x|, |y| <= 2).  So
+    the filter drops only refused rows; ``det`` and ``solve`` see the rest.
     """
     n = len(eigs)
-    single = np.hypot(eigs.real - lam.real, eigs.imag - lam.imag) <= atol
+    x, y = eigs.real - lam.real, eigs.imag - lam.imag
+    single = np.hypot(x, y) <= atol
+    cross = np.multiply.outer(x, y) - np.multiply.outer(y, x)
+    margin = 2 * atol * np.abs(np.subtract.outer(eigs, eigs)) + 1e-13
+    free = np.triu(~single[:, None] & ~single, 1)
+    left, right = (cross >= -margin) & free, (cross <= margin) & free
     pair = np.zeros((n, n), dtype=bool)
     weights = [(1.0,)] * int(single.sum())
-    if size >= 2:
-        z = eigs.tolist()
-        for i, j in itertools.combinations(np.flatnonzero(~single).tolist(), 2):
-            d = z[j] - z[i]
-            den = abs(d) ** 2
-            if den == 0:
-                continue
-            tj = min(max((d.conjugate() * (lam - z[i])).real / den, 0.0), 1.0)
-            if abs(z[i] + tj * d - lam) <= atol:
-                pair[i, j] = True
-                weights.append((1.0 - tj, tj))
-    triples = np.array(list(itertools.combinations(range(n if size >= 3 else 0), 3)), int).reshape(-1, 3)
+    z = eigs.tolist()
+    for i, j in np.argwhere(left & right & (size >= 2)).tolist():
+        d = z[j] - z[i]
+        den = abs(d) ** 2
+        if den == 0:
+            continue
+        tj = min(max((d.conjugate() * (lam - z[i])).real / den, 0.0), 1.0)
+        if abs(z[i] + tj * d - lam) <= atol:
+            pair[i, j] = True
+            weights.append((1.0 - tj, tj))
+    # Edges i->j, j->l, l->i on one side; l->i is left when i->l is right.
+    lo, hi = (side & ~pair & (size >= 3) for side in (left, right))
+    triples = np.argwhere((lo[:, :, None] & lo & hi[:, None]) | (hi[:, :, None] & hi & lo[:, None]))
     z = eigs[triples]
     a = np.stack([z.real, z.imag, np.ones(z.shape)], axis=1)
     # A singular system's row is -inf, so that it fails every feasibility
@@ -360,9 +374,7 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
     b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (int(ok.sum()), 3, 1))
     sols = np.full((len(triples), 3), -np.inf)
     sols[ok] = np.linalg.solve(a[ok], b)[..., 0]
-    i, j, l = triples.T
     keep = ~(sols.min(axis=1) < -atol)
-    keep &= ~(single[i] | single[j] | single[l] | pair[i, j] | pair[i, l] | pair[j, l])
     sols, z, triples = np.clip(sols[keep], 0.0, None), z[keep], triples[keep]
     sols /= sols.sum(axis=1, keepdims=True)
     held = np.hypot((sols * z.real).sum(axis=1) - lam.real, (sols * z.imag).sum(axis=1) - lam.imag) <= atol

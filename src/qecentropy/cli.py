@@ -50,7 +50,7 @@ TOLERANCES_ENV = "QECENTROPY_TOLERANCES"
 
 SVG_HELP = (
     "SVG viewport: the unit disk is mapped to a size-by-size pixel canvas "
-    "with a 5%% margin, so a point z maps to px = size/2 + 0.45*size*Re(z), "
+    "with a 5% margin, so a point z maps to px = size/2 + 0.45*size*Re(z), "
     "py = size/2 - 0.45*size*Im(z); the y axis is flipped so the complex "
     "plane reads conventionally."
 )

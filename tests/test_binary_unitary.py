@@ -618,6 +618,30 @@ def test_constituent_hulls_are_the_distinct_runs():
     assert len(constituent_hulls(U4, 4)) == 4
 
 
+def _constituent_hulls_reference(u, k, tol=DEFAULT_TOL):
+    # constituent_hulls as a numpy pass per hull: the arc by modular fancy
+    # indexing, rolled to the first index of the smallest (re, im).
+    reps, arcs = binary_unitary._run_arcs(binary_unitary._analysis(u, tol)[0], k)
+    reps, m = np.array(reps), len(reps)
+    hulls = []
+    for first, size in arcs:
+        pts = reps[(first + np.arange(size)) % m]
+        hulls.append(np.roll(pts, -int(np.lexsort((pts.imag, pts.real))[0])))
+    return hulls
+
+
+@pytest.mark.parametrize("family", ("random", "even", "repeated"))
+def test_constituent_hulls_match_the_numpy_reference(family):
+    rng = np.random.default_rng(1700 + ["random", "even", "repeated"].index(family))
+    for n in range(1, 65):
+        u = np.diag(np.exp(1j * _scalar_pass_phases(family, n, rng)))
+        for k in range(1, n + 1):
+            hulls, expected = constituent_hulls(u, k), _constituent_hulls_reference(u, k)
+            assert [h.dtype for h in hulls] == [complex] * len(expected), (n, k)
+            # Bit for bit: equal bytes are equal float.hex of every part.
+            assert [h.tobytes() for h in hulls] == [h.tobytes() for h in expected], (n, k)
+
+
 # Bit-for-bit oracles for the scalar passes: the numpy bodies of
 # _chain_clusters and _run_arcs before them, with the representatives as
 # _representatives formed them.
@@ -1013,24 +1037,62 @@ def _table_unitary(family, n, rng):
     return _unitary_with_phases(phases, rng)
 
 
-def _assert_table_matches_reference(u, k, rng):
+# Offsets, in slacks, of the points placed about a feasible chord and a
+# triangle edge; positive is towards the triangle's third vertex.
+BOUNDARY_SLACKS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+
+
+def _boundary_lambdas(eigs, supports, slack):
+    """Points 0.5, 1 and 2 slacks either side of the chord of the first pair
+    in ``supports`` (a list of (members, weights)), from the point its
+    weights give, and of the edge of the first triple nearest the point its
+    weights give.  The table's orientation filter keeps a pair or triple only
+    by a margin of twice the slack times the edge length, so these are the
+    points where a margin too tight would first drop a row."""
+    lams = []
+    pair = next((s for s in supports if len(s[0]) == 2), None)
+    if pair is not None:
+        (i, j), (ti, tj) = pair
+        d = eigs[j] - eigs[i]
+        foot = ti * eigs[i] + tj * eigs[j]
+        lams += [complex(foot + c * slack * 1j * d / abs(d)) for c in BOUNDARY_SLACKS]
+    triple = next((s for s in supports if len(s[0]) == 3), None)
+    if triple is not None:
+        members, t = triple
+        far = int(np.argmin(t))
+        i, j = (members[a] for a in range(3) if a != far)
+        point = np.dot(t, eigs[list(members)])
+        along = (eigs[j] - eigs[i]) / abs(eigs[j] - eigs[i])
+        foot = eigs[i] + ((point - eigs[i]) * along.conjugate()).real * along
+        inward = 1j * along if ((eigs[members[far]] - eigs[i]) * along.conjugate()).imag > 0 else -1j * along
+        lams += [complex(foot + c * slack * inward) for c in BOUNDARY_SLACKS]
+    return lams
+
+
+def _assert_table_matches_reference(u, k, rng, tol=DEFAULT_TOL, boundary=False):
     """The table for a vertex, an interior point, the maximum-entropy point
-    and a nudged vertex of the rank-k range: the reference's supports in its
-    order, with the same weights to the last bit.  Returns the row count."""
-    eigs, n = unitary_eigen(u).eigenvalues, u.shape[0]
-    region = numerical_range(u, k)
+    and a nudged vertex of the rank-k range, and with ``boundary`` for the
+    points 0.5, 1 and 2 slacks either side of a feasible chord and a triangle
+    edge met in those tables: the reference's supports in its order, with the
+    same weights to the last bit.  Returns the row count."""
+    eigs, n = unitary_eigen(u, tol).eigenvalues, u.shape[0]
+    region = numerical_range(u, k, tol)
     if region.kind is RegionKind.EMPTY:
         return 0
     vertex, interior, nudged = _grouping_lambdas(region, rng)
-    slack = binary_unitary._membership_slack(DEFAULT_TOL)
-    count = 0
-    for lam in (vertex, interior, extremal_lambda(region).max_entropy_lambda, nudged):
+    slack = binary_unitary._membership_slack(tol)
+    count, supports = 0, []
+    lams = [vertex, interior, extremal_lambda(region).max_entropy_lambda, nudged]
+    for pos, lam in enumerate(lams):
         members, weights = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
         expected = _lambda_supports_reference(eigs, lam, slack, n // k)
         assert [tuple(np.flatnonzero(row).tolist()) for row in members] == list(expected), (n, k, lam)
         hexed = [[float(x).hex() for x in t] for t in weights]
         assert hexed == [[float(x).hex() for x in t] for t in expected.values()], (n, k, lam)
         count += len(expected)
+        supports += expected.items()
+        if pos == 3 and boundary:
+            lams += _boundary_lambdas(eigs, supports, slack)
     return count
 
 
@@ -1042,8 +1104,28 @@ def test_lambda_supports_match_the_reference_builder(family):
         for _ in range(2):
             u = _table_unitary(family, n, rng)
             for k in [k for k in range(1, n + 1) if n % k == 0]:
-                rows += _assert_table_matches_reference(u, k, rng)
+                rows += _assert_table_matches_reference(u, k, rng, boundary=True)
     assert rows > 0
+
+
+@pytest.mark.parametrize("family", ("random", "twin", "grid"))
+def test_lambda_supports_match_the_reference_builder_at_a_coarse_slack(family):
+    # eps_geom = 1e-6 makes the membership slack 1e-6, a thousand times the
+    # default, so the filter's margin is that much wider as well.
+    rng = np.random.default_rng(1300 + ["random", "twin", "grid"].index(family))
+    tol = ToleranceConfig(eps_geom=1e-6)
+    rows = 0
+    for n in range(3, 13):
+        u = _table_unitary(family, n, rng)
+        for k in [k for k in range(1, n + 1) if n % k == 0]:
+            rows += _assert_table_matches_reference(u, k, rng, tol, boundary=True)
+    assert rows > 0
+
+
+def test_lambda_supports_match_the_reference_builder_at_the_slack_boundary_at_large_n():
+    # Near twins 1e-7 apart give the shortest edges, so the tightest margins.
+    rng = np.random.default_rng(1332)
+    assert _assert_table_matches_reference(_table_unitary("twin", 32, rng), 8, rng, boundary=True) > 0
 
 
 @pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 16, "twin"), (64, 16, "even"),
