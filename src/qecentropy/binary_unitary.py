@@ -232,11 +232,12 @@ def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.
     arc order, which is CCW, started at the lexicographically smallest as
     ``geometry.canonical_vertices`` would."""
     reps, arcs = _run_arcs(_analysis(u, tol)[0], k)
+    ring, keys = reps * 2, [(z.real, z.imag) for z in reps] * 2
     hulls = []
     for first, size in arcs:
-        pts = [reps[(first + a) % len(reps)] for a in range(size)]
-        start = min(range(size), key=lambda a: (pts[a].real, pts[a].imag))
-        hulls.append(np.array(pts[start:] + pts[:start]))
+        arc = keys[first : first + size]
+        start = first + arc.index(min(arc))
+        hulls.append(np.array(ring[start : first + size] + ring[first:start]))
     return hulls
 
 
