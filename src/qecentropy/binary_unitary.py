@@ -364,7 +364,7 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
         if abs(z[i] + tj * d - lam) <= atol:
             pair[i, j] = True
             weights.append((1.0 - tj, tj))
-    # Edges i->j, j->l, l->i on one side; l->i is left when i->l is right.
+    # Edges i->j, j->l, l->i all left or all right; cross[l, i] = -cross[i, l].
     lo, hi = (side & ~pair & (size >= 3) for side in (left, right))
     triples = np.argwhere((lo[:, :, None] & lo & hi[:, None]) | (hi[:, :, None] & hi & lo[:, None]))
     z = eigs[triples]
