@@ -380,8 +380,13 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
     sols /= sols.sum(axis=1, keepdims=True)
     held = np.hypot((sols * z.real).sum(axis=1) - lam.real, (sols * z.imag).sum(axis=1) - lam.imag) <= atol
     weights.extend(map(tuple, sols[held].tolist()))
-    eye = np.eye(n, dtype=bool)
-    rows = np.concatenate([eye[single], eye[np.argwhere(pair)].any(axis=1), eye[triples[held]].any(axis=1)])
+    # Set each row's members in place: indexing an identity would first form (rows, 3, n).
+    members = [np.flatnonzero(single)[:, None], np.argwhere(pair), triples[held]]
+    rows = np.zeros((sum(map(len, members)), n), dtype=bool)
+    start = 0
+    for m in members:
+        rows[np.arange(start, start + len(m))[:, None], m] = True
+        start += len(m)
     return rows, weights
 
 

@@ -281,9 +281,10 @@ def _recovery_residual(recovery: QuantumChannel, compressed: np.ndarray, basis: 
     n, k = basis.shape
     t = np.tensordot(recovery.kraus, compressed, axes=([2], [1]))
     cols = t.transpose(1, 3, 0, 2).reshape(n * k, -1)  # rows (x, a), columns (j, i)
+    cols_dag = dag(cols)
     residual = 0.0
     for a in range(k):
-        roundtrips = (cols[a::k] @ dag(cols)).reshape(n, n, k)
+        roundtrips = (cols[a::k] @ cols_dag).reshape(n, n, k)
         diff = roundtrips - basis[:, a, None, None] * np.conj(basis)[None]
         residual = max(residual, float(np.linalg.norm(diff, axis=(0, 1)).max()))
     return residual

@@ -4,11 +4,14 @@ Complex numbers serialize as two-element ``[re, im]`` arrays; matrices as
 ``{"rows": r, "cols": c, "data": [[re, im], ...]}`` in row-major order.
 Floating-point output always carries 17 significant digits so values
 round-trip exactly and output is byte-identical for identical inputs.
+Lists of ``[re, im]`` entries are written and read in bulk, with the bytes
+and the accepted inputs of the entry-by-entry forms.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -47,9 +50,25 @@ def dumps(obj, indent: int = 0, _level: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not len(obj):
             return "[]"
-        items = [pad + dumps(v, indent, _level + 1) for v in obj]
-        return "[" + nl + sep.join(items) + nl + end_pad + "]"
+        if _is_float_pairs(obj):
+            # Each [re, im] item as the recursive form lays it out, filled by one format.
+            inner = " " * (indent * (_level + 2)) if indent else ""
+            item = f"{pad}[{nl}{inner}%.17g,{nl}{inner}%.17g{nl}{pad}]"
+            parts = tuple(chain.from_iterable(obj))
+            if not all(map(math.isfinite, parts)):
+                raise ValueError("non-finite float in output")
+            body = sep.join([item] * len(obj)) % parts
+        else:
+            body = sep.join([pad + dumps(v, indent, _level + 1) for v in obj])
+        return "[" + nl + body + nl + end_pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _is_float_pairs(items) -> bool:
+    """Whether every item is a two-element list of Python floats."""
+    return (type(items[0]) is list and set(map(type, items)) == {list}
+            and set(map(len, items)) == {2}
+            and set(map(type, chain.from_iterable(items))) == {float})
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -68,6 +87,8 @@ def size_from_json(value, name: str) -> int:
 def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValueError("complex value must be a two-element [re, im] array")
+    if any(isinstance(part, (str, bool)) for part in obj):
+        raise ValueError("complex value components must be numbers")
     try:
         z = complex(float(obj[0]), float(obj[1]))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -77,14 +98,31 @@ def complex_from_json(obj) -> complex:
     return z
 
 
+def _entries_from_json(data: list) -> np.ndarray:
+    """The complex values of a list of ``[re, im]`` entries, as a 1-D array.
+
+    Lists of two JSON numbers (int or float) that all convert to finite
+    floats are read in one pass, as a complex view of their components, so
+    every bit, -0.0 included, is kept.  Anything else is read entry by entry
+    with ``complex_from_json``, which raises at the first bad entry.
+    """
+    if (set(map(type, data)) <= {list} and set(map(len, data)) <= {2}
+            and set(map(type, chain.from_iterable(data))) <= {int, float}):
+        try:
+            parts = np.fromiter(chain.from_iterable(data), dtype=float, count=2 * len(data))
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(parts).all():
+                return parts.view(complex)
+    return np.array([complex_from_json(z) for z in data], dtype=complex)
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=complex)
+    a = np.ascontiguousarray(a, dtype=complex)
     rows, cols = a.shape
-    return {
-        "rows": int(rows),
-        "cols": int(cols),
-        "data": [complex_to_json(z) for z in a.reshape(-1)],
-    }
+    # complex_to_json of each entry, in row-major order, from one float view.
+    return {"rows": int(rows), "cols": int(cols), "data": a.view(float).reshape(-1, 2).tolist()}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -99,13 +137,12 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix JSON 'data' must be a list of [re, im] entries")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
-    flat = [complex_from_json(z) for z in data]
-    return np.array(flat, dtype=complex).reshape(rows, cols)
+    return _entries_from_json(data).reshape(rows, cols)
 
 
 def vector_to_json(v: np.ndarray) -> dict:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    return {"dim": int(len(v)), "data": [complex_to_json(z) for z in v]}
+    v = np.ascontiguousarray(v, dtype=complex).reshape(-1)
+    return {"dim": int(len(v)), "data": v.view(float).reshape(-1, 2).tolist()}
 
 
 def vector_from_json(obj) -> np.ndarray:
@@ -117,4 +154,4 @@ def vector_from_json(obj) -> np.ndarray:
         raise ValueError("vector JSON 'data' must be a list of [re, im] entries")
     if dim <= 0 or len(data) != dim:
         raise ValueError("vector data length does not match 'dim'")
-    return np.array([complex_from_json(z) for z in data], dtype=complex)
+    return _entries_from_json(data)

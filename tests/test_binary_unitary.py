@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1133,6 +1134,26 @@ def test_lambda_supports_match_the_reference_builder_at_the_slack_boundary_at_la
 def test_lambda_supports_match_the_reference_builder_at_large_n(n, k, family):
     rng = np.random.default_rng(1200 + n + k)
     assert _assert_table_matches_reference(_table_unitary(family, n, rng), k, rng) > 0
+
+
+def test_lambda_supports_sets_members_without_an_n_wide_stack_per_row():
+    # At N=128, k=16, evenly spaced, the min-entropy lambda has 24,052
+    # supports (2.9 MiB of rows).  Picking each row's members out of an
+    # identity formed a (rows, 3, N) array first and peaked at 19 MiB;
+    # setting them in place peaks at 11 MiB.
+    n, k = 128, 16
+    u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    eigs = unitary_eigen(u).eigenvalues
+    lam = extremal_lambda(numerical_range(u, k)).min_entropy_lambdas[0]
+    slack = binary_unitary._membership_slack(DEFAULT_TOL)
+    tracemalloc.start()
+    try:
+        rows, _ = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (24052, n)
+    assert peak < 15 * 2 ** 20
 
 
 @pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 8, "even"), (64, 16, "even")])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qecentropy
-from qecentropy import catalog, cli, serialization
+from qecentropy import catalog, cli, code_subspace, pauli_channel, serialization
 from qecentropy.channel import unitary_channel, validate_channel
 from qecentropy.cli import main
 from qecentropy.code import span_code
@@ -191,6 +191,61 @@ def test_code_recovery_is_byte_stable(files, tmp_path, capsys, label):
     code_path.write_text(serialization.dumps(catalog.table1_instances().code(label).to_json()))
     assert main(["code", "recovery", files["chan.json"], str(code_path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RECOVERY_SHA256[label]
+
+
+def _bitflip_pair(nq, seed):
+    """A seeded channel of single-qubit X errors on nq qubits (identity weight
+    in [0.5, 0.9]) and the repetition code |0...0>, |1...1>."""
+    rng = np.random.default_rng(seed)
+    words = ["I" * nq] + ["I" * i + "X" + "I" * (nq - i - 1) for i in range(nq)]
+    w0 = rng.uniform(0.5, 0.9)
+    chan = pauli_channel(zip([w0, *((1 - w0) * rng.dirichlet(np.ones(nq)))], words))
+    e = np.eye(2 ** nq)
+    return chan, code_subspace([e[0], e[-1]])
+
+
+def test_a_six_qubit_recovery_is_byte_stable(tmp_path, capsys):
+    # About 1.8 MB of [re, im] entries, the bulk of which the writer formats in one go.
+    chan, code = _bitflip_pair(6, 6)
+    chan_path, code_path = tmp_path / "bitflip6.json", tmp_path / "repetition6.json"
+    chan_path.write_text(serialization.dumps(chan.to_json()))
+    code_path.write_text(serialization.dumps(code.to_json()))
+    assert main(["code", "recovery", str(chan_path), str(code_path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "3f4faf5a9494f859c048ff46c79db6275c605e570a6eead836e0612b58d00969"
+
+
+# SHA-256 of `catalog get NAME` stdout for each catalog instance.
+CATALOG_SHA256 = {
+    "example33": "14146a7f1d24f8a052f21e11735916e529f3e4bb3a174cf7623748c45da866a6",
+    "pauli-zz": "8fda68f09a84586d77d299b6f9a120565ad945b38e565ea7d548028e86018bfb",
+    "qutrit": "31a1327f1ce57847a70fa97ab872737ad0b8bcf4d85d336ea6ad2770f0b6385b",
+    "stabilizer": "4b4489ccac02ea194cd39c5cecfde6f69f7a178076fe2b0385f22cac735299e1",
+    "table1": "488c8318b3c540fc962da1a065c2e7ddf0a4d20d8be72cf4bd9eb33b146c7b55",
+}
+
+
+def test_catalog_pins_cover_every_instance():
+    assert sorted(CATALOG_SHA256) == sorted(catalog.all_instances())
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_SHA256))
+def test_catalog_get_is_byte_stable(capsys, name):
+    assert main(["catalog", "get", name]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CATALOG_SHA256[name]
+
+
+@pytest.mark.parametrize("part", ['"1"', '"1.5"', "true"])
+def test_string_and_boolean_components_are_refused(files, tmp_path, capsys, part):
+    # Each file is valid with the component written as 1 instead.
+    chan_path, code_path = tmp_path / "chan.json", tmp_path / "code.json"
+    chan_path.write_text('{"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[%s, 0]]}]}' % part)
+    code_path.write_text('{"dim": 8, "basis": [{"dim": 8, "data": [[%s, 0]%s]}]}' % (part, ", [0, 0]" * 7))
+    for argv in (["channel", "info", str(chan_path)],
+                 ["code", "analyze", files["chan.json"], str(code_path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: complex value components must be numbers\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
