@@ -380,7 +380,7 @@ def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> 
     sols /= sols.sum(axis=1, keepdims=True)
     held = np.hypot((sols * z.real).sum(axis=1) - lam.real, (sols * z.imag).sum(axis=1) - lam.imag) <= atol
     weights.extend(map(tuple, sols[held].tolist()))
-    # Set each row's members in place: indexing an identity would first form (rows, 3, n).
+    # Each row's members are set in place, so no (rows, 3, n) array is formed.
     members = [np.flatnonzero(single)[:, None], np.argwhere(pair), triples[held]]
     rows = np.zeros((sum(map(len, members)), n), dtype=bool)
     start = 0

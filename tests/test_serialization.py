@@ -132,7 +132,7 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1 / 3
     [[[0.1, 0.2], [0.3, 0.4]], [[-0.0, 1e-300]]],
     {"a": [], "b": {}, "c": [[1e-7, 1e22]], "d": 1 + 2j},
     [1 + 2j, -0.0 - 5e-324j],
-], ids=repr)
+])
 def test_dumps_matches_the_recursive_reference(obj):
     _assert_dumps_matches_reference(obj)
 
