@@ -4,9 +4,12 @@ closed-form coefficient spectrum and entropy."""
 
 from __future__ import annotations
 
+import bisect
+import cmath
 import dataclasses
 import enum
 import itertools
+import math
 
 import numpy as np
 
@@ -255,7 +258,7 @@ def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeR
 
 def _membership_slack(tol: ToleranceConfig) -> float:
     """How far lambda may lie from a rank-k range and still be taken as in
-    it; the grouping search's supports hold lambda within the same slack."""
+    it; the grouping code's groups hold lambda within the same slack."""
     return max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
 
 
@@ -320,98 +323,71 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
     return list(zip(ps, entropies.tolist()))
 
 
-def _lambda_supports(eigs: np.ndarray, lam: complex, atol: float, size: int) -> tuple[np.ndarray, list]:
-    """Minimal supports of ``lam``, one boolean row of members each, and
-    their weights t in ascending member order: the singles, pairs and
-    triples of eigen-indices (at most ``size`` long) whose eigenvalues have
-    convex coefficients t with sum(t z) = lam within ``atol``, in table
-    order: singles, then pairs, then triples, each lexicographic.
-
-    Basic feasible solutions of sum(t) = 1, sum(t z) = lam have at most three
-    nonzero coefficients (Caratheodory), so a group of eigenvalues holds lam
-    in its hull exactly when it contains one of these supports, and the
-    grouping search only packs disjoint ones.  A pair or triple that contains
-    a feasible single or pair is left out: any group holding it holds that
-    smaller support too, which leaves more eigenstates to the other groups.
-    Distances are ``np.hypot`` and the pair step loops over Python complex
-    numbers, which round as scalar arithmetic does, where ``np.abs`` and
-    products of complex arrays may not.
-
-    Only pairs and triples that pass an orientation test are solved.  With
-    x + iy = z - lam, cross[i, j] = x_i y_j - y_i x_j is |z_i - z_j| times
-    lam's signed distance from the line z_i z_j.  An accepted support has a
-    point within atol of lam, so lam is within atol of its chord's line and
-    of the inner side of each edge line of its triangle, which the margin
-    2 atol |z_i - z_j| + 1e-13 covers (room for rounding: |x|, |y| <= 2).  So
-    the filter drops only refused rows; ``det`` and ``solve`` see the rest.
-    """
-    n = len(eigs)
-    x, y = eigs.real - lam.real, eigs.imag - lam.imag
-    single = np.hypot(x, y) <= atol
-    cross = np.multiply.outer(x, y) - np.multiply.outer(y, x)
-    margin = 2 * atol * np.abs(np.subtract.outer(eigs, eigs)) + 1e-13
-    free = np.triu(~single[:, None] & ~single, 1)
-    left, right = (cross >= -margin) & free, (cross <= margin) & free
-    pair = np.zeros((n, n), dtype=bool)
-    weights = [(1.0,)] * int(single.sum())
-    z = eigs.tolist()
-    for i, j in np.argwhere(left & right & (size >= 2)).tolist():
-        d = z[j] - z[i]
-        den = abs(d) ** 2
-        if den == 0:
+def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict):
+    """Members, ascending, and convex weights of the first point, edge or
+    triangle of ``group`` (in angle order) that holds ``lam`` within
+    ``slack``, as ``grouping_code`` tries them, or None."""
+    p0 = group[0]
+    if abs(z[p0] - lam) <= slack:
+        return [p0], [1.0]
+    # Angles relative to p0's, as differences of the sorted phases, so that a
+    # member tied with p0 sits at 0, not just below 2 pi.
+    pos = bisect.bisect_right([angle[i] - angle[p0] for i in group], math.pi)
+    a = group[pos - 1]
+    b = group[pos] if pos < len(group) else a
+    candidates = [(a, b), (p0, a), (p0, b), (p0, a, b)] if p0 != a != b else [(p0, b)]
+    for members in map(sorted, candidates):
+        w = [z[i] for i in members]
+        if len(w) == 2:
+            d = w[1] - w[0]
+            den = abs(d) ** 2
+            # Equal members (den 0) fail the test below: neither is within the slack.
+            tj = min(max((d.conjugate() * (lam - w[0])).real / den, 0.0), 1.0) if den else 0.0
+            if abs(w[0] + tj * d - lam) <= slack:
+                return members, [1.0 - tj, tj]
             continue
-        tj = min(max((d.conjugate() * (lam - z[i])).real / den, 0.0), 1.0)
-        if abs(z[i] + tj * d - lam) <= atol:
-            pair[i, j] = True
-            weights.append((1.0 - tj, tj))
-    # Edges i->j, j->l, l->i all left or all right; cross[l, i] = -cross[i, l].
-    lo, hi = (side & ~pair & (size >= 3) for side in (left, right))
-    triples = np.argwhere((lo[:, :, None] & lo & hi[:, None]) | (hi[:, :, None] & hi & lo[:, None]))
-    z = eigs[triples]
-    a = np.stack([z.real, z.imag, np.ones(z.shape)], axis=1)
-    # A singular system's row is -inf, so that it fails every feasibility
-    # test: both det and solve's LU meet an exact zero pivot there.
-    ok = np.linalg.det(a) != 0
-    b = np.broadcast_to(np.array([lam.real, lam.imag, 1.0])[:, None], (int(ok.sum()), 3, 1))
-    sols = np.full((len(triples), 3), -np.inf)
-    sols[ok] = np.linalg.solve(a[ok], b)[..., 0]
-    keep = ~(sols.min(axis=1) < -atol)
-    sols, z, triples = np.clip(sols[keep], 0.0, None), z[keep], triples[keep]
-    sols /= sols.sum(axis=1, keepdims=True)
-    held = np.hypot((sols * z.real).sum(axis=1) - lam.real, (sols * z.imag).sum(axis=1) - lam.imag) <= atol
-    weights.extend(map(tuple, sols[held].tolist()))
-    # Each row's members are set in place, so no (rows, 3, n) array is formed.
-    members = [np.flatnonzero(single)[:, None], np.argwhere(pair), triples[held]]
-    rows = np.zeros((sum(map(len, members)), n), dtype=bool)
-    start = 0
-    for m in members:
-        rows[np.arange(start, start + len(m))[:, None], m] = True
-        start += len(m)
-    return rows, weights
+        w = np.array(w)
+        try:
+            t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([lam.real, lam.imag, 1.0]))
+        except np.linalg.LinAlgError:
+            continue
+        if t.min() < -slack:
+            continue
+        t = np.clip(t, 0.0, None)
+        t /= t.sum()
+        if np.hypot((t * w.real).sum() - lam.real, (t * w.imag).sum() - lam.imag) <= slack:
+            return members, t
+    return None
 
 
 def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
-    """Build a rank-k code by partitioning the eigenstates into k groups of
-    N/k whose eigenvalue hulls all contain ``lam``.
+    """Build a rank-k code from k groups of N/k eigenstates whose eigenvalue
+    hulls all hold ``lam``, interleaved around it: the eigenvalues within the
+    membership slack of ``lam`` in index order, then the rest by
+    arg(z - lam), ties in index order; group j takes places j, j+k, j+2k, ...
+    Members combine as sum_j sqrt(t_j) |psi_j>, orthonormal across groups as
+    the eigenbasis is.
 
-    Group members are combined as sum_j sqrt(t_j) |psi_j>, which is
-    orthonormal across groups because the eigenbasis is.  A group's hull
-    holds ``lam`` exactly when the group contains one of the minimal supports
-    of ``_lambda_supports``, so such a partition exists exactly when k
-    pairwise disjoint supports of at most N/k members do: a partition holds
-    one in each group, and k disjoint supports padded with the eigenstates
-    left over make a partition.
+    Every group holds lam.  For normal U, lam is in the rank-k range exactly
+    when every closed half-plane bounded by a line through lam holds k or
+    more eigenvalues (Li and Sze, Proc. AMS 2008).  An eigenvalue equal to
+    lam is on the unit circle, where the tangent half-plane holds only those,
+    so there are k or more and each of the first k groups takes one.
+    Otherwise neighbours in a group have k-1 eigenvalues between them in
+    angle order; a gap over pi between them would leave a closed half-plane
+    through lam with at most k-1, so no gap exceeds pi.
 
-    The search is depth first over k-subsets of the supports, in table order
-    (singles, then pairs, then triples, each in lexicographic order), so a
-    smaller support, which frees eigenstates for the other groups, is tried
-    first.  A branch is cut when the supports still disjoint from the chosen
-    ones cannot hold one for each group still to fill: when a greedy set of
-    eigenstates that meets every such support is smaller than the number of
-    those groups.  Each chosen support, in the order found, is padded with
-    the unused eigenstates in ascending order up to N/k members; the support
-    keeps its convex weights and the padding takes weight 0.  Groups are
-    sorted, and listed by their first member.
+    The weights sit on one member within the slack of lam, or on the first
+    of the edges (a, b), (p0, a), (p0, b) and the triangle (p0, a, b) that
+    holds lam within the slack, where p0 is the group's first member and a, b
+    the consecutive members whose angles bracket p0's plus pi: the triangle
+    holds lam by the gap bound, and an edge gives exact zeros where lam is on
+    it.  Other members take weight 0.  A lam accepted within the slack but
+    outside the exact range lies by a vertex, and takes the groups around it,
+    which hold lam within the slack; where one does not (a computed range
+    that overshoots the exact one, on near-twin spectra),
+    NoFeasiblePartitionError is raised.  Groups are sorted, and listed by
+    their first member.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -420,47 +396,23 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
             f"eigenstate grouping requires k | N; got k={k}, N={n}"
         )
     dec = _eigen_holding(u, k, lam, tol)
-    size = n // k
-    rows, weights = _lambda_supports(dec.eigenvalues, lam, _membership_slack(tol), size)
-
-    def can_hold(free: np.ndarray, need: int) -> bool:
-        # Disjoint supports need distinct members of any set that meets every
-        # one of them, so a greedy such hitting set smaller than ``need``
-        # proves the branch fails.
-        inside = rows[free]
-        for _ in range(need):
-            if len(inside) == 0:
-                return False
-            inside = inside[~inside[:, inside.sum(axis=0).argmax()]]
-        return True
-
-    def pack(free: np.ndarray, need: int) -> list[int] | None:
-        # ``free``: the rows after the last chosen one that are disjoint from
-        # every chosen one.
-        if need == 0:
-            return []
-        if not can_hold(free, need):
-            return None
-        for pos, row in enumerate(free.tolist()):
-            rest = free[pos + 1 :]
-            found = pack(rest[~(rows[rest] & rows[row]).any(axis=1)], need - 1)
-            if found is not None:
-                return [row, *found]
-        return None
-
-    chosen = pack(np.arange(len(rows)), k)
-    if chosen is None:
-        raise NoFeasiblePartitionError(
-            f"no size-{size} eigenstate partition realises lambda {lam}"
-        )
-    spare = iter(np.flatnonzero(~rows[chosen].any(axis=0)).tolist())
+    size, slack = n // k, _membership_slack(tol)
+    z = dec.eigenvalues.tolist()
+    at = [i for i in range(n) if abs(z[i] - lam) <= slack]
+    angle = {i: cmath.phase(z[i] - lam) for i in range(n) if abs(z[i] - lam) > slack}
+    order = at + sorted(angle, key=angle.__getitem__)
     grouped = []
-    for row in chosen:
-        group = rows[row].copy()
-        group[list(itertools.islice(spare, size - int(group.sum())))] = True
+    for j in range(k):
+        group = order[j::k]
+        support = _group_support(z, lam, slack, group, angle)
+        if support is None:
+            raise NoFeasiblePartitionError(
+                f"no size-{size} eigenstate partition realises lambda {lam}"
+            )
         t = np.zeros(n)
-        t[rows[row]] = weights[row]
-        grouped.append((tuple(np.flatnonzero(group).tolist()), t[group]))
+        t[support[0]] = support[1]
+        group.sort()
+        grouped.append((tuple(group), t[group]))
     grouped.sort(key=lambda pair: pair[0])
     basis = [
         sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))

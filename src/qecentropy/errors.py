@@ -34,7 +34,10 @@ class LambdaOutsideRegionError(QecError):
 
 
 class NoFeasiblePartitionError(QecError):
-    """No eigenstate grouping realises the requested compression value."""
+    """No eigenstate grouping realises the requested compression value: for
+    k | N, only a lambda accepted within the membership slack but outside the
+    exact rank-k range, as on near-twin spectra whose computed range
+    overshoots the exact one."""
 
 
 class UnsupportedCodeDimensionError(QecError):

@@ -945,218 +945,8 @@ def test_grouping_code_matches_reference_property(n, data):
             _assert_grouping_matches_reference(u, k, lam)
 
 
-@pytest.mark.parametrize("family", ("random", "paired", "grid"))
-def test_lambda_supports_are_the_minimal_feasible_subsets(family):
-    # A group holds lambda exactly when it contains a row of the table, which
-    # is what makes packing disjoint rows an exact grouping search: every
-    # subset of at most min(3, N/k) eigenstates is feasible by the reference
-    # solve exactly when it contains a row.
-    rng = np.random.default_rng(["random", "paired", "grid"].index(family) + 900)
-    slack = binary_unitary._membership_slack(DEFAULT_TOL)
-    sizes = set()
-    for _ in range(12):
-        n = int(rng.integers(3, 11))
-        if family == "grid":
-            phases = 2 * np.pi * rng.integers(0, 24, n) / 24
-        else:
-            phases = _oracle_phases(family, n, rng)
-        u = _unitary_with_phases(phases, rng)
-        eigs = unitary_eigen(u).eigenvalues
-        for k in [k for k in range(1, n + 1) if n % k == 0]:
-            region = numerical_range(u, k)
-            if region.kind is RegionKind.EMPTY:
-                continue
-            for lam in _grouping_lambdas(region, rng):
-                members, weights = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
-                supports = [tuple(np.flatnonzero(row)) for row in members]
-                for support, t in zip(supports, weights, strict=True):
-                    assert len(support) <= min(3, n // k) and min(t) >= 0
-                    assert abs(sum(t) - 1) <= 1e-12
-                    assert abs(np.dot(t, eigs[list(support)]) - lam) <= slack
-                    sizes.add(len(support))
-                rows = [set(support) for support in supports]
-                assert not any(a < b for a in rows for b in rows)
-                for r in range(1, min(3, n // k) + 1):
-                    for subset in itertools.combinations(range(n), r):
-                        feasible = _solve_group_weights(eigs[list(subset)], lam, slack) is not None
-                        assert feasible == any(row <= set(subset) for row in rows), (subset, lam)
-    assert sizes == {1, 2, 3}
-
-
-# Differential oracle for the support table: the builder it replaced, which
-# keyed each support by its index tuple in a dict whose insertion order was
-# the table order, tested minimality by looking up every sub-tuple, and
-# clipped, normalised and tested each kept triple in a loop of its own.  It
-# solves each triple's system alone, so that it shares no solver with the
-# stacked solve it checks.
-
-
-def _lambda_supports_reference(eigs, lam, atol, size):
-    n = len(eigs)
-    supports = {}
-    for i in range(n):
-        if abs(eigs[i] - lam) <= atol:
-            supports[(i,)] = (1.0,)
-    if size >= 2:
-        for i, j in itertools.combinations(range(n), 2):
-            if (i,) in supports or (j,) in supports:
-                continue
-            d = eigs[j] - eigs[i]
-            den = abs(d) ** 2
-            if den == 0:
-                continue
-            tj = min(max(float((np.conj(d) * (lam - eigs[i])).real / den), 0.0), 1.0)
-            if abs(eigs[i] + tj * d - lam) <= atol:
-                supports[(i, j)] = (1.0 - tj, tj)
-    if size < 3:
-        return supports
-    rhs = np.array([lam.real, lam.imag, 1.0])
-    for i, j, l in itertools.combinations(range(n), 3):
-        if any(sub in supports for r in (1, 2) for sub in itertools.combinations((i, j, l), r)):
-            continue
-        z = eigs[[i, j, l]]
-        try:
-            sol = np.linalg.solve(np.array([z.real, z.imag, np.ones(3)]), rhs)
-        except np.linalg.LinAlgError:
-            continue
-        if sol.min() < -atol:
-            continue
-        sol = np.clip(sol, 0.0, None)
-        sol /= sol.sum()
-        if abs(sol[0] * eigs[i] + sol[1] * eigs[j] + sol[2] * eigs[l] - lam) <= atol:
-            supports[(i, j, l)] = tuple(sol)
-    return supports
-
-
-def _table_unitary(family, n, rng):
-    """A unitary from one of the families the table is compared on; the
-    24-point grid is taken on a diagonal U, whose exact repeats make some
-    triple systems exactly singular."""
-    if family == "grid":
-        return np.diag(np.exp(2j * np.pi * rng.integers(0, 24, n) / 24))
-    phases = _near_phases(n, rng) if family == "twin" else _oracle_phases(family, n, rng)
-    return _unitary_with_phases(phases, rng)
-
-
-# Offsets, in slacks, of the points placed about a feasible chord and a
-# triangle edge; positive is towards the triangle's third vertex.
-BOUNDARY_SLACKS = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-
-
-def _boundary_lambdas(eigs, supports, slack):
-    """Points 0.5, 1 and 2 slacks either side of the chord of the first pair
-    in ``supports`` (a list of (members, weights)), from the point its
-    weights give, and of the edge of the first triple nearest the point its
-    weights give.  The table's orientation filter keeps a pair or triple only
-    by a margin of twice the slack times the edge length, so these are the
-    points where a margin too tight would first drop a row."""
-    lams = []
-    pair = next((s for s in supports if len(s[0]) == 2), None)
-    if pair is not None:
-        (i, j), (ti, tj) = pair
-        d = eigs[j] - eigs[i]
-        foot = ti * eigs[i] + tj * eigs[j]
-        lams += [complex(foot + c * slack * 1j * d / abs(d)) for c in BOUNDARY_SLACKS]
-    triple = next((s for s in supports if len(s[0]) == 3), None)
-    if triple is not None:
-        members, t = triple
-        far = int(np.argmin(t))
-        i, j = (members[a] for a in range(3) if a != far)
-        point = np.dot(t, eigs[list(members)])
-        along = (eigs[j] - eigs[i]) / abs(eigs[j] - eigs[i])
-        foot = eigs[i] + ((point - eigs[i]) * along.conjugate()).real * along
-        inward = 1j * along if ((eigs[members[far]] - eigs[i]) * along.conjugate()).imag > 0 else -1j * along
-        lams += [complex(foot + c * slack * inward) for c in BOUNDARY_SLACKS]
-    return lams
-
-
-def _assert_table_matches_reference(u, k, rng, tol=DEFAULT_TOL, boundary=False):
-    """The table for a vertex, an interior point, the maximum-entropy point
-    and a nudged vertex of the rank-k range, and with ``boundary`` for the
-    points 0.5, 1 and 2 slacks either side of a feasible chord and a triangle
-    edge met in those tables: the reference's supports in its order, with the
-    same weights to the last bit.  Returns the row count."""
-    eigs, n = unitary_eigen(u, tol).eigenvalues, u.shape[0]
-    region = numerical_range(u, k, tol)
-    if region.kind is RegionKind.EMPTY:
-        return 0
-    vertex, interior, nudged = _grouping_lambdas(region, rng)
-    slack = binary_unitary._membership_slack(tol)
-    count, supports = 0, []
-    lams = [vertex, interior, extremal_lambda(region).max_entropy_lambda, nudged]
-    for pos, lam in enumerate(lams):
-        members, weights = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
-        expected = _lambda_supports_reference(eigs, lam, slack, n // k)
-        assert [tuple(np.flatnonzero(row).tolist()) for row in members] == list(expected), (n, k, lam)
-        hexed = [[float(x).hex() for x in t] for t in weights]
-        assert hexed == [[float(x).hex() for x in t] for t in expected.values()], (n, k, lam)
-        count += len(expected)
-        supports += expected.items()
-        if pos == 3 and boundary:
-            lams += _boundary_lambdas(eigs, supports, slack)
-    return count
-
-
-@pytest.mark.parametrize("family", ("random", "even", "grid", "twin", "repeated"))
-def test_lambda_supports_match_the_reference_builder(family):
-    rng = np.random.default_rng(1100 + ["random", "even", "grid", "twin", "repeated"].index(family))
-    rows = 0
-    for n in range(3, 17):
-        for _ in range(2):
-            u = _table_unitary(family, n, rng)
-            for k in [k for k in range(1, n + 1) if n % k == 0]:
-                rows += _assert_table_matches_reference(u, k, rng, boundary=True)
-    assert rows > 0
-
-
-@pytest.mark.parametrize("family", ("random", "twin", "grid"))
-def test_lambda_supports_match_the_reference_builder_at_a_coarse_slack(family):
-    # eps_geom = 1e-6 makes the membership slack 1e-6, a thousand times the
-    # default, so the filter's margin is that much wider as well.
-    rng = np.random.default_rng(1300 + ["random", "twin", "grid"].index(family))
-    tol = ToleranceConfig(eps_geom=1e-6)
-    rows = 0
-    for n in range(3, 13):
-        u = _table_unitary(family, n, rng)
-        for k in [k for k in range(1, n + 1) if n % k == 0]:
-            rows += _assert_table_matches_reference(u, k, rng, tol, boundary=True)
-    assert rows > 0
-
-
-def test_lambda_supports_match_the_reference_builder_at_the_slack_boundary_at_large_n():
-    # Near twins 1e-7 apart give the shortest edges, so the tightest margins.
-    rng = np.random.default_rng(1332)
-    assert _assert_table_matches_reference(_table_unitary("twin", 32, rng), 8, rng, boundary=True) > 0
-
-
-@pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 16, "twin"), (64, 16, "even"),
-                                          (64, 8, "grid")])
-def test_lambda_supports_match_the_reference_builder_at_large_n(n, k, family):
-    rng = np.random.default_rng(1200 + n + k)
-    assert _assert_table_matches_reference(_table_unitary(family, n, rng), k, rng) > 0
-
-
-def test_lambda_supports_sets_members_without_an_n_wide_stack_per_row():
-    # At N=128, k=16, evenly spaced, the min-entropy lambda has 24,052
-    # supports (2.9 MiB of rows).  Picking each row's members out of an
-    # identity formed a (rows, 3, N) array first and peaked at 19 MiB;
-    # setting them in place peaks at 11 MiB.
-    n, k = 128, 16
-    u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    eigs = unitary_eigen(u).eigenvalues
-    lam = extremal_lambda(numerical_range(u, k)).min_entropy_lambdas[0]
-    slack = binary_unitary._membership_slack(DEFAULT_TOL)
-    tracemalloc.start()
-    try:
-        rows, _ = binary_unitary._lambda_supports(eigs, lam, slack, n // k)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rows.shape == (24052, n)
-    assert peak < 15 * 2 ** 20
-
-
-@pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 8, "even"), (64, 16, "even")])
+@pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 8, "even"), (64, 16, "even"),
+                                          (256, 32, "even")])
 def test_grouping_code_past_the_reference_reach(n, k, family):
     rng = np.random.default_rng(n + k)
     u = _unitary_with_phases(_oracle_phases(family, n, rng), rng)
@@ -1164,6 +954,200 @@ def test_grouping_code_past_the_reference_reach(n, k, family):
     vertex, interior, _ = _grouping_lambdas(region, rng)
     for lam in (extremal_lambda(region).min_entropy_lambdas[0], vertex, interior):
         _assert_grouping_code(u, k, lam, grouping_code(u, k, lam))
+
+
+def test_grouping_code_at_large_n_holds_no_table():
+    # At N=256, k=32, evenly spaced, at the min-entropy lambda, packing
+    # disjoint supports from a table of all minimal supports of lambda (its
+    # (N, N, N) triple masks and rows 113 MiB alone) peaked at 201 MiB; the
+    # interleaved groups hold O(N) numbers past U's memoised decomposition.
+    n, k = 256, 32
+    u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    lam = extremal_lambda(numerical_range(u, k)).min_entropy_lambdas[0]
+    tracemalloc.start()
+    try:
+        built = grouping_code(u, k, lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _assert_grouping_code(u, k, lam, built)
+    assert peak < 8 * 2 ** 20
+
+
+# Depth oracle.  For normal U, lambda is in the rank-k range exactly when
+# every closed half-plane bounded by a line through lambda holds at least k
+# eigenvalues (Li and Sze, Proc. AMS 2008), that is when its Tukey depth in
+# the spectrum is at least k.  The depth is computed exactly on the float
+# eigenvalues, so it shares no arithmetic with the clipping it checks.
+
+
+def _tukey_depth(eigs, lam):
+    """The fewest eigenvalues in a closed half-plane bounded by a line
+    through lam, counted exactly.
+
+    Eigenvalues at lam are in every such half-plane.  For the rest, the
+    count is least on a line through none of them, and such a line turns
+    until it meets one, z_j: then each of the others strictly off the line
+    through lam and z_j keeps its side, and those on it fall on the side
+    that the turn gives to one of the line's two rays from lam.  So the depth
+    is the eigenvalues at lam plus, minimised over j, the fewer strictly on
+    one side plus the fewer on one ray.  Coordinates relative to lam are
+    dyadic rationals; scaled to a common denominator they are integers."""
+    lx, ly = Fraction(lam.real), Fraction(lam.imag)
+    v = [(Fraction(z.real) - lx, Fraction(z.imag) - ly) for z in np.asarray(eigs).tolist()]
+    scale = max(f.denominator for xy in v for f in xy)
+    v = [(int(x * scale), int(y * scale)) for x, y in v]
+    at = v.count((0, 0))
+    v = [xy for xy in v if xy != (0, 0)]
+    least = len(v)
+    for xj, yj in v:
+        cross = [xj * y - yj * x for x, y in v]
+        ray = [xj * x + yj * y for (x, y), c in zip(v, cross) if c == 0]
+        sides = min(sum(c > 0 for c in cross), sum(c < 0 for c in cross))
+        least = min(least, sides + min(sum(d > 0 for d in ray), sum(d < 0 for d in ray)))
+    return at + least
+
+
+def test_tukey_depth_closed_forms():
+    # Exact vertices of a square: its centre has depth N/2, a point off it
+    # fewer, a point outside none, and an edge's midpoint one.
+    square = np.array([1, 1j, -1, -1j])
+    assert _tukey_depth(square, 0j) == 2
+    assert _tukey_depth(square, 0.1 + 0.05j) == 1
+    assert _tukey_depth(square, 1.5 + 0j) == 0
+    assert _tukey_depth(square, 0.5 + 0.5j) == 1
+    # An eigenvalue on the unit circle has depth its multiplicity.
+    assert _tukey_depth(np.array([1, 1, 1, -1, 1j]), 1 + 0j) == 3
+
+
+def _depth_lambdas(region, rng):
+    """Points uniform in the unit disc, interior points of the region, and
+    each vertex pushed out and in by 1e-5 to 1e-3 from the vertex mean."""
+    r, theta = np.sqrt(rng.uniform(0, 1, 12)), rng.uniform(0, 2 * np.pi, 12)
+    lams = list(r * np.exp(1j * theta))
+    vertices = region.vertices
+    if len(vertices):
+        lams += list(rng.dirichlet(np.ones(len(vertices)), 3) @ vertices)
+        centre = np.mean(vertices)
+        for vertex in vertices:
+            outward = vertex - centre
+            outward = outward / abs(outward) if outward else 1.0
+            lams += [vertex + c * outward for c in (1e-5, 1e-4, 1e-3, -1e-5, -1e-4, -1e-3)]
+    return [complex(z) for z in lams]
+
+
+# lambda this far or farther from the boundary of the computed range is
+# compared with its exact depth; nearer, the clipping's rounding may decide.
+DEPTH_MARGIN = 1e-6
+
+
+def _assert_depth_matches_distance(u, k, rng):
+    """Depth >= k exactly where the rank-k range holds lambda, for the
+    points of ``_depth_lambdas`` more than DEPTH_MARGIN from its boundary.
+    Returns how many points were compared."""
+    eigs = unitary_eigen(u).eigenvalues
+    region = numerical_range(u, k)
+    compared = 0
+    for lam in _depth_lambdas(region, rng):
+        d = region.distance(lam)
+        if abs(d) > DEPTH_MARGIN:
+            assert (_tukey_depth(eigs, lam) >= k) == (d <= 0), (k, region.kind, lam, d)
+            compared += 1
+    return compared
+
+
+def _depth_phases(family, n, rng):
+    if family == "grid":
+        return 2 * np.pi * rng.integers(0, 24, n) / 24
+    if family == "twin":
+        return _near_phases(n, rng)
+    return _oracle_phases(family, n, rng)
+
+
+@pytest.mark.parametrize("family", ("random", "grid", "twin", "repeated"))
+def test_tukey_depth_agrees_with_the_range(family):
+    rng = np.random.default_rng(1500 + ["random", "grid", "twin", "repeated"].index(family))
+    compared = polygons = 0
+    for trial in range(24):
+        n = int(rng.integers(3, 13))
+        phases = _depth_phases(family, n, rng)
+        # Every other spectrum on a diagonal U, where repeats stay exact.
+        u = np.diag(np.exp(1j * phases)) if trial % 2 else _unitary_with_phases(phases, rng)
+        for k in range(1, n + 1):
+            compared += _assert_depth_matches_distance(u, k, rng)
+            polygons += numerical_range(u, k).kind is RegionKind.POLYGON
+    assert compared > 2500 and polygons > 25
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 10), st.data())
+def test_tukey_depth_agrees_with_the_range_property(n, data):
+    # Phases on a 24-point grid, some moved by a twin offset of 1e-7 to 1e-5,
+    # so repeated, antipodal and nearly repeated eigenvalues are common.
+    steps = data.draw(st.lists(st.integers(0, 23), min_size=n, max_size=n), label="steps")
+    twins = data.draw(st.lists(st.sampled_from([0.0, 1e-7, -1e-6, 1e-5]), min_size=n, max_size=n),
+                      label="twins")
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    u = _unitary_with_phases(2 * np.pi * np.array(steps) / 24 + np.array(twins), rng)
+    _assert_depth_matches_distance(u, k, rng)
+
+
+# Seven pairs of twins 1e-7 apart.  The computed rank-4 range is a polygon
+# that holds this lambda 3.7e-4 inside, where its exact depth is 2.
+TWIN_PAIRS_PHASES = [2.4497190319322275, 2.8446727395453015, 5.64315386902388, 6.157184726067705,
+                     1.9972449074352558, 4.416918235006219, 5.263724467583784, 2.4497191319322273,
+                     2.8446728395453014, 5.643153969023881, 6.157184826067705, 1.997245007435256,
+                     4.416918335006219, 5.263724567583784]
+TWIN_PAIRS_LAMBDA = -0.6842350133833718 + 0.6008002869237405j
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: clipping with eps_geom slack at every cut "
+                   "keeps a sliver of points of depth below k on near-twin spectra")
+def test_tukey_depth_agrees_with_the_range_on_twin_pairs():
+    u = np.diag(np.exp(1j * np.array(TWIN_PAIRS_PHASES)))
+    region = numerical_range(u, 4)
+    depth = _tukey_depth(unitary_eigen(u).eigenvalues, TWIN_PAIRS_LAMBDA)
+    distance = region.distance(TWIN_PAIRS_LAMBDA)
+    assert (depth >= 4) == (distance <= 0), (depth, distance)
+
+
+@pytest.mark.parametrize("n", [12, 24, 36, 48, 64])
+def test_grouping_code_holds_every_lambda_of_depth_k(n):
+    # The interleaved grouping's theorem: for k | N, every lambda of exact
+    # depth k or more (so in the exact range) gets a code, never
+    # NoFeasiblePartitionError.  Vertices, interior points and points pushed
+    # in or out past each vertex, on spectra of five families; repeated
+    # spectra give vertices at k-fold eigenvalues.
+    rng = np.random.default_rng(1600 + n)
+    held = 0
+    for family in ("random", "even", "grid", "twin", "repeated"):
+        phases = _depth_phases(family, n, rng)
+        u = np.diag(np.exp(1j * phases)) if family == "grid" else _unitary_with_phases(phases, rng)
+        eigs = unitary_eigen(u).eigenvalues
+        for k in [k for k in range(2, n // 2 + 1) if n % k == 0][-3:]:
+            region = numerical_range(u, k)
+            lams = _depth_lambdas(region, rng) + [complex(z) for z in region.vertices]
+            for pos in rng.permutation(len(lams))[:60]:
+                if _tukey_depth(eigs, lams[pos]) >= k:
+                    _assert_grouping_code(u, k, lams[pos], grouping_code(u, k, lams[pos]))
+                    held += 1
+    assert held > 150
+
+
+def test_grouping_code_at_a_k_fold_eigenvalue():
+    # lambda at an eigenvalue of multiplicity k or more lies on the unit
+    # circle, where the range holds it only as a vertex: each group takes
+    # one of those eigenstates, with weight 1, so the code has entropy 0.
+    rng = np.random.default_rng(1700)
+    for n, k, extra in [(6, 2, 0), (12, 3, 2), (16, 4, 3), (24, 6, 0), (24, 4, 7)]:
+        phases = np.concatenate([np.full(k + extra, 0.7), rng.uniform(0, 2 * np.pi, n - k - extra)])
+        for u in (np.diag(np.exp(1j * phases)), _unitary_with_phases(phases, rng)):
+            exists, lam = dfs_exists(u, k)
+            assert exists and abs(lam - np.exp(0.7j)) <= 1e-12
+            built = grouping_code(u, k, lam)
+            _assert_grouping_code(u, k, lam, built)
+            assert all(sorted(t) == [0.0] * (n // k - 1) + [1.0] for t in built.weights)
 
 
 @settings(max_examples=60, deadline=None)

@@ -474,14 +474,38 @@ def test_min_entropy_code_decomposes_once(files, capsys, analysis_counts):
     assert report["code"] == json.loads(serialization.dumps(built.code.to_json()))
 
 
+# The qutrit's minimum-entropy code, grouped by interleaving around lambda:
+# group j holds the eigenstates j, j+3, j+6 of the angle order.  lambda and
+# entropy_bits are the values printed when the groups came from packing a
+# table of minimal supports, as ((0, 1, 5), (2, 3, 6), (4, 7, 8)); the
+# grouping changes the code, never lambda or the entropy.
+QUTRIT_LAMBDA = [-0.5000000000000001, -0.181985117133101]
+QUTRIT_ENTROPY_BITS = {"0.01": 0.06122972048451543, "0.1": 0.3634008513591858,
+                       "0.25": 0.6343632602291478, "0.4": 0.7616392100950833}
+QUTRIT_PARTITION = [[0, 3, 6], [1, 4, 7], [2, 5, 8]]
+QUTRIT_WEIGHTS = [[0.0, 0.39493084363469855, 0.6050691563653015],
+                  [0.0, 0.6050691563653016, 0.39493084363469844],
+                  [0.15597037125401458, 0.6880592574919707, 0.15597037125401472]]
+
+
+@pytest.mark.parametrize("p", sorted(QUTRIT_ENTROPY_BITS))
+def test_qutrit_min_entropy_code_groups_by_interleaving(files, capsys, p):
+    assert main(["min-entropy-code", files["u9.json"], "3", p]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["partition"] == QUTRIT_PARTITION
+    assert report["weights"] == QUTRIT_WEIGHTS
+    assert report["lambda"] == QUTRIT_LAMBDA
+    assert report["entropy_bits"] == QUTRIT_ENTROPY_BITS[p]
+
+
 # SHA-256 of stdout for the qutrit unitary, at the p values of the benchmark's
 # CLI workload; the library calls that the decompose-once tests compare with
 # would change along with the command, these would not.
 QUTRIT_STDOUT_SHA256 = {
-    ("min-entropy-code", "3", "0.01"): "3c1f589ea79c0e2083ec380d26712b410cec8345a515db5c9a1acead6434b5e7",
-    ("min-entropy-code", "3", "0.1"): "6ea0e78848af494b11514bc38426cffb0e4938f0f33cc2eafa7836c7347b8200",
-    ("min-entropy-code", "3", "0.25"): "06d9c1b58522a3ba846ca1485d6bddcbc33c398d78b59643245a7ff01f84063b",
-    ("min-entropy-code", "3", "0.4"): "bcc6fa1d47462d364f51ae8096085732578d8565c26d52ba1e14197f6283a4c9",
+    ("min-entropy-code", "3", "0.01"): "7aa5d6da6339cdb9e9f751726827b00ae582d2475482d22f2f751a5c62d9863c",
+    ("min-entropy-code", "3", "0.1"): "6c92685000e54055ec73fa7790cf382f96fbf8ae7c4f116a1c3279fc3a6f7297",
+    ("min-entropy-code", "3", "0.25"): "bb74e79abd36c0947f2597299e25bd084a3cb2aff6ac335d7253bdd3586b4b9c",
+    ("min-entropy-code", "3", "0.4"): "4b191de123e3c8d6f52f4ffcb3e6cb870a00c634ca143aba12449117a625d608",
     ("entropy-vs-p", "3", "--lam", "0,0", "--p-steps", "5"):
         "a3a3038add37d91dfe04cf310aa759499baa8b6758a6dd4a4e91d34e751b0493",
 }
