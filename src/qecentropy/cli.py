@@ -20,7 +20,6 @@ from . import catalog, serialization
 from .binary_unitary import (
     BinaryUnitaryChannel,
     NumRangeRegion,
-    _analysed_range,
     biunitary_code_entropy,
     constituent_hulls,
     entropy_vs_p,
@@ -44,7 +43,7 @@ from .errors import (
     RecoveryVerificationError,
     UnsupportedCodeDimensionError,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig
+from .numerics import DEFAULT_TOL, ToleranceConfig, unitary_eigen
 
 TOLERANCES_ENV = "QECENTROPY_TOLERANCES"
 
@@ -210,11 +209,12 @@ def _cmd_numrange(args, tol: ToleranceConfig) -> dict:
     if args.size < 1:
         raise ValueError(f"--size must be a positive number of pixels, got {args.size}")
     u = _load_unitary(args.unitary)
-    # The figure draws every eigenvalue, so the decomposition is taken along.
-    dec, region = _analysed_range(u, args.k, tol)
+    region = numerical_range(u, args.k, tol)
     if args.svg is not None:
+        # The range's decomposition, from unitary_eigen's memo.
+        eigenvalues = unitary_eigen(u, tol).eigenvalues
         hulls = constituent_hulls(u, args.k, tol) if args.hulls else None
-        svg = render_region_svg(region, dec.eigenvalues, hulls, size=args.size)
+        svg = render_region_svg(region, eigenvalues, hulls, size=args.size)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
     return region.to_json()

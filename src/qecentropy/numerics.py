@@ -1,7 +1,9 @@
 """Dense complex linear algebra: eigendecompositions, numerical rank, tolerances.
 
 Everything here works on plain ``numpy`` complex arrays at desk scale
-(dimensions up to a few hundred).  All functions are pure.
+(dimensions up to a few hundred).  All functions are pure, except that
+``unitary_eigen`` remembers the most recent unitary's decomposition and hands
+the same read-only arrays to every caller that asks again.
 """
 
 from __future__ import annotations
@@ -127,6 +129,17 @@ def is_unitary(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return u.shape[0] == u.shape[1] and _unitarity_residual(u) <= tol.eps_eig * u.shape[0]
 
 
+# The most recent unitary's decomposition, (key, decomposition), so that the
+# calls made in turn on one U (its range at several k, the groupings, the
+# figure's eigenvalue dots) decompose it once.  The key is (shape, bytes of U
+# as a complex matrix, tolerances): U is not hashable and a caller may change
+# it in place, so its bytes are compared, and a hit reuses a unitarity verdict
+# reached on the same bytes under equal tolerances.  The entry is replaced by
+# one assignment, so concurrent callers at worst compute the same thing twice;
+# its arrays are read-only, since a hit hands the same objects to every caller.
+_last_eigen: tuple | None = None
+
+
 def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix, eigenvalues sorted by phase in [0, 2pi).
 
@@ -134,8 +147,33 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     clusters with the compressed anti-Hermitian part.  The two commute for
     a normal matrix, so this produces a joint orthonormal eigenbasis
     without a general complex Schur decomposition.
+
+    The most recent result is remembered: a later call with a matrix of the
+    same shape and bytes, under equal tolerances, returns the same object
+    without decomposing or checking it again.  Its ``eigenvalues`` and
+    ``eigenvectors`` are read-only; copy them before writing.
     """
+    global _last_eigen
     u = as_matrix(u)
+    key = (u.shape, u.tobytes(), tol)
+    last = _last_eigen
+    if last is not None and last[0] == key:
+        return last[1]
+    dec = _decompose_unitary(u, tol)
+    dec.eigenvalues.flags.writeable = False
+    dec.eigenvectors.flags.writeable = False
+    _last_eigen = (key, dec)
+    return dec
+
+
+def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:
+    """``unitary_eigen``'s work on a matrix not in its memo: the unitarity
+    check, then the decomposition.
+
+    The Hermitian part's degenerate clusters of one size are compressed with
+    one stacked product and rotated with one stacked ``eigh``; each cluster's
+    result is bit for bit what a product and an ``eigh`` of its own give.
+    """
     _require_square(u)
     n = u.shape[0]
     resid = _unitarity_residual(u)
@@ -145,12 +183,17 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     h = (u + dag(u)) / 2
     k = (u - dag(u)) / (2j)
     w, v = np.linalg.eigh(h)
+    by_size: dict[int, list[tuple[int, ...]]] = {}
     for cluster in _chain_clusters(w, tol.eps_eig * n):
         if len(cluster) > 1:
-            idx = list(cluster)
-            block = dag(v[:, idx]) @ k @ v[:, idx]
-            _, rot = np.linalg.eigh((block + dag(block)) / 2)
-            v[:, idx] = v[:, idx] @ rot
+            by_size.setdefault(len(cluster), []).append(cluster)
+    for clusters in by_size.values():
+        idx = np.array(clusters)
+        # (clusters, N, size): each cluster's columns as one C-ordered matrix.
+        cols = np.ascontiguousarray(v[:, idx].transpose(1, 0, 2))
+        block = np.conj(cols).transpose(0, 2, 1) @ k @ cols
+        _, rot = np.linalg.eigh((block + np.conj(block).transpose(0, 2, 1)) / 2)
+        v[:, idx] = (cols @ rot).transpose(1, 0, 2)
 
     # Rayleigh quotients recover the unimodular eigenvalues in the joint basis.
     eigs = np.sum(np.conj(v) * (u @ v), axis=0)

@@ -1,34 +1,37 @@
 import pytest
 
-from qecentropy import binary_unitary
+from qecentropy import binary_unitary, numerics
 from qecentropy import code as code_module
 
 
 @pytest.fixture(autouse=True)
 def _forget_last_analyses():
-    # binary_unitary keeps the most recent U's decomposition and ranges, and
-    # code the most recent (channel, code) analysis; tests that count
-    # decompositions, range builds or KL checks must not find an earlier
-    # test's U or code there.
+    # numerics keeps the most recent U's decomposition, binary_unitary the
+    # ranges built from it, and code the most recent (channel, code)
+    # analysis; tests that count decompositions, range builds or KL checks
+    # must not find an earlier test's U or code there.  Clearing the
+    # decomposition alone makes the next call on any U cold.
+    numerics._last_eigen = None
     binary_unitary._last_u = None
     code_module._last_code = None
 
 
 @pytest.fixture
 def analysis_counts(monkeypatch):
-    """(unitary_eigen calls, rank of each range built) in binary_unitary,
-    recorded from the start of the test."""
+    """(decompositions computed, rank of each range built), recorded from the
+    start of the test.  A decomposition is counted when unitary_eigen's memo
+    misses and it is computed, not on every call."""
     eigen_calls, range_ks = [], []
-    eigen, build = binary_unitary.unitary_eigen, binary_unitary._range_from_eigen
+    eigen, build = numerics._decompose_unitary, binary_unitary._range_from_runs
 
     def counting_eigen(*args):
         eigen_calls.append(args)
         return eigen(*args)
 
-    def counting_build(dec, k, tol):
+    def counting_build(reps, arcs, k, tol):
         range_ks.append(k)
-        return build(dec, k, tol)
+        return build(reps, arcs, k, tol)
 
-    monkeypatch.setattr(binary_unitary, "unitary_eigen", counting_eigen)
-    monkeypatch.setattr(binary_unitary, "_range_from_eigen", counting_build)
+    monkeypatch.setattr(numerics, "_decompose_unitary", counting_eigen)
+    monkeypatch.setattr(binary_unitary, "_range_from_runs", counting_build)
     return eigen_calls, range_ks

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qecentropy
 from qecentropy import binary_unitary, geometry, numerics
 from qecentropy.binary_unitary import (
     BinaryUnitaryChannel,
@@ -479,6 +480,37 @@ def test_numerical_range_matches_subset_reference_property(steps, data):
     _assert_matches_reference(u, k)
 
 
+# Evenly spaced spectra have a closed-form range: each run of N-k+1
+# eigenvalues cuts a chord at distance cos(pi k/N) from 0, so the range is a
+# regular N-gon with that inradius when 2k < N, the point 0 when 2k = N and
+# empty when 2k > N.  At 2k = N the N/2 chords are diameters, and in floats
+# they do not meet in one point, so the exact range of the float eigenvalues
+# is empty there; the clipping slack makes it the Point 0, which perfbench's
+# numrange check requires.  Exact predicates (ROADMAP item 1) must keep it.
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_evenly_spaced_ranges_have_the_closed_form(n):
+    rng = np.random.default_rng(2000 + n)
+    for _ in range(3):
+        offset = rng.uniform(0, 2 * np.pi)
+        u = _unitary_with_phases(offset + 2 * np.pi * np.arange(n) / n, rng)
+        for k in range(1, n + 1):
+            region = numerical_range(u, k)
+            if 2 * k > n:
+                assert region.kind is RegionKind.EMPTY, (n, k)
+            elif 2 * k == n:
+                assert region.kind is RegionKind.POINT and abs(region.vertices[0]) <= 1e-9, (n, k)
+            else:
+                assert region.kind is RegionKind.POLYGON and len(region.vertices) == n, (n, k)
+                modulus = np.cos(np.pi * k / n) / np.cos(np.pi / n)
+                assert np.abs(np.abs(region.vertices) - modulus).max() <= 1e-9, (n, k)
+                steps = (np.angle(region.vertices) - offset - np.pi * (k + 1) / n) / (2 * np.pi / n)
+                assert np.abs(steps - np.round(steps)).max() <= 1e-9, (n, k)
+        if n >= 12 and n % 2 == 0:
+            assert _exact_vertex_count(unitary_eigen(u).eigenvalues, n // 2) == 0
+
+
 def test_numerical_range_canonicalises_once(monkeypatch):
     # One pass over the chord half-planes, then one dedupe and re-hull.
     calls = {"canonical_vertices": 0, "convex_hull": 0}
@@ -945,6 +977,41 @@ def test_grouping_code_matches_reference_property(n, data):
             _assert_grouping_matches_reference(u, k, lam)
 
 
+# A lambda accepted within the slack past a vertex can sit farther than the
+# slack from a group interleaved about it.  Here the vertex is a 2-fold
+# eigenvalue, and lambda is 8.6e-10 outside an edge but 1.06e-9 from the
+# vertex; the groups interleaved about lambda's nearest point of the range
+# hold it.  (Found by test_grouping_code_matches_reference_property.)
+GRID_CORNER_STEPS = [0, 0, 0, 0, 1, 1, 5, 5, 6, 7]
+GRID_CORNER_LAMBDA = 0.25881904447684295 + 0.9659258271446001j
+
+
+def test_grouping_code_holds_every_lambda_accepted_past_a_vertex():
+    u = _unitary_with_phases(2 * np.pi * np.array(GRID_CORNER_STEPS) / 24, np.random.default_rng(8))
+    assert 0 < numerical_range(u, 2).distance(GRID_CORNER_LAMBDA) <= LAMBDA_MEMBERSHIP_FLOOR
+    assert _assert_grouping_matches_reference(u, 2, GRID_CORNER_LAMBDA) is None
+    # Each vertex on the unit circle (a k-fold eigenvalue) of seeded grid
+    # spectra, moved 0.3e-9 to 1.2e-9 in random directions: every lambda the
+    # range accepts gets a code, and some need the second interleaving.
+    rng = np.random.default_rng(1950)
+    slack, about_lambda_failed, accepted = binary_unitary._membership_slack(DEFAULT_TOL), 0, 0
+    for _ in range(400):
+        n = int(rng.choice([6, 8, 9, 10, 12]))
+        k = int(rng.choice([k for k in range(2, n // 2 + 1) if n % k == 0]))
+        u = _unitary_with_phases(2 * np.pi * rng.integers(0, 24, n) / 24, rng)
+        region = numerical_range(u, k)
+        z = unitary_eigen(u).eigenvalues.tolist()
+        for vertex in region.vertices[np.abs(np.abs(region.vertices) - 1) <= slack]:
+            for _ in range(6):
+                lam = complex(vertex) + rng.uniform(0.3e-9, 1.2e-9) * np.exp(2j * np.pi * rng.uniform())
+                if region.distance(lam) > slack:
+                    continue
+                accepted += 1
+                about_lambda_failed += binary_unitary._interleaved_groups(z, k, lam, lam, slack) is None
+                _assert_grouping_code(u, k, lam, grouping_code(u, k, lam))
+    assert accepted >= 500 and about_lambda_failed >= 5, (accepted, about_lambda_failed)
+
+
 @pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 8, "even"), (64, 16, "even"),
                                           (256, 32, "even")])
 def test_grouping_code_past_the_reference_reach(n, k, family):
@@ -1227,26 +1294,27 @@ def test_dfs_exists_matches_range_reference_property(steps, data):
 
 def test_dfs_exists_builds_no_range(monkeypatch):
     calls = []
-    original = binary_unitary._range_from_eigen
+    original = binary_unitary._range_from_runs
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(binary_unitary, "_range_from_eigen", counting)
+    monkeypatch.setattr(binary_unitary, "_range_from_runs", counting)
     assert dfs_exists(ZZ, 2)[0] and not dfs_exists(U4, 2)[0]
     assert calls == []
     with pytest.raises(ValueError, match=r"rank k must be in \[1, 4\], got 5"):
         dfs_exists(ZZ, 5)
 
 
-# The binary-unitary entry points share one memo of the most recent U's
-# decomposition and rank-k ranges.
+# The binary-unitary entry points and unitary_eigen share one memo of the
+# most recent U's decomposition, and the former the rank-k ranges built from it.
 
 
 def test_one_unitary_is_decomposed_once_across_the_calls(analysis_counts):
     eigen_calls, range_ks = analysis_counts
     region = numerical_range(U9, 3)
+    assert qecentropy.unitary_eigen(U9) is qecentropy.unitary_eigen(U9.copy())
     lam = extremal_lambda(region).min_entropy_lambdas[0]
     assert not dfs_exists(U9, 3)[0]
     entropy_vs_p(U9, 3, lam, [0.1, 0.5])
@@ -1265,7 +1333,7 @@ def test_memo_follows_the_bytes_of_u_and_the_tolerances():
     other = _unitary_with_phases(_oracle_phases("repeated", 8, rng), rng)
 
     def cold(v, k, tol=DEFAULT_TOL):
-        binary_unitary._last_u = None
+        numerics._last_eigen = None
         return numerical_range(v.copy(), k, tol)
 
     def same(a, b):
@@ -1275,7 +1343,7 @@ def test_memo_follows_the_bytes_of_u_and_the_tolerances():
     u[:] = other  # changed in place after a call
     warm_region, warm_dfs = numerical_range(u, 3), dfs_exists(u, 2)
     assert same(warm_region, cold(other, 3))
-    binary_unitary._last_u = None
+    numerics._last_eigen = None
     assert warm_dfs == dfs_exists(other.copy(), 2)
 
     # Two eigenvalues 1e-8 apart: one cluster under eps_eig = 1e-6 only.
@@ -1341,7 +1409,7 @@ def _memo_calls(u, rng):
                   (dfs_exists, (u, k), False)]
         if k > n:
             continue
-        region = binary_unitary._range_from_eigen(unitary_eigen(u), k, DEFAULT_TOL)
+        region = numerical_range(u, k)
         if region.kind is RegionKind.EMPTY:
             continue
         vertex = complex(region.vertices[0])
@@ -1372,9 +1440,9 @@ def test_memo_gives_the_cold_results():
                 calls += _memo_calls(_unitary_with_phases(_oracle_phases(family, n, rng), rng), rng)
     cold = []
     for fn, args, _ in calls:
-        binary_unitary._last_u = None
+        numerics._last_eigen = None
         cold.append(_run(fn, args))
-    binary_unitary._last_u = None
+    numerics._last_eigen = None
     warm = [_run(fn, args) for fn, args, _ in calls]
     assert warm == cold
     outcomes = [outcome for outcome, _ in cold]

@@ -301,7 +301,7 @@ def test_numrange_svg_decomposes_once(files, tmp_path, capsys, analysis_counts):
     svg_path = tmp_path / "fig.svg"
     # The calls above left this U in the memo and in the counts; the command
     # must start from neither.
-    binary_unitary._last_u = None
+    numerics._last_eigen = None
     eigen_calls, range_ks = analysis_counts
     eigen_calls.clear()
     range_ks.clear()
@@ -453,14 +453,14 @@ def test_min_entropy_code(files, capsys):
 
 
 def test_min_entropy_code_decomposes_once(files, capsys, analysis_counts):
-    from qecentropy import binary_unitary
+    from qecentropy import binary_unitary, numerics
 
     u = serialization.matrix_from_json(json.loads(pathlib.Path(files["u9.json"]).read_text()))
     lam = binary_unitary.extremal_lambda(binary_unitary.numerical_range(u, 3)).min_entropy_lambdas[0]
     built = binary_unitary.grouping_code(u, 3, lam)
     # The calls above left this U in the memo and in the counts; the command
     # must start from neither.
-    binary_unitary._last_u = None
+    numerics._last_eigen = None
     eigen_calls, range_ks = analysis_counts
     eigen_calls.clear()
     range_ks.clear()

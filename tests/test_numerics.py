@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qecentropy import numerics
 from qecentropy.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -190,3 +191,169 @@ def test_unitary_eigen_clusters_across_phase_zero():
     # 4.5e-10 apart across phase 0, inside the threshold 5 * 1e-10.
     u = np.diag(np.exp(1j * np.array([2 * np.pi - 5.5e-10, 1.0, 2 * np.pi - 1e-10, 2.0, 0.0])))
     assert unitary_eigen(u).cluster_map == ((0, 1, 4), (2,), (3,))
+
+
+# unitary_eigen remembers the most recent U's decomposition, keyed on U's
+# shape and bytes and the tolerances.
+
+
+def _unitary_with_phases(phases, rng):
+    q, r = np.linalg.qr(rng.standard_normal((len(phases),) * 2)
+                        + 1j * rng.standard_normal((len(phases),) * 2))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return (q * np.exp(1j * np.asarray(phases))) @ dag(q)
+
+
+def _same_decomposition(a, b):
+    return (a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+            and a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+            and a.cluster_map == b.cluster_map)
+
+
+def _cold_eigen(u, tol=DEFAULT_TOL):
+    numerics._last_eigen = None
+    return unitary_eigen(u.copy(), tol)
+
+
+def test_unitary_eigen_memo_hits_on_equal_bytes():
+    rng = np.random.default_rng(41)
+    u = _unitary_with_phases(rng.uniform(0, 2 * np.pi, 7), rng)
+    dec = unitary_eigen(u)
+    # An equal-bytes copy, and the same values as a list, are hits.
+    assert unitary_eigen(u.copy()) is dec
+    assert unitary_eigen(u.tolist()) is dec
+    # A Fortran-ordered copy has the same C-order bytes.
+    assert unitary_eigen(np.asfortranarray(u)) is dec
+    assert _same_decomposition(dec, _cold_eigen(u))
+
+
+def test_unitary_eigen_memo_follows_u_changed_in_place():
+    rng = np.random.default_rng(42)
+    u = _unitary_with_phases(rng.uniform(0, 2 * np.pi, 6), rng)
+    other = _unitary_with_phases([0.5, 0.5, 0.5, 2.0, 2.0, 4.0], rng)
+    first = unitary_eigen(u)
+    u[:] = other
+    changed = unitary_eigen(u)
+    assert changed is not first
+    assert _same_decomposition(changed, _cold_eigen(other))
+    assert [len(c) for c in changed.cluster_map] == [3, 2, 1]
+
+
+def test_unitary_eigen_memo_follows_the_tolerances():
+    rng = np.random.default_rng(43)
+    # Two eigenvalues 1e-8 apart: one cluster under eps_eig = 1e-6 only.
+    u = _unitary_with_phases([0.0, 1e-8, 1.0, 2.0, 3.0], rng)
+    loose = ToleranceConfig(eps_eig=1e-6)
+    default = unitary_eigen(u)
+    assert len(default.cluster_map) == 5
+    clustered = unitary_eigen(u, loose)
+    assert clustered is not default and len(clustered.cluster_map) == 4
+    assert _same_decomposition(clustered, _cold_eigen(u, loose))
+    # Only the most recent entry is kept: back at the default, a fresh one.
+    again = unitary_eigen(u)
+    assert again is not default and _same_decomposition(again, default)
+    # Equal tolerances built anew are the same key.
+    assert unitary_eigen(u, ToleranceConfig()) is again
+
+
+def test_unitary_eigen_memo_arrays_are_read_only():
+    dec = unitary_eigen(np.diag(np.exp(1j * np.array([0.1, 0.1, 2.0]))))
+    for array in (dec.eigenvalues, dec.eigenvectors):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # A copy is writable, and writing to it leaves the memo alone.
+    values = dec.eigenvalues.copy()
+    values[0] = 0
+    assert unitary_eigen(np.diag(np.exp(1j * np.array([0.1, 0.1, 2.0])))).eigenvalues[0] != 0
+
+
+def test_unitary_eigen_memo_keeps_the_unitarity_check_per_tolerance():
+    rng = np.random.default_rng(44)
+    u = _unitary_with_phases([0.0, 1.0, 2.0, 3.0], rng)
+    skewed = u.copy()
+    skewed[0, 0] += 1e-8
+    loose = ToleranceConfig(eps_eig=1e-6)
+    # Accepted under loose tolerances, and remembered there ...
+    unitary_eigen(skewed, loose)
+    assert unitary_eigen(skewed.copy(), loose) is unitary_eigen(skewed, loose)
+    # ... but the verdict does not carry over to the default ones.
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_eigen(skewed)
+    # Nor to U changed in place after an accepted call.
+    unitary_eigen(u)
+    u[0, 0] += 1e-8
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_eigen(u)
+    # A refusal is not remembered: the same matrix is refused again.
+    with pytest.raises(ValueError, match="not unitary"):
+        unitary_eigen(u)
+
+
+# Bit-for-bit oracle for the stacked cluster split: unitary_eigen's body as
+# it was, with one product and one eigh per degenerate cluster of H.
+
+
+def _unitary_eigen_reference(u, tol=DEFAULT_TOL):
+    n = u.shape[0]
+    h = (u + dag(u)) / 2
+    k = (u - dag(u)) / (2j)
+    w, v = np.linalg.eigh(h)
+    for cluster in _chain_clusters(w, tol.eps_eig * n):
+        if len(cluster) > 1:
+            idx = list(cluster)
+            block = dag(v[:, idx]) @ k @ v[:, idx]
+            _, rot = np.linalg.eigh((block + dag(block)) / 2)
+            v[:, idx] = v[:, idx] @ rot
+    eigs = np.sum(np.conj(v) * (u @ v), axis=0)
+    phases = np.mod(np.angle(eigs), 2 * np.pi)
+    phases[phases > 2 * np.pi - tol.eps_eig * n] -= 2 * np.pi
+    order = np.argsort(phases, kind="stable")
+    eigs, v = eigs[order], v[:, order]
+    return numerics.EigenDecomposition(eigs, v, _chain_clusters(eigs, tol.eps_eig * n))
+
+
+SPLIT_FAMILIES = ("repeated", "grid24", "twin", "mixed")
+
+
+def _split_phases(family, n, rng):
+    """Repeated values, a 24-point grid (so that H also pairs phi with
+    -phi), near twins 1e-7 apart, or repeated values among distinct ones."""
+    if family == "repeated":
+        base = rng.uniform(0, 2 * np.pi, int(rng.integers(1, n // 2 + 2)))
+        return base[rng.integers(0, len(base), n)]
+    if family == "grid24":
+        return 2 * np.pi * rng.integers(0, 24, n) / 24
+    if family == "twin":
+        base = rng.uniform(0, 2 * np.pi, (n + 1) // 2)
+        return np.concatenate([base, base[: n // 2] + 1e-7])[:n]
+    base = rng.uniform(0, 2 * np.pi, 3)
+    return np.concatenate([base[rng.integers(0, 3, n // 2)], rng.uniform(0, 2 * np.pi, n - n // 2)])
+
+
+def _assert_split_matches_reference(u):
+    numerics._last_eigen = None
+    dec = unitary_eigen(u)
+    assert _same_decomposition(dec, _unitary_eigen_reference(u.copy()))
+
+
+@pytest.mark.parametrize("family", SPLIT_FAMILIES)
+def test_stacked_cluster_split_matches_the_per_cluster_loop(family):
+    rng = np.random.default_rng(1900 + SPLIT_FAMILIES.index(family))
+    sizes = set()
+    for n in range(2, 33):
+        for _ in range(3):
+            u = _unitary_with_phases(_split_phases(family, n, rng), rng)
+            _assert_split_matches_reference(u)
+            w = np.linalg.eigvalsh((u + dag(u)) / 2)
+            sizes.update(len(c) for c in _chain_clusters(w, DEFAULT_TOL.eps_eig * n))
+    # Near twins mostly stay apart under eps_eig, and test the split next to
+    # it; the other families stack clusters of several sizes.
+    if family != "twin":
+        assert {2, 3, 4} <= sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 23), min_size=2, max_size=24), st.integers(0, 2**32 - 1))
+def test_stacked_cluster_split_matches_the_per_cluster_loop_property(steps, seed):
+    rng = np.random.default_rng(seed)
+    _assert_split_matches_reference(_unitary_with_phases(2 * np.pi * np.array(steps) / 24, rng))
