@@ -151,12 +151,9 @@ def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tupl
     return reps, list(dict.fromkeys((0 if size == m else owner[s], size) for s, size in enumerate(sizes)))
 
 
-def _range_from_runs(
-    reps: list[complex], arcs: list[tuple[int, int]], k: int, tol: ToleranceConfig
-) -> NumRangeRegion:
-    """Rank-k range in one pass, from ``_run_arcs``: the polygon of the
-    cluster representatives cut by one or two chord half-planes per distinct
-    run.
+def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> NumRangeRegion:
+    """Rank-k range in one pass: the polygon of the cluster representatives
+    cut by one or two chord half-planes per distinct run.
 
     The representatives come in phase order on the unit circle, so they are
     already the vertices of their CCW hull, and a run holds an arc of them.
@@ -170,6 +167,7 @@ def _range_from_runs(
     The clips run on a plain vertex list and may leave collinear vertices;
     ``_classify_region`` canonicalises once, at the end.
     """
+    reps, arcs = _run_arcs(dec, k)
     m, eps = len(reps), tol.eps_geom
     points = [reps[first] for first, size in arcs if size == 1]
     region = points[:1] or reps
@@ -188,41 +186,31 @@ def _range_from_runs(
     return _classify_region(k, np.array(region, dtype=complex), tol)
 
 
-# What is built from the most recent U's decomposition, (decomposition,
-# {k: representatives and run arcs}, {k: rank-k range}), so that the calls
-# made in turn on one U build each once.  The decomposition comes from
-# unitary_eigen's memo, which decides when U is the same; a new decomposition
-# object starts a new entry.  The entry is replaced by one assignment, so
-# concurrent callers at worst compute the same thing twice; returned regions
-# are read-only, since a hit hands the same objects to every caller.
+# The ranges built from the most recent U's decomposition, (decomposition,
+# {k: rank-k range}), so that the calls made in turn on one U build each range
+# once.  The decomposition comes from unitary_eigen's memo, which decides when
+# U is the same; another decomposition object starts a new entry.  The entry
+# is replaced by one assignment, so concurrent callers at worst compute the
+# same thing twice; returned regions are read-only, since a hit hands the
+# same objects to every caller.
 _last_u: tuple | None = None
 
 
-def _analysis(u, tol: ToleranceConfig) -> tuple:
-    """U's decomposition and what has been built from it so far."""
+def _analysis(u, tol: ToleranceConfig) -> tuple[EigenDecomposition, dict[int, NumRangeRegion]]:
+    """U's decomposition and the ranges built from it so far."""
     global _last_u
     dec = unitary_eigen(u, tol)
     last = _last_u
     if last is None or last[0] is not dec:
-        last = _last_u = (dec, {}, {})
+        last = _last_u = (dec, {})
     return last
 
 
-def _runs(analysis: tuple, k: int) -> tuple[list[complex], list[tuple[int, int]]]:
-    """``_run_arcs`` of an ``_analysis`` entry at rank k, built once."""
-    dec, runs, _ = analysis
-    found = runs.get(k)
-    if found is None:
-        found = runs[k] = _run_arcs(dec, k)
-    return found
-
-
 def _analysed_range(u, k: int, tol: ToleranceConfig) -> tuple[EigenDecomposition, NumRangeRegion]:
-    analysis = _analysis(u, tol)
-    dec, _, ranges = analysis
+    dec, ranges = _analysis(u, tol)
     region = ranges.get(k)
     if region is None:
-        region = ranges[k] = _range_from_runs(*_runs(analysis, k), k, tol)
+        region = ranges[k] = _range_from_eigen(dec, k, tol)
     return dec, region
 
 
@@ -239,7 +227,7 @@ def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.
     whose intersection is the rank-k range: each run's representatives in
     arc order, which is CCW, started at the lexicographically smallest as
     ``geometry.canonical_vertices`` would."""
-    reps, arcs = _runs(_analysis(u, tol), k)
+    reps, arcs = _run_arcs(_analysis(u, tol)[0], k)
     ring, keys = reps * 2, [(z.real, z.imag) for z in reps] * 2
     hulls = []
     for first, size in arcs:
@@ -267,14 +255,13 @@ def _membership_slack(tol: ToleranceConfig) -> float:
     return max(tol.eps_geom, LAMBDA_MEMBERSHIP_FLOOR)
 
 
-def _eigen_holding(u, k: int, lam: complex, tol: ToleranceConfig) -> tuple[EigenDecomposition, NumRangeRegion]:
-    """U's decomposition and rank-k range, once lam is checked to lie within
-    the membership slack of the range; both come from the memos of the most
-    recent U."""
+def _eigen_holding(u, k: int, lam: complex, tol: ToleranceConfig) -> EigenDecomposition:
+    """U's decomposition, once lam is checked to lie within the membership
+    slack of its rank-k range; both come from the memo of the most recent U."""
     dec, region = _analysed_range(u, k, tol)
     if not region.distance(lam) <= _membership_slack(tol):
         raise LambdaOutsideRegionError(f"lambda {lam} is not in the rank-{k} numerical range")
-    return dec, region
+    return dec
 
 
 def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
@@ -329,12 +316,10 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
     return list(zip(ps, entropies.tolist()))
 
 
-def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict, centre: complex):
+def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict):
     """Members, ascending, and convex weights of the first point, edge or
-    triangle of ``group`` (in order of the angles about ``centre``) that
-    holds ``lam`` within ``slack``, as ``grouping_code`` tries them, or None.
-    A triangle is solved for ``centre``, which it holds when it holds lam's
-    nearest point of the range."""
+    triangle of ``group`` (in angle order) that holds ``lam`` within
+    ``slack``, as ``grouping_code`` tries them, or None."""
     p0 = group[0]
     if abs(z[p0] - lam) <= slack:
         return [p0], [1.0]
@@ -356,7 +341,7 @@ def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict
             continue
         w = np.array(w)
         try:
-            t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([centre.real, centre.imag, 1.0]))
+            t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([lam.real, lam.imag, 1.0]))
         except np.linalg.LinAlgError:
             continue
         if t.min() < -slack:
@@ -366,26 +351,6 @@ def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict
         if np.hypot((t * w.real).sum() - lam.real, (t * w.imag).sum() - lam.imag) <= slack:
             return members, t
     return None
-
-
-def _interleaved_groups(z: list, k: int, lam: complex, centre: complex, slack: float):
-    """``grouping_code``'s k groups, interleaved about ``centre``, each sorted
-    with its weights, or None where one of them does not hold lam."""
-    n = len(z)
-    at = [i for i in range(n) if abs(z[i] - lam) <= slack]
-    angle = {i: cmath.phase(z[i] - centre) for i in range(n) if abs(z[i] - lam) > slack}
-    order = at + sorted(angle, key=angle.__getitem__)
-    grouped = []
-    for j in range(k):
-        group = order[j::k]
-        support = _group_support(z, lam, slack, group, angle, centre)
-        if support is None:
-            return None
-        t = np.zeros(n)
-        t[support[0]] = support[1]
-        group.sort()
-        grouped.append((tuple(group), t[group]))
-    return sorted(grouped, key=lambda pair: pair[0])
 
 
 def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -> GroupingCode:
@@ -411,14 +376,11 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
     the consecutive members whose angles bracket p0's plus pi: the triangle
     holds lam by the gap bound, and an edge gives exact zeros where lam is on
     it.  Other members take weight 0.  A lam accepted within the slack but
-    outside the exact range may leave a group whose hull is farther from it
-    than the slack.  The groups are then interleaved about lam's nearest
-    point c of the computed range instead, with the same members first: c has
-    depth k, so every group's hull holds c, and the triangle is solved for c,
-    so the weights give a point within the slack of lam.  Where a group still
-    fails (a computed range that overshoots the exact one, on near-twin
-    spectra), NoFeasiblePartitionError is raised.  Groups are sorted, and
-    listed by their first member.
+    outside the exact range lies by a vertex, and takes the groups around it,
+    which hold lam within the slack; where one does not (a computed range
+    that overshoots the exact one, on near-twin spectra),
+    NoFeasiblePartitionError is raised.  Groups are sorted, and listed by
+    their first member.
     """
     u = as_matrix(u)
     n = u.shape[0]
@@ -426,14 +388,25 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
         raise UnsupportedCodeDimensionError(
             f"eigenstate grouping requires k | N; got k={k}, N={n}"
         )
-    dec, region = _eigen_holding(u, k, lam, tol)
-    slack = _membership_slack(tol)
+    dec = _eigen_holding(u, k, lam, tol)
+    size, slack = n // k, _membership_slack(tol)
     z = dec.eigenvalues.tolist()
-    grouped = _interleaved_groups(z, k, lam, lam, slack)
-    if grouped is None:
-        grouped = _interleaved_groups(z, k, lam, geometry.closest_point(region.vertices, lam), slack)
-    if grouped is None:
-        raise NoFeasiblePartitionError(f"no size-{n // k} eigenstate partition realises lambda {lam}")
+    at = [i for i in range(n) if abs(z[i] - lam) <= slack]
+    angle = {i: cmath.phase(z[i] - lam) for i in range(n) if abs(z[i] - lam) > slack}
+    order = at + sorted(angle, key=angle.__getitem__)
+    grouped = []
+    for j in range(k):
+        group = order[j::k]
+        support = _group_support(z, lam, slack, group, angle)
+        if support is None:
+            raise NoFeasiblePartitionError(
+                f"no size-{size} eigenstate partition realises lambda {lam}"
+            )
+        t = np.zeros(n)
+        t[support[0]] = support[1]
+        group.sort()
+        grouped.append((tuple(group), t[group]))
+    grouped.sort(key=lambda pair: pair[0])
     basis = [
         sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))
         for group, t in grouped
@@ -454,8 +427,8 @@ def dfs_exists(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, com
     is contiguous in phase order, so every run of N-k+1 eigenvalues holds one,
     and its mean is a vertex of every run hull.  A run of one cluster elsewhere
     would need N-k+1 more eigenvalues, which do not exist."""
-    analysis = _analysis(u, tol)
-    for cluster, rep in zip(analysis[0].cluster_map, _runs(analysis, k)[0]):
+    dec = _analysis(u, tol)[0]
+    for cluster, rep in zip(dec.cluster_map, _representatives(dec, k)):
         if len(cluster) >= k:
             return True, rep
     return False, None

@@ -168,12 +168,7 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
 
 def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:
     """``unitary_eigen``'s work on a matrix not in its memo: the unitarity
-    check, then the decomposition.
-
-    The Hermitian part's degenerate clusters of one size are compressed with
-    one stacked product and rotated with one stacked ``eigh``; each cluster's
-    result is bit for bit what a product and an ``eigh`` of its own give.
-    """
+    check, then the decomposition."""
     _require_square(u)
     n = u.shape[0]
     resid = _unitarity_residual(u)
@@ -183,17 +178,12 @@ def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecompositio
     h = (u + dag(u)) / 2
     k = (u - dag(u)) / (2j)
     w, v = np.linalg.eigh(h)
-    by_size: dict[int, list[tuple[int, ...]]] = {}
     for cluster in _chain_clusters(w, tol.eps_eig * n):
         if len(cluster) > 1:
-            by_size.setdefault(len(cluster), []).append(cluster)
-    for clusters in by_size.values():
-        idx = np.array(clusters)
-        # (clusters, N, size): each cluster's columns as one C-ordered matrix.
-        cols = np.ascontiguousarray(v[:, idx].transpose(1, 0, 2))
-        block = np.conj(cols).transpose(0, 2, 1) @ k @ cols
-        _, rot = np.linalg.eigh((block + np.conj(block).transpose(0, 2, 1)) / 2)
-        v[:, idx] = (cols @ rot).transpose(1, 0, 2)
+            idx = list(cluster)
+            block = dag(v[:, idx]) @ k @ v[:, idx]
+            _, rot = np.linalg.eigh((block + dag(block)) / 2)
+            v[:, idx] = v[:, idx] @ rot
 
     # Rayleigh quotients recover the unimodular eigenvalues in the joint basis.
     eigs = np.sum(np.conj(v) * (u @ v), axis=0)

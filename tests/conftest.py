@@ -22,16 +22,16 @@ def analysis_counts(monkeypatch):
     start of the test.  A decomposition is counted when unitary_eigen's memo
     misses and it is computed, not on every call."""
     eigen_calls, range_ks = [], []
-    eigen, build = numerics._decompose_unitary, binary_unitary._range_from_runs
+    eigen, build = numerics._decompose_unitary, binary_unitary._range_from_eigen
 
     def counting_eigen(*args):
         eigen_calls.append(args)
         return eigen(*args)
 
-    def counting_build(reps, arcs, k, tol):
+    def counting_build(dec, k, tol):
         range_ks.append(k)
-        return build(reps, arcs, k, tol)
+        return build(dec, k, tol)
 
     monkeypatch.setattr(numerics, "_decompose_unitary", counting_eigen)
-    monkeypatch.setattr(binary_unitary, "_range_from_runs", counting_build)
+    monkeypatch.setattr(binary_unitary, "_range_from_eigen", counting_build)
     return eigen_calls, range_ks

@@ -977,41 +977,6 @@ def test_grouping_code_matches_reference_property(n, data):
             _assert_grouping_matches_reference(u, k, lam)
 
 
-# A lambda accepted within the slack past a vertex can sit farther than the
-# slack from a group interleaved about it.  Here the vertex is a 2-fold
-# eigenvalue, and lambda is 8.6e-10 outside an edge but 1.06e-9 from the
-# vertex; the groups interleaved about lambda's nearest point of the range
-# hold it.  (Found by test_grouping_code_matches_reference_property.)
-GRID_CORNER_STEPS = [0, 0, 0, 0, 1, 1, 5, 5, 6, 7]
-GRID_CORNER_LAMBDA = 0.25881904447684295 + 0.9659258271446001j
-
-
-def test_grouping_code_holds_every_lambda_accepted_past_a_vertex():
-    u = _unitary_with_phases(2 * np.pi * np.array(GRID_CORNER_STEPS) / 24, np.random.default_rng(8))
-    assert 0 < numerical_range(u, 2).distance(GRID_CORNER_LAMBDA) <= LAMBDA_MEMBERSHIP_FLOOR
-    assert _assert_grouping_matches_reference(u, 2, GRID_CORNER_LAMBDA) is None
-    # Each vertex on the unit circle (a k-fold eigenvalue) of seeded grid
-    # spectra, moved 0.3e-9 to 1.2e-9 in random directions: every lambda the
-    # range accepts gets a code, and some need the second interleaving.
-    rng = np.random.default_rng(1950)
-    slack, about_lambda_failed, accepted = binary_unitary._membership_slack(DEFAULT_TOL), 0, 0
-    for _ in range(400):
-        n = int(rng.choice([6, 8, 9, 10, 12]))
-        k = int(rng.choice([k for k in range(2, n // 2 + 1) if n % k == 0]))
-        u = _unitary_with_phases(2 * np.pi * rng.integers(0, 24, n) / 24, rng)
-        region = numerical_range(u, k)
-        z = unitary_eigen(u).eigenvalues.tolist()
-        for vertex in region.vertices[np.abs(np.abs(region.vertices) - 1) <= slack]:
-            for _ in range(6):
-                lam = complex(vertex) + rng.uniform(0.3e-9, 1.2e-9) * np.exp(2j * np.pi * rng.uniform())
-                if region.distance(lam) > slack:
-                    continue
-                accepted += 1
-                about_lambda_failed += binary_unitary._interleaved_groups(z, k, lam, lam, slack) is None
-                _assert_grouping_code(u, k, lam, grouping_code(u, k, lam))
-    assert accepted >= 500 and about_lambda_failed >= 5, (accepted, about_lambda_failed)
-
-
 @pytest.mark.parametrize("n, k, family", [(48, 8, "random"), (48, 8, "even"), (64, 16, "even"),
                                           (256, 32, "even")])
 def test_grouping_code_past_the_reference_reach(n, k, family):
@@ -1294,13 +1259,13 @@ def test_dfs_exists_matches_range_reference_property(steps, data):
 
 def test_dfs_exists_builds_no_range(monkeypatch):
     calls = []
-    original = binary_unitary._range_from_runs
+    original = binary_unitary._range_from_eigen
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(binary_unitary, "_range_from_runs", counting)
+    monkeypatch.setattr(binary_unitary, "_range_from_eigen", counting)
     assert dfs_exists(ZZ, 2)[0] and not dfs_exists(U4, 2)[0]
     assert calls == []
     with pytest.raises(ValueError, match=r"rank k must be in \[1, 4\], got 5"):
@@ -1409,7 +1374,7 @@ def _memo_calls(u, rng):
                   (dfs_exists, (u, k), False)]
         if k > n:
             continue
-        region = numerical_range(u, k)
+        region = binary_unitary._range_from_eigen(unitary_eigen(u), k, DEFAULT_TOL)
         if region.kind is RegionKind.EMPTY:
             continue
         vertex = complex(region.vertices[0])

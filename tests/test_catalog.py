@@ -89,6 +89,6 @@ def test_evaluate_instance_analyses_each_code_once(monkeypatch):
 
 def test_evaluate_instance_builds_each_range_once(monkeypatch):
     # qutrit reads numrange_vertex, lambda_plus, lambda_minus and min_entropy at k = 3.
-    calls = _count_calls(monkeypatch, binary_unitary, "_range_from_runs")
+    calls = _count_calls(monkeypatch, binary_unitary, "_range_from_eigen")
     catalog.evaluate_instance(catalog.qutrit_instance())
     assert len(calls) == 1

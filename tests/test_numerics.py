@@ -287,73 +287,3 @@ def test_unitary_eigen_memo_keeps_the_unitarity_check_per_tolerance():
     # A refusal is not remembered: the same matrix is refused again.
     with pytest.raises(ValueError, match="not unitary"):
         unitary_eigen(u)
-
-
-# Bit-for-bit oracle for the stacked cluster split: unitary_eigen's body as
-# it was, with one product and one eigh per degenerate cluster of H.
-
-
-def _unitary_eigen_reference(u, tol=DEFAULT_TOL):
-    n = u.shape[0]
-    h = (u + dag(u)) / 2
-    k = (u - dag(u)) / (2j)
-    w, v = np.linalg.eigh(h)
-    for cluster in _chain_clusters(w, tol.eps_eig * n):
-        if len(cluster) > 1:
-            idx = list(cluster)
-            block = dag(v[:, idx]) @ k @ v[:, idx]
-            _, rot = np.linalg.eigh((block + dag(block)) / 2)
-            v[:, idx] = v[:, idx] @ rot
-    eigs = np.sum(np.conj(v) * (u @ v), axis=0)
-    phases = np.mod(np.angle(eigs), 2 * np.pi)
-    phases[phases > 2 * np.pi - tol.eps_eig * n] -= 2 * np.pi
-    order = np.argsort(phases, kind="stable")
-    eigs, v = eigs[order], v[:, order]
-    return numerics.EigenDecomposition(eigs, v, _chain_clusters(eigs, tol.eps_eig * n))
-
-
-SPLIT_FAMILIES = ("repeated", "grid24", "twin", "mixed")
-
-
-def _split_phases(family, n, rng):
-    """Repeated values, a 24-point grid (so that H also pairs phi with
-    -phi), near twins 1e-7 apart, or repeated values among distinct ones."""
-    if family == "repeated":
-        base = rng.uniform(0, 2 * np.pi, int(rng.integers(1, n // 2 + 2)))
-        return base[rng.integers(0, len(base), n)]
-    if family == "grid24":
-        return 2 * np.pi * rng.integers(0, 24, n) / 24
-    if family == "twin":
-        base = rng.uniform(0, 2 * np.pi, (n + 1) // 2)
-        return np.concatenate([base, base[: n // 2] + 1e-7])[:n]
-    base = rng.uniform(0, 2 * np.pi, 3)
-    return np.concatenate([base[rng.integers(0, 3, n // 2)], rng.uniform(0, 2 * np.pi, n - n // 2)])
-
-
-def _assert_split_matches_reference(u):
-    numerics._last_eigen = None
-    dec = unitary_eigen(u)
-    assert _same_decomposition(dec, _unitary_eigen_reference(u.copy()))
-
-
-@pytest.mark.parametrize("family", SPLIT_FAMILIES)
-def test_stacked_cluster_split_matches_the_per_cluster_loop(family):
-    rng = np.random.default_rng(1900 + SPLIT_FAMILIES.index(family))
-    sizes = set()
-    for n in range(2, 33):
-        for _ in range(3):
-            u = _unitary_with_phases(_split_phases(family, n, rng), rng)
-            _assert_split_matches_reference(u)
-            w = np.linalg.eigvalsh((u + dag(u)) / 2)
-            sizes.update(len(c) for c in _chain_clusters(w, DEFAULT_TOL.eps_eig * n))
-    # Near twins mostly stay apart under eps_eig, and test the split next to
-    # it; the other families stack clusters of several sizes.
-    if family != "twin":
-        assert {2, 3, 4} <= sizes
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(0, 23), min_size=2, max_size=24), st.integers(0, 2**32 - 1))
-def test_stacked_cluster_split_matches_the_per_cluster_loop_property(steps, seed):
-    rng = np.random.default_rng(seed)
-    _assert_split_matches_reference(_unitary_with_phases(2 * np.pi * np.array(steps) / 24, rng))
