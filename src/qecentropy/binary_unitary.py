@@ -316,6 +316,17 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
     return list(zip(ps, entropies.tolist()))
 
 
+def _edge_weights(z: list, lam: complex, slack: float, members: list):
+    """Convex weights of the point of the edge between two members nearest
+    ``lam``, if it is within ``slack`` of it, or None."""
+    w0, w1 = z[members[0]], z[members[1]]
+    d = w1 - w0
+    den = abs(d) ** 2
+    # Equal members (den 0) are tested as the one point.
+    tj = min(max((d.conjugate() * (lam - w0)).real / den, 0.0), 1.0) if den else 0.0
+    return [1.0 - tj, tj] if abs(w0 + tj * d - lam) <= slack else None
+
+
 def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict):
     """Members, ascending, and convex weights of the first point, edge or
     triangle of ``group`` (in angle order) that holds ``lam`` within
@@ -330,16 +341,12 @@ def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict
     b = group[pos] if pos < len(group) else a
     candidates = [(a, b), (p0, a), (p0, b), (p0, a, b)] if p0 != a != b else [(p0, b)]
     for members in map(sorted, candidates):
-        w = [z[i] for i in members]
-        if len(w) == 2:
-            d = w[1] - w[0]
-            den = abs(d) ** 2
-            # Equal members (den 0) fail the test below: neither is within the slack.
-            tj = min(max((d.conjugate() * (lam - w[0])).real / den, 0.0), 1.0) if den else 0.0
-            if abs(w[0] + tj * d - lam) <= slack:
-                return members, [1.0 - tj, tj]
+        if len(members) == 2:
+            t = _edge_weights(z, lam, slack, members)
+            if t is not None:
+                return members, t
             continue
-        w = np.array(w)
+        w = np.array([z[i] for i in members])
         try:
             t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([lam.real, lam.imag, 1.0]))
         except np.linalg.LinAlgError:
@@ -349,6 +356,13 @@ def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict
         t = np.clip(t, 0.0, None)
         t /= t.sum()
         if np.hypot((t * w.real).sum() - lam.real, (t * w.imag).sum() - lam.imag) <= slack:
+            return members, t
+    # A lam outside the group's hull (its members span less than pi about
+    # it) is nearest a hull edge, which joins members adjacent in phase.
+    ring = sorted(group, key=lambda i: cmath.phase(z[i]))
+    for members in map(sorted, zip(ring, ring[1:] + ring[:1])):
+        t = _edge_weights(z, lam, slack, members)
+        if t is not None:
             return members, t
     return None
 
@@ -377,10 +391,11 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
     holds lam by the gap bound, and an edge gives exact zeros where lam is on
     it.  Other members take weight 0.  A lam accepted within the slack but
     outside the exact range lies by a vertex, and takes the groups around it,
-    which hold lam within the slack; where one does not (a computed range
-    that overshoots the exact one, on near-twin spectra),
-    NoFeasiblePartitionError is raised.  Groups are sorted, and listed by
-    their first member.
+    which hold lam within the slack; where none of those supports does (lam
+    just past a k-fold eigenvalue), the group's nearest hull edge is tried,
+    between members adjacent in phase.  A group with no support raises
+    NoFeasiblePartitionError.  Groups are sorted, and listed by their first
+    member.
     """
     u = as_matrix(u)
     n = u.shape[0]

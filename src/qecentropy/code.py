@@ -267,27 +267,40 @@ def rank_bound_check(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig
     return lam.rank <= choi_gram(c, tol).choi_rank
 
 
-def _recovery_residual(recovery: QuantumChannel, compressed: np.ndarray, basis: np.ndarray) -> float:
-    """Process-identity residual of ``recovery`` after the channel whose
-    compressions E_i B (shape (m, n, k)) on the code basis B are given.
+def _recovery_residual(compressed: np.ndarray, basis: np.ndarray, images: np.ndarray) -> float:
+    """Process-identity residual of the recovery built from ``images``, after
+    the channel whose compressions E_i B (shape (m, n, k)) on the code basis B
+    are given.
 
     The maximum over code matrix units |a><b| = B_a B_b^dag of
-    ||R(E(|a><b|)) - |a><b|||_F.  With T_ji = R_j E_i B (n x k) for the J
-    recovery and m channel operators, R(E(|a><b|)) is
-    sum_{j,i} T_ji[:, a] T_ji[:, b]^dag, so the k round trips from one |a>
-    come out of one matrix product and no n x n round trip is applied.  One
-    product per |a> keeps the working set at n^2 k instead of (n k)^2.
+    ||R(E(|a><b|)) - |a><b|||_F, for the recovery of ``build_recovery``: the
+    returns R_j = B W_j^dag, with W_j the j-th n x k block of A = images, and
+    the complement I - A A^dag.  For j < r, R_j E_i B = B M_ji with M_ji the
+    j-th k x k block of N_i = A^dag E_i B, and the complement leaves
+    U_i = E_i B - A N_i (n x k).  So, for orthonormal B,
+    R(E(|a><b|)) - |a><b| = B Z_ab B^dag + sum_i u_ia u_ib^dag with
+    Z_ab = sum_ji M_ji[:, a] M_ji[:, b]^dag - e_a e_b^dag formed explicitly, so
+    no O(1) terms cancel, and u_ia the a-th column of U_i.  Its squared norm is
+    ||Z_ab||^2 + tr(G^a G^b) + 2 Re sum_i (B^dag u_ib)^dag Z_ab^dag (B^dag u_ia),
+    with G^a the m x m Gram matrix of the u_ia.  No n x n array is formed, and
+    one product per code index a keeps the working set at k^3 instead of k^4.
     """
-    n, k = basis.shape
-    t = np.tensordot(recovery.kraus, compressed, axes=([2], [1]))
-    cols = t.transpose(1, 3, 0, 2).reshape(n * k, -1)  # rows (x, a), columns (j, i)
-    cols_dag = dag(cols)
-    residual = 0.0
+    m, _, k = compressed.shape
+    blocks = dag(images) @ compressed  # (m, rk, k): N_i
+    rest = compressed - images @ blocks  # (m, n, k): U_i
+    coeffs = blocks.reshape(-1, k * k).T  # rows (x, a), columns (i, j): M_ji[x, a]
+    coeffs_dag = dag(coeffs)
+    proj = (dag(basis) @ rest).reshape(m, k * k).T  # rows (x, a), columns i: (B^dag u_ia)[x]
+    proj_dag = dag(proj)
+    cols = rest.transpose(2, 0, 1)
+    gram = np.conj(cols) @ cols.transpose(0, 2, 1)  # (k, m, m): G^a
+    squares = (gram.reshape(k, -1) @ gram.transpose(0, 2, 1).reshape(k, -1).T).real  # tr(G^a G^b)
     for a in range(k):
-        roundtrips = (cols[a::k] @ cols_dag).reshape(n, n, k)
-        diff = roundtrips - basis[:, a, None, None] * np.conj(basis)[None]
-        residual = max(residual, float(np.linalg.norm(diff, axis=(0, 1)).max()))
-    return residual
+        z = coeffs[a::k] @ coeffs_dag  # z[x, (y, b)] = Z_ab[x, y] + [x = a][y = b]
+        z[a, :: k + 1] -= 1.0
+        cross = proj[a::k] @ proj_dag
+        squares[a] += (np.conj(z) * (z + 2 * cross)).real.reshape(k, k, k).sum(axis=(0, 1))
+    return float(np.sqrt(np.maximum(squares, 0.0).max()))
 
 
 def _recovery_trace_residual(images: np.ndarray, basis: np.ndarray) -> float:
@@ -314,10 +327,12 @@ def build_recovery(
     Diagonalising the correction matrix yields restricted operators that are
     scaled isometries with mutually orthogonal ranges; the recovery maps each
     range back onto the code, completed by the projector onto the unused
-    complement.  Trace preservation is checked to ``eps_kl * n``, as
-    ``validate_channel`` would, and the process identity is verified on a
-    matrix-unit basis of the code before returning; a non-finite recovery
-    fails the first check.
+    complement.  Both checks read the factors the operators are built from
+    (the isometries and the compressions E_i B) and work in the code and range
+    spaces, before any n x n operator is formed: trace preservation to
+    ``eps_kl * n``, as ``validate_channel`` would, and the process identity on
+    a matrix-unit basis of the code.  A non-finite recovery fails the first
+    check.
     """
     compressed, lam, _ = _analysed(c, code, tol)
     b = code.basis
@@ -329,14 +344,12 @@ def build_recovery(
     trace_residual = _recovery_trace_residual(images, b)
     if not trace_residual <= tol.eps_kl * n:
         raise NotTracePreserving(trace_residual)
-    ops = np.empty((r + 1, n, n), dtype=complex)
-    np.matmul(b, np.conj(isometries).transpose(0, 2, 1), out=ops[:r])
-    np.subtract(np.eye(n), images @ dag(images), out=ops[r])
-    psi = _stacked(ops)
-
-    residual = _recovery_residual(psi, compressed, b)
+    residual = _recovery_residual(compressed, b, images)
     if not residual <= RECOVERY_VERIFY_ATOL:
         raise RecoveryVerificationError(
             f"recovery verification residual {residual:.3e} exceeds {RECOVERY_VERIFY_ATOL:.1e}"
         )
-    return RecoveryOperation(psi, residual)
+    ops = np.empty((r + 1, n, n), dtype=complex)
+    np.matmul(b, np.conj(isometries).transpose(0, 2, 1), out=ops[:r])
+    np.subtract(np.eye(n), images @ dag(images), out=ops[r])
+    return RecoveryOperation(_stacked(ops), residual)

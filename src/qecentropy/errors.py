@@ -35,9 +35,9 @@ class LambdaOutsideRegionError(QecError):
 
 class NoFeasiblePartitionError(QecError):
     """No eigenstate grouping realises the requested compression value: for
-    k | N, only a lambda accepted within the membership slack but outside the
-    exact rank-k range, as on near-twin spectra whose computed range
-    overshoots the exact one."""
+    k | N, a lambda accepted within the membership slack outside the exact
+    range, where the hull of a group interleaved about it misses it by more
+    than the slack (no such lambda is known)."""
 
 
 class UnsupportedCodeDimensionError(QecError):

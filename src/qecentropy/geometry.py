@@ -55,6 +55,10 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
 
     The list is a point, a segment's endpoints or a CCW polygon, which may
     repeat vertices or hold collinear ones; the result is of the same form.
+    An edge is cut where it crosses the line, unless its inside end lies on
+    the line or up to the slack past it: the crossing is then on the edge's
+    extension (about slack/theta beyond the end, for an edge at angle theta
+    to the line), outside the region clipped, and the cut is the end itself.
     """
     conj, slack = normal.conjugate(), eps * abs(normal)
     vals = [(conj * z).real - offset for z in pts]
@@ -65,7 +69,8 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
         return []
     if len(pts) == 2:
         (a, b), (va, vb) = pts, vals
-        kept, cut = (a if inside[0] else b), a + va / (va - vb) * (b - a)
+        kept, vk = (a, va) if inside[0] else (b, vb)
+        cut = kept if vk >= 0 else a + va / (va - vb) * (b - a)
         return [kept] if abs(cut - kept) <= eps else [kept, cut]
     # A cut lands next to the inside end of its edge in the output.  When the
     # two are within eps, only the one that comes first is kept, as a greedy
@@ -79,8 +84,12 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
             out.append(pts[i])
         skip = False
         if inside[i] != inside[j]:
-            cut = pts[i] + vals[i] / (vals[i] - vals[j]) * (pts[j] - pts[i])
-            near = abs(cut - pts[i if inside[i] else j]) <= eps
+            e = i if inside[i] else j
+            if vals[e] >= 0:
+                cut, near = pts[e], True
+            else:
+                cut = pts[i] + vals[i] / (vals[i] - vals[j]) * (pts[j] - pts[i])
+                near = abs(cut - pts[e]) <= eps
             if inside[i] or j == 0:  # the vertex comes first
                 if not near:
                     out.append(cut)

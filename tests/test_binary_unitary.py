@@ -1,3 +1,4 @@
+import collections
 import itertools
 import tracemalloc
 from fractions import Fraction
@@ -1125,8 +1126,9 @@ def test_tukey_depth_agrees_with_the_range_property(n, data):
     _assert_depth_matches_distance(u, k, rng)
 
 
-# Seven pairs of twins 1e-7 apart.  The computed rank-4 range is a polygon
-# that holds this lambda 3.7e-4 inside, where its exact depth is 2.
+# Seven pairs of twins 1e-7 apart.  While clip_halfplane put cuts on the
+# extension of an edge, the computed rank-4 range was a polygon that held this
+# lambda 3.7e-4 inside, where its exact depth is 2.
 TWIN_PAIRS_PHASES = [2.4497190319322275, 2.8446727395453015, 5.64315386902388, 6.157184726067705,
                      1.9972449074352558, 4.416918235006219, 5.263724467583784, 2.4497191319322273,
                      2.8446728395453014, 5.643153969023881, 6.157184826067705, 1.997245007435256,
@@ -1134,14 +1136,94 @@ TWIN_PAIRS_PHASES = [2.4497190319322275, 2.8446727395453015, 5.64315386902388, 6
 TWIN_PAIRS_LAMBDA = -0.6842350133833718 + 0.6008002869237405j
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: clipping with eps_geom slack at every cut "
-                   "keeps a sliver of points of depth below k on near-twin spectra")
 def test_tukey_depth_agrees_with_the_range_on_twin_pairs():
     u = np.diag(np.exp(1j * np.array(TWIN_PAIRS_PHASES)))
     region = numerical_range(u, 4)
     depth = _tukey_depth(unitary_eigen(u).eigenvalues, TWIN_PAIRS_LAMBDA)
     distance = region.distance(TWIN_PAIRS_LAMBDA)
     assert (depth >= 4) == (distance <= 0), (depth, distance)
+
+
+# epsilon-depth oracle.  D(lambda) is the largest distance from lambda to the
+# hull of any N-k+1 eigenvalues; it is 0 exactly on the rank-k range (Li and
+# Sze's intersection form), and the range to report is {D <= eps_geom}.  On
+# the unit circle a closed half-plane holds an arc of eigenvalues, so the
+# farthest hull is one of the N cyclic runs of N-k+1 in angle order.
+
+
+def _eps_depth(eigs, k, lam):
+    """D(lam), the max over the N cyclic runs of the distance from lam to the
+    run's hull.  The distance to a hull is the largest u.lam - max_p u.p over
+    unit u (any u gives a lower bound), and the best u is the direction from
+    the nearest hull point: an edge normal, or lam - p for a vertex p.  So
+    the max is taken over the normals of every pair of the run's points and
+    the directions to each; no inside test is made, and a normal's rounding
+    moves the bound by at most its error times the edge's length."""
+    z = np.asarray(eigs)[np.argsort(np.angle(eigs))]
+    n = len(z)
+    runs = z[(np.arange(n)[:, None] + np.arange(n - k + 1)) % n]
+    pairs = (runs[:, None, :] - runs[:, :, None]).reshape(n, -1)
+    cand = np.concatenate([-1j * pairs, lam - runs], axis=1)
+    length = np.abs(cand)
+    u = np.divide(cand, length, out=np.zeros_like(cand), where=length > 0)
+    support = (np.conj(u)[:, :, None] * runs[:, None, :]).real.max(axis=2)
+    return max(0.0, float(((np.conj(u) * lam).real - support).max()))
+
+
+def test_eps_depth_closed_forms():
+    square = np.array([1, 1j, -1, -1j])
+    # Rank 2: every run of three is a triangle with a diagonal for an edge,
+    # so the range is the centre, and 0.1 is 0.1 from the diagonal (i, -i).
+    assert _eps_depth(square, 2, 0j) == 0.0
+    assert abs(_eps_depth(square, 2, 0.1 + 0j) - 0.1) <= 1e-15
+    # Rank 1: the runs are the whole spectrum, whose hull is the square.
+    assert _eps_depth(square, 1, 0.5 + 0.5j) == 0.0
+    assert abs(_eps_depth(square, 1, 1 + 1j) - 1 / np.sqrt(2)) <= 1e-15
+    # Rank N: each run is one eigenvalue, and D is the farthest of them.
+    assert abs(_eps_depth(square, 4, 0j) - 1.0) <= 1e-15
+
+
+def _assert_vertices_have_eps_depth(u):
+    """Every vertex of every rank-k range of u has D <= eps_geom against u's
+    computed spectrum; returns how many vertices were checked."""
+    eigs = unitary_eigen(u).eigenvalues
+    checked = 0
+    for k in range(1, len(eigs) + 1):
+        for vertex in numerical_range(u, k).vertices:
+            assert _eps_depth(eigs, k, complex(vertex)) <= DEFAULT_TOL.eps_geom, (k, vertex)
+            checked += 1
+    return checked
+
+
+def _eps_depth_unitary(family, n, diagonal, rng):
+    """U with n random phases, or n/2 random phases each with a twin 10^-7.5
+    to 10^-6.5 away, on the diagonal or in a Haar basis."""
+    if family == "twin-pairs":
+        centres = rng.uniform(0, 2 * np.pi, n // 2)
+        phases = np.concatenate([centres, centres + 10 ** rng.uniform(-7.5, -6.5, n // 2)])
+    else:
+        phases = rng.uniform(0, 2 * np.pi, n)
+    return np.diag(np.exp(1j * phases)) if diagonal else _unitary_with_phases(phases, rng)
+
+
+@pytest.mark.parametrize("family", ("twin-pairs", "random"))
+def test_reported_vertices_have_eps_depth_within_the_slack(family):
+    rng = np.random.default_rng(1900 + ["twin-pairs", "random"].index(family))
+    checked = _assert_vertices_have_eps_depth(np.diag(np.exp(1j * np.array(TWIN_PAIRS_PHASES))))
+    for trial in range(24):
+        # Twins on every other spectrum on a diagonal U, where they stay exact.
+        diagonal = family == "twin-pairs" and trial % 2 == 1
+        u = _eps_depth_unitary(family, 2 * int(rng.integers(2, 9)), diagonal, rng)
+        checked += _assert_vertices_have_eps_depth(u)
+    assert checked > 500
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(("twin-pairs", "random")), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_reported_vertices_have_eps_depth_within_the_slack_property(pairs, family, diagonal, seed):
+    u = _eps_depth_unitary(family, 2 * pairs, diagonal, np.random.default_rng(seed))
+    _assert_vertices_have_eps_depth(u)
 
 
 @pytest.mark.parametrize("n", [12, 24, 36, 48, 64])
@@ -1180,6 +1262,41 @@ def test_grouping_code_at_a_k_fold_eigenvalue():
             built = grouping_code(u, k, lam)
             _assert_grouping_code(u, k, lam, built)
             assert all(sorted(t) == [0.0] * (n // k - 1) + [1.0] for t in built.weights)
+
+
+# lambda accepted within the slack just past a 2-fold eigenvalue on the unit
+# circle: 8.6e-10 outside an edge of the range, 1.06e-9 from the eigenvalue,
+# where a group's nearest hull point is on an edge between members adjacent
+# in phase, not among the edges tried about its first member.
+K_FOLD_SLACK_CASES = [
+    ([0, 0, 0, 0, 1, 1, 5, 5, 6, 7], 8, 0.25881904447684295 + 0.9659258271446001j),
+    ([10, 10, 13, 15, 14, 17, 18, 18, 20, 20], 17, 7.135099572470685e-10 - 1.0000000008129672j),
+]
+
+
+@pytest.mark.parametrize("steps, seed, lam", K_FOLD_SLACK_CASES)
+def test_grouping_code_just_past_a_k_fold_eigenvalue(steps, seed, lam):
+    u = _unitary_with_phases(2 * np.pi * np.array(steps) / 24, np.random.default_rng(seed))
+    assert _assert_grouping_matches_reference(u, 2, lam) is None
+
+
+def test_grouping_code_matches_reference_just_past_unit_circle_vertices():
+    # lambda 0.3e-9 to 1.2e-9 from each vertex on the unit circle, in a
+    # random direction: inside, within the slack outside, or beyond it.
+    rng = np.random.default_rng(2100)
+    verdicts = collections.Counter()
+    for _ in range(600):
+        n = int(rng.choice([4, 6, 8, 9, 10]))
+        k = int(rng.choice([k for k in range(2, n // 2 + 1) if n % k == 0]))
+        u = _unitary_with_phases(2 * np.pi * rng.integers(0, 24, n) / 24, rng)
+        region = numerical_range(u, k)
+        for vertex in region.vertices if region.kind is not RegionKind.EMPTY else ():
+            if abs(abs(vertex) - 1) <= 1e-9:
+                step = np.exp(1j * rng.uniform(0, 2 * np.pi)) * rng.uniform(0.3e-9, 1.2e-9)
+                lam = complex(vertex + step)
+                verdict = _assert_grouping_matches_reference(u, k, lam)
+                verdicts[verdict or ("outside, grouped" if region.distance(lam) > 0 else "grouped")] += 1
+    assert min(verdicts["grouped"], verdicts["outside, grouped"], verdicts[LambdaOutsideRegionError]) >= 10, verdicts
 
 
 @settings(max_examples=60, deadline=None)

@@ -314,10 +314,11 @@ def test_numrange_svg_decomposes_once(files, tmp_path, capsys, analysis_counts):
 
 # SHA-256 of `numrange u9.json K --svg FILE --hulls` for the qutrit unitary,
 # as written when each run hull was still built by a hull algorithm and the
-# range re-hulled after every clip.
+# range re-hulled after every clip; k = 2 taken again when clip_halfplane
+# began clamping each cut to its edge, which moves one vertex by 1.1e-16.
 QUTRIT_SVG_SHA256 = {
     1: "1cf67bc5c1c8bac3f9b960869de1fb3b07a3e9d1e3f33849de6c817075c9d9db",
-    2: "2874bc33c200b0e3551e5cf6d5b5c291551f7c36420f36cbf33612a979510a71",
+    2: "7cc0f92cbd4d4a703476dff7773283a4d2b216256a11fefd04a19974e99c0dda",
     3: "3c868adbd100767658f8a5619928b34a42435f0c572d1764f77e4ebc4f4dc111",
     4: "6434a789d11379d92b732119655278e20cfb5b01d3a6aa0465eb199598419573",
     5: "0afaee99773d5f92e7568b1b9dfd428ea15f8c435821e9194e2b19a8031e94e1",
@@ -769,8 +770,6 @@ NEAR_TWIN_PHASES = [3.0190422255055376, 3.0190423255055374, 4.285706209815834, 4
                     4.647611914951474, 4.647612014951474, 4.911766053139357, 4.911766153139357]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: clipping with eps_geom slack at every cut "
-                   "leaves a 4.8e-4 segment where the exact range is empty")
 def test_near_twin_spectrum_has_an_empty_rank_4_range(tmp_path, capsys):
     u = np.diag(np.exp(1j * np.array(NEAR_TWIN_PHASES)))
     path = tmp_path / "u.json"

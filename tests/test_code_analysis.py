@@ -327,7 +327,18 @@ def test_build_recovery_refuses_what_the_full_residual_refuses():
 
 
 def test_build_recovery_refuses_a_nan_verification_residual(monkeypatch):
+    # A non-finite compression, past a trace check stubbed to pass, makes the
+    # code-space residual itself nan, which must be refused, not maxed away.
     chan, code = _recovery_cases()[0][:2]
-    monkeypatch.setattr(code_module, "_recovery_residual", lambda *args: float("nan"))
+    analysed = code_module._analysed
+
+    def spoiled(c, code, tol):
+        compressed, lam, residual = analysed(c, code, tol)
+        compressed = compressed.copy()
+        compressed[0, 0, 0] = np.nan
+        return compressed, lam, residual
+
+    monkeypatch.setattr(code_module, "_analysed", spoiled)
+    monkeypatch.setattr(code_module, "_recovery_trace_residual", lambda *args: 0.0)
     with pytest.raises(RecoveryVerificationError, match="nan"):
         build_recovery(chan, code)

@@ -10,13 +10,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qecentropy import code as code_module
 from qecentropy.catalog import all_instances
 from qecentropy.channel import (
     canonical_kraus,
     channel,
     choi_gram,
     pauli_channel,
+    pauli_word,
     remix_kraus,
     unitary_channel,
 )
@@ -148,6 +152,25 @@ def _random_subspace(n, k, rng):
     return span_code(list(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))))
 
 
+# [[5,1,3]] code (cyclic shifts of XZZXI) and Steane [[7,1,3]] code (X- and
+# Z-type checks on the rows of the Hamming parity matrix).
+FIVE_QUBIT_STABILIZERS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+STEANE_STABILIZERS = tuple(
+    "".join(p if bit == "1" else "I" for bit in row)
+    for p in "XZ" for row in ("0001111", "0110011", "1010101")
+)
+
+
+def _stabilizer_code(generators):
+    """The joint +1 eigenspace of commuting Pauli generators."""
+    n = 2 ** len(generators[0])
+    proj = np.eye(n, dtype=complex)
+    for g in generators:
+        proj = proj @ (np.eye(n) + pauli_word(g)) / 2
+    w, v = np.linalg.eigh((proj + dag(proj)) / 2)
+    return code_subspace(v[:, w > 0.5].T)
+
+
 def _correctable_pairs():
     """(channel, code) pairs that pass the KL check, of code rank 1 to 4."""
     rng = np.random.default_rng(41)
@@ -239,39 +262,120 @@ def test_recovery_residual_matches_loop_reference_on_built_recoveries():
         rec = build_recovery(c, code)
         ref = _recovery_residual_reference(rec.channel, c, code)
         assert abs(rec.residual - ref) <= ORACLE_ATOL
-        assert abs(_recovery_residual(rec.channel, c.kraus @ code.basis, code.basis) - ref) <= ORACLE_ATOL
 
 
-def _broken_recoveries(ops, code, rng):
-    """Recovery families with one operator dropped, a logical swap of two
-    code states after one branch, or one operator perturbed at scales on
-    both sides of RECOVERY_VERIFY_ATOL."""
-    for j in range(len(ops)):
-        yield [r for i, r in enumerate(ops) if i != j]
-    if code.k >= 2:
-        perm = np.arange(code.k)
-        perm[[0, 1]] = perm[[1, 0]]
-        logical_swap = code.basis[:, perm] @ dag(code.basis)
-        yield [logical_swap @ ops[0], *ops[1:]]
-    noise = rng.standard_normal(ops[0].shape) + 1j * rng.standard_normal(ops[0].shape)
-    for eps in (1e-9, 1e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 1e-4):
-        yield [ops[0] + eps * noise / frobenius(noise), *ops[1:]]
+def _restricted_operators(c, code):
+    """(sum_i v_i E_i B for the r nonzero Lambda weights w, sqrt(w)):
+    build_recovery divides the first by the second to get its isometries."""
+    lam, _ = kl_check(c, code)
+    restricted = np.tensordot(lam.vectors[:, :lam.rank].T, c.kraus @ code.basis, axes=1)
+    return restricted, np.sqrt(lam.weights[:lam.rank])[:, None, None]
 
 
-def test_recovery_residual_flags_broken_recoveries_like_the_loop():
+def _recovery_from_factors(isometries, basis):
+    """(images, recovery): the n x n operators B W_j^dag and I - A A^dag."""
+    n = basis.shape[0]
+    images = isometries.transpose(1, 0, 2).reshape(n, -1)
+    returns = basis @ np.conj(isometries).transpose(0, 2, 1)
+    return images, channel([*returns, np.eye(n) - images @ dag(images)])
+
+
+def _assert_factor_residual_matches_loop(c, code, isometries):
+    """The factor-form residual of the recovery built from ``isometries``
+    agrees with the loop on its stored operators; returns the loop's value."""
+    images, recovery = _recovery_from_factors(isometries, code.basis)
+    got = _recovery_residual(c.kraus @ code.basis, code.basis, images)
+    ref = _recovery_residual_reference(recovery, c, code)
+    assert abs(got - ref) <= ORACLE_ATOL * max(1.0, ref)
+    assert (got > RECOVERY_VERIFY_ATOL) == (ref > RECOVERY_VERIFY_ATOL)
+    return ref
+
+
+def _small_weight_pairs():
+    """Bit-flip channels with the repetition code whose smallest Lambda
+    weights are 1e-6 to 1e-8: the 1/sqrt(w) scaling of the isometries
+    magnifies an error in their restricted operators 1e3 to 1e4 times."""
+    for nq, tiny in ((3, 1e-6), (4, 1e-8), (5, 1e-7)):
+        words = ["I" * nq] + ["I" * i + "X" + "I" * (nq - i - 1) for i in range(nq)]
+        weights = [1.0 - nq * tiny] + [tiny] * nq
+        eye = np.eye(2 ** nq)
+        yield pauli_channel(zip(weights, words)), code_subspace([eye[0], eye[-1]])
+
+
+PERTURBATIONS = (1e-9, 1e-8, 1e-7, 3e-7, 1e-6, 3e-6, 1e-5, 1e-4, 1e-2, 1e-1)
+
+
+def test_recovery_residual_flags_perturbed_factors_like_the_loop():
+    # Perturbing the restricted operators before their scaling, at scales on
+    # both sides of RECOVERY_VERIFY_ATOL, breaks the factors themselves,
+    # which the residual reads.
     rng = np.random.default_rng(43)
     flagged = passed = 0
-    for c, code in _correctable_pairs():
-        ops = list(build_recovery(c, code).channel.kraus)
-        for broken in _broken_recoveries(ops, code, rng):
-            recovery = channel(broken)
-            got = _recovery_residual(recovery, c.kraus @ code.basis, code.basis)
-            ref = _recovery_residual_reference(recovery, c, code)
-            assert abs(got - ref) <= ORACLE_ATOL * max(1.0, ref)
-            assert (got > RECOVERY_VERIFY_ATOL) == (ref > RECOVERY_VERIFY_ATOL)
+    for c, code in [*_correctable_pairs(), *_small_weight_pairs()]:
+        restricted, scale = _restricted_operators(c, code)
+        noise = rng.standard_normal(restricted.shape) + 1j * rng.standard_normal(restricted.shape)
+        for eps in (0.0, *PERTURBATIONS):
+            ref = _assert_factor_residual_matches_loop(
+                c, code, (restricted + eps * noise / frobenius(noise)) / scale)
             flagged += ref > RECOVERY_VERIFY_ATOL
             passed += ref <= RECOVERY_VERIFY_ATOL
     assert flagged and passed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 7), st.sampled_from(["bitflip", "xz"]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(PERTURBATIONS))
+def test_recovery_residual_flags_perturbed_factors_like_the_loop_property(nq, family, seed, eps):
+    # X and Z errors with the five-qubit or the Steane code; else bit flips
+    # with the repetition code.
+    rng = np.random.default_rng(seed)
+    words = ["I" * i + "X" + "I" * (nq - i - 1) for i in range(nq)]
+    if family == "xz" and nq in (5, 7):
+        words += ["I" * i + "Z" + "I" * (nq - i - 1) for i in range(nq)]
+        code = _stabilizer_code(FIVE_QUBIT_STABILIZERS if nq == 5 else STEANE_STABILIZERS)
+    else:
+        eye = np.eye(2 ** nq)
+        code = code_subspace([eye[0], eye[-1]])
+    weights = rng.dirichlet(np.ones(len(words) + 1))
+    c = pauli_channel(zip(weights, ["I" * nq, *words]))
+    restricted, scale = _restricted_operators(c, code)
+    noise = rng.standard_normal(restricted.shape) + 1j * rng.standard_normal(restricted.shape)
+    _assert_factor_residual_matches_loop(c, code, restricted / scale)
+    _assert_factor_residual_matches_loop(c, code, (restricted + eps * noise / frobenius(noise)) / scale)
+
+
+def _conjugate_first_return(ops):
+    ops[0] = np.conj(ops[0])
+
+
+def _drop_complement_projection(ops):
+    ops[-1] = np.eye(ops.shape[1])
+
+
+@pytest.mark.parametrize("corrupt", [_conjugate_first_return, _drop_complement_projection])
+def test_loop_reference_catches_a_fault_in_the_stored_operators(monkeypatch, corrupt):
+    # build_recovery verifies the factors, not the n x n operators it stores;
+    # a fault in storing them passes its own check, and the loop reference on
+    # the returned operators is the check that catches it.  Conjugation leaves
+    # a real operator as it is, which is no fault.
+    stacked = code_module._stacked
+    moved = []
+
+    def spoiled(ops):
+        kept = ops.copy()
+        corrupt(ops)
+        moved.append(frobenius(ops - kept))
+        return stacked(ops)
+
+    monkeypatch.setattr(code_module, "_stacked", spoiled)
+    caught = 0
+    for c, code in _correctable_pairs():
+        rec = build_recovery(c, code)
+        assert rec.residual <= RECOVERY_VERIFY_ATOL
+        flagged = _recovery_residual_reference(rec.channel, c, code) > RECOVERY_VERIFY_ATOL
+        assert flagged == (moved[-1] > RECOVERY_VERIFY_ATOL)
+        caught += flagged
+    assert caught >= 6
 
 
 def test_purification_route_allocates_no_purified_output():
