@@ -76,6 +76,10 @@ class RegionKind(str, enum.Enum):
     POLYGON = "Polygon"
 
 
+# The kind of a canonical vertex array, by its length capped at 3.
+_KINDS = (RegionKind.EMPTY, RegionKind.POINT, RegionKind.SEGMENT, RegionKind.POLYGON)
+
+
 @dataclasses.dataclass(frozen=True)
 class NumRangeRegion:
     """Geometric form of the rank-k numerical range of a unitary matrix."""
@@ -164,8 +168,8 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
     cluster holds only its representative: the range is then that point, if
     every other run keeps it, or empty.
 
-    The clips run on a plain vertex list and may leave collinear vertices;
-    ``_classify_region`` canonicalises once, at the end.
+    The clips run on a plain vertex list and may leave collinear vertices
+    or near-copies; it is canonicalised once, at the end.
     """
     reps, arcs = _run_arcs(dec, k)
     m, eps = len(reps), tol.eps_geom
@@ -183,7 +187,9 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
             region = geometry.clip_halfplane(region, normal, offset, eps)
             if size == 2 and region:
                 region = geometry.clip_halfplane(region, -normal, -offset, eps)
-    return _classify_region(k, np.array(region, dtype=complex), tol)
+    pts = geometry.canonical_vertices(region, eps)
+    pts.flags.writeable = False
+    return NumRangeRegion(k, _KINDS[min(len(pts), 3)], pts)
 
 
 # The ranges built from the most recent U's decomposition, (decomposition,
@@ -196,21 +202,15 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
 _last_u: tuple | None = None
 
 
-def _analysis(u, tol: ToleranceConfig) -> tuple[EigenDecomposition, dict[int, NumRangeRegion]]:
-    """U's decomposition and the ranges built from it so far."""
+def _analysed_range(u, k: int, tol: ToleranceConfig) -> tuple[EigenDecomposition, NumRangeRegion]:
     global _last_u
     dec = unitary_eigen(u, tol)
     last = _last_u
     if last is None or last[0] is not dec:
         last = _last_u = (dec, {})
-    return last
-
-
-def _analysed_range(u, k: int, tol: ToleranceConfig) -> tuple[EigenDecomposition, NumRangeRegion]:
-    dec, ranges = _analysis(u, tol)
-    region = ranges.get(k)
+    region = last[1].get(k)
     if region is None:
-        region = ranges[k] = _range_from_eigen(dec, k, tol)
+        region = last[1][k] = _range_from_eigen(dec, k, tol)
     return dec, region
 
 
@@ -227,7 +227,7 @@ def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.
     whose intersection is the rank-k range: each run's representatives in
     arc order, which is CCW, started at the lexicographically smallest as
     ``geometry.canonical_vertices`` would."""
-    reps, arcs = _run_arcs(_analysis(u, tol)[0], k)
+    reps, arcs = _run_arcs(unitary_eigen(u, tol), k)
     ring, keys = reps * 2, [(z.real, z.imag) for z in reps] * 2
     hulls = []
     for first, size in arcs:
@@ -235,18 +235,6 @@ def constituent_hulls(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.
         start = first + arc.index(min(arc))
         hulls.append(np.array(ring[start : first + size] + ring[first:start]))
     return hulls
-
-
-def _classify_region(k: int, pts: np.ndarray, tol: ToleranceConfig) -> NumRangeRegion:
-    pts = geometry.canonical_vertices(pts, tol.eps_geom)
-    pts.flags.writeable = False
-    if len(pts) == 0:
-        return NumRangeRegion(k, RegionKind.EMPTY, pts)
-    if len(pts) == 1:
-        return NumRangeRegion(k, RegionKind.POINT, pts)
-    if len(pts) == 2:
-        return NumRangeRegion(k, RegionKind.SEGMENT, pts)
-    return NumRangeRegion(k, RegionKind.POLYGON, pts)
 
 
 def _membership_slack(tol: ToleranceConfig) -> float:
@@ -316,15 +304,31 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
     return list(zip(ps, entropies.tolist()))
 
 
-def _edge_weights(z: list, lam: complex, slack: float, members: list):
-    """Convex weights of the point of the edge between two members nearest
-    ``lam``, if it is within ``slack`` of it, or None."""
-    w0, w1 = z[members[0]], z[members[1]]
-    d = w1 - w0
-    den = abs(d) ** 2
-    # Equal members (den 0) are tested as the one point.
-    tj = min(max((d.conjugate() * (lam - w0)).real / den, 0.0), 1.0) if den else 0.0
-    return [1.0 - tj, tj] if abs(w0 + tj * d - lam) <= slack else None
+def _support_weights(z: list, lam: complex, slack: float, members: list):
+    """Convex weights over one, two or three ``members`` of the point of their
+    hull nearest ``lam`` (for three, lam's barycentric coordinates clipped at
+    0), if it is within ``slack`` of ``lam``, or None."""
+    w = [z[i] for i in members]
+    if len(w) == 1:
+        t, near = [1.0], w[0]
+    elif len(w) == 2:
+        d = w[1] - w[0]
+        den = abs(d) ** 2
+        # Equal members (den 0) are tested as the one point.
+        tj = min(max((d.conjugate() * (lam - w[0])).real / den, 0.0), 1.0) if den else 0.0
+        t, near = [1.0 - tj, tj], w[0] + tj * d
+    else:
+        w = np.array(w)
+        try:
+            t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([lam.real, lam.imag, 1.0]))
+        except np.linalg.LinAlgError:
+            return None
+        if t.min() < -slack:
+            return None
+        t = np.clip(t, 0.0, None)
+        t /= t.sum()
+        near = complex((t * w.real).sum(), (t * w.imag).sum())
+    return t if abs(near - lam) <= slack else None
 
 
 def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict):
@@ -332,8 +336,10 @@ def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict
     triangle of ``group`` (in angle order) that holds ``lam`` within
     ``slack``, as ``grouping_code`` tries them, or None."""
     p0 = group[0]
-    if abs(z[p0] - lam) <= slack:
-        return [p0], [1.0]
+    # A member within the slack of lam has no angle, so p0 is tried first.
+    t = _support_weights(z, lam, slack, [p0])
+    if t is not None:
+        return [p0], t
     # Angles relative to p0's, as differences of the sorted phases, so that a
     # member tied with p0 sits at 0, not just below 2 pi.
     pos = bisect.bisect_right([angle[i] - angle[p0] for i in group], math.pi)
@@ -341,27 +347,14 @@ def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict
     b = group[pos] if pos < len(group) else a
     candidates = [(a, b), (p0, a), (p0, b), (p0, a, b)] if p0 != a != b else [(p0, b)]
     for members in map(sorted, candidates):
-        if len(members) == 2:
-            t = _edge_weights(z, lam, slack, members)
-            if t is not None:
-                return members, t
-            continue
-        w = np.array([z[i] for i in members])
-        try:
-            t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([lam.real, lam.imag, 1.0]))
-        except np.linalg.LinAlgError:
-            continue
-        if t.min() < -slack:
-            continue
-        t = np.clip(t, 0.0, None)
-        t /= t.sum()
-        if np.hypot((t * w.real).sum() - lam.real, (t * w.imag).sum() - lam.imag) <= slack:
+        t = _support_weights(z, lam, slack, members)
+        if t is not None:
             return members, t
     # A lam outside the group's hull (its members span less than pi about
     # it) is nearest a hull edge, which joins members adjacent in phase.
     ring = sorted(group, key=lambda i: cmath.phase(z[i]))
     for members in map(sorted, zip(ring, ring[1:] + ring[:1])):
-        t = _edge_weights(z, lam, slack, members)
+        t = _support_weights(z, lam, slack, members)
         if t is not None:
             return members, t
     return None
@@ -442,7 +435,7 @@ def dfs_exists(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, com
     is contiguous in phase order, so every run of N-k+1 eigenvalues holds one,
     and its mean is a vertex of every run hull.  A run of one cluster elsewhere
     would need N-k+1 more eigenvalues, which do not exist."""
-    dec = _analysis(u, tol)[0]
+    dec = unitary_eigen(u, tol)
     for cluster, rep in zip(dec.cluster_map, _representatives(dec, k)):
         if len(cluster) >= k:
             return True, rep

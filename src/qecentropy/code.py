@@ -10,7 +10,7 @@ import numpy as np
 
 from . import serialization
 from .channel import QuantumChannel, _stacked, choi_gram, validate_channel
-from .entropy import _entropy_of_spectrum
+from .entropy import _entropy_of_spectrum, _exchange
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
 from .numerics import DEFAULT_TOL, ToleranceConfig, dag, frobenius, psd_eigen
 from .sampling import random_density
@@ -136,17 +136,17 @@ def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     return code_subspace(vectors, tol)
 
 
-# The most recent (channel, code) analysis, (channel, key, compressions E_i B,
-# Lambda or None, KL residual, threshold), so that the calls made in turn on
+# The most recent accepted (channel, code) analysis, (channel, key,
+# compressions E_i B, Lambda, KL residual), so that the calls made in turn on
 # one code (kl_check, classify_code, build_recovery, ...) run the KL check
 # once.  The channel is compared by identity, since its Kraus array is
 # read-only; the key is (ambient dimension, shape, dtype and bytes of the
 # code basis, tolerances), since a caller may change the basis in place.  A
-# hit reuses a trace-preservation verdict reached under equal tolerances, and
-# a refused code (Lambda None) raises the same NotCorrectable again.  The
-# entry is replaced by one assignment, so concurrent callers at worst compute
-# the same thing twice; its arrays are read-only, since a hit hands the same
-# objects to every caller.
+# hit reuses a trace-preservation verdict reached under equal tolerances.  A
+# refused code is not stored, so a repeat checks it again.  The entry is
+# replaced by one assignment, so concurrent callers at worst compute the same
+# thing twice; its arrays are read-only, since a hit hands the same objects
+# to every caller.
 _last_code: tuple | None = None
 
 
@@ -166,32 +166,30 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
     scale = float(np.linalg.norm(c.kraus.reshape(c.num_kraus, -1), axis=1).max())
     threshold = tol.eps_kl * max(1.0, scale * scale)
     if residual > threshold:
-        return compressed, None, residual, threshold
+        raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2
     spectrum = np.clip(np.linalg.eigvalsh(lam), 0.0, None)
     matrix = ErrorCorrectionMatrix(lam, spectrum, *psd_eigen(lam, tol))
     for a in (matrix.matrix, matrix.spectrum, matrix.weights, matrix.vectors):
         a.flags.writeable = False
-    return compressed, matrix, residual, threshold
+    return compressed, matrix, residual
 
 
 def _analysed(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig
 ) -> tuple[np.ndarray, ErrorCorrectionMatrix, float]:
     """The compressions E_i B (shape (m, n, k)), Lambda and the KL residual of
-    the code, from the memo of the most recent (channel, code) pair."""
+    the code, from the memo of the most recent accepted (channel, code) pair;
+    raises NotCorrectable for a refused code."""
     global _last_code
     basis = code.basis
     key = (code.ambient_dim, basis.shape, basis.dtype.str, basis.tobytes(), tol)
     last = _last_code
     if last is not None and last[0] is c and last[1] == key:
-        compressed, lam, residual, threshold = last[2:]
-    else:
-        compressed, lam, residual, threshold = _kl_analysis(c, code, tol)
-        _last_code = (c, key, compressed, lam, residual, threshold)
-    if lam is None:
-        raise NotCorrectable(residual, threshold)
-    return compressed, lam, residual
+        return last[2:]
+    analysis = _kl_analysis(c, code, tol)
+    _last_code = (c, key, *analysis)
+    return analysis
 
 
 def kl_check(
@@ -238,24 +236,13 @@ def classify_code(
     return CodeReport(lam, entropy, lam.rank, d, cls, False, False, residual)
 
 
-def _code_exchange_matrix(compressed: np.ndarray, rho_code: np.ndarray) -> np.ndarray:
-    """The exchange state of B rho_c B^dag from the compressions E_i B alone.
-
-    sigma_ij = Tr(B rho_c B^dag E_i^dag E_j) is the Frobenius inner product of
-    E_i B with E_j B rho_c, so it costs O(m^2 n k) and no n x n state is formed.
-    """
-    m = len(compressed)
-    sigma = np.conj(compressed.reshape(m, -1)) @ (compressed @ rho_code).reshape(m, -1).T
-    return (sigma + dag(sigma)) / 2
-
-
 def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: int, seed: int = 0,
                               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Exchange state equals the correction matrix for random states on the code."""
     compressed, lam, _ = _analysed(c, code, tol)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        sigma = _code_exchange_matrix(compressed, random_density(code.k, rng))
+        sigma = _exchange(compressed, random_density(code.k, rng))
         if np.max(np.abs(sigma - lam.matrix)) > SIGMA_LAMBDA_ATOL:
             return False
     return True

@@ -64,16 +64,21 @@ class LindbladReport:
         }
 
 
+def _exchange(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sigma_ij = Tr(rho F_i^dag F_j), the Frobenius inner product of F_i with
+    F_j rho, Hermitised, for operators F_i stacked (m, n, d) and a d x d rho.
+    With F_i = E_i B it is the exchange state of B rho B^dag, in O(m^2 n k)."""
+    m = len(ops)
+    sigma = np.conj(ops.reshape(m, -1)) @ (ops @ rho).reshape(m, -1).T
+    return (sigma + dag(sigma)) / 2
+
+
 def exchange_matrix(c: QuantumChannel, rho) -> np.ndarray:
     """The exchange state: sigma_ij = Tr(rho E_i^dag E_j)."""
     rho = as_matrix(rho)
     if rho.shape != (c.dim, c.dim):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
-    # Tr(rho E_i^dag E_j) = Tr(E_j rho E_i^dag): the Frobenius inner product of
-    # E_i with E_j rho.
-    m = c.num_kraus
-    sigma = np.conj(c.kraus.reshape(m, -1)) @ (c.kraus @ rho).reshape(m, -1).T
-    return (sigma + dag(sigma)) / 2
+    return _exchange(c.kraus, rho)
 
 
 def entropy_exchange(

@@ -53,8 +53,8 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
     """Intersect a convex vertex list with {z : Re(conj(normal) z) <= offset},
     keeping vertices within distance ``eps`` outside the line.
 
-    The list is a point, a segment's endpoints or a CCW polygon, which may
-    repeat vertices or hold collinear ones; the result is of the same form.
+    The list is a point, a segment's endpoints (a 2-gon) or a CCW polygon,
+    which may repeat vertices or hold collinear ones; so may the result.
     An edge is cut where it crosses the line, unless its inside end lies on
     the line or up to the slack past it: the crossing is then on the edge's
     extension (about slack/theta beyond the end, for an edge at angle theta
@@ -67,11 +67,6 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
         return pts
     if not any(inside):
         return []
-    if len(pts) == 2:
-        (a, b), (va, vb) = pts, vals
-        kept, vk = (a, va) if inside[0] else (b, vb)
-        cut = kept if vk >= 0 else a + va / (va - vb) * (b - a)
-        return [kept] if abs(cut - kept) <= eps else [kept, cut]
     # A cut lands next to the inside end of its edge in the output.  When the
     # two are within eps, only the one that comes first is kept, as a greedy
     # dedupe in output order would.  A chord through two vertices would

@@ -655,7 +655,7 @@ def test_constituent_hulls_are_the_distinct_runs():
 def _constituent_hulls_reference(u, k, tol=DEFAULT_TOL):
     # constituent_hulls as a numpy pass per hull: the arc by modular fancy
     # indexing, rolled to the first index of the smallest (re, im).
-    reps, arcs = binary_unitary._run_arcs(binary_unitary._analysis(u, tol)[0], k)
+    reps, arcs = binary_unitary._run_arcs(unitary_eigen(u, tol), k)
     reps, m = np.array(reps), len(reps)
     hulls = []
     for first, size in arcs:
@@ -1226,6 +1226,61 @@ def test_reported_vertices_have_eps_depth_within_the_slack_property(pairs, famil
     _assert_vertices_have_eps_depth(u)
 
 
+def _covariance_phases(family, n, rng):
+    """random: uniform; twin-1e-7 and twin-1e-6: random phases each with a
+    twin that far away (one single for odd n); grid: 24 equal steps."""
+    if family == "grid":
+        return 2 * np.pi * rng.integers(0, 24, n) / 24
+    if family == "random":
+        return rng.uniform(0, 2 * np.pi, n)
+    centres = rng.uniform(0, 2 * np.pi, (n + 1) // 2)
+    return np.concatenate([centres, centres[: n // 2] + float(family[len("twin-"):])])
+
+
+COVARIANCE_FAMILIES = ("random", "twin-1e-7", "twin-1e-6", "grid")
+
+
+def _assert_covariant_ranges_are_sound(u, rng):
+    """Soundness under rotation, adjoint and conjugation: every vertex of the
+    ranges of e^{i theta} U, U^dag and V U V^dag, mapped back by e^{-i theta},
+    conjugation and the identity, has D <= eps_geom against U's computed
+    spectrum, and each range is Empty exactly when U's is.  Kinds may differ:
+    rounding moves chord crossings of near twins by about 1e-15/theta.
+    Returns how many vertices were checked."""
+    eigs = unitary_eigen(u).eigenvalues
+    theta, v = rng.uniform(0, 2 * np.pi), haar_unitary(len(u), rng)
+    maps = [(np.exp(1j * theta) * u, lambda z: z * np.exp(-1j * theta)),
+            (dag(u), np.conj), (v @ u @ dag(v), lambda z: z)]
+    checked = 0
+    for k in range(1, len(u) + 1):
+        empty = numerical_range(u, k).kind is RegionKind.EMPTY
+        for mapped, back in maps:
+            region = numerical_range(mapped, k)
+            assert (region.kind is RegionKind.EMPTY) is empty, k
+            for vertex in back(region.vertices):
+                assert _eps_depth(eigs, k, complex(vertex)) <= DEFAULT_TOL.eps_geom, (k, vertex)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("family", COVARIANCE_FAMILIES)
+def test_rotated_adjoint_and_conjugated_ranges_are_sound(family):
+    rng = np.random.default_rng(2200 + COVARIANCE_FAMILIES.index(family))
+    checked = 0
+    for n in range(3, 13):
+        for _ in range(3):
+            checked += _assert_covariant_ranges_are_sound(
+                _unitary_with_phases(_covariance_phases(family, n, rng), rng), rng)
+    assert checked > 300
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12), st.sampled_from(COVARIANCE_FAMILIES), st.integers(0, 2**32 - 1))
+def test_rotated_adjoint_and_conjugated_ranges_are_sound_property(n, family, seed):
+    rng = np.random.default_rng(seed)
+    _assert_covariant_ranges_are_sound(_unitary_with_phases(_covariance_phases(family, n, rng), rng), rng)
+
+
 @pytest.mark.parametrize("n", [12, 24, 36, 48, 64])
 def test_grouping_code_holds_every_lambda_of_depth_k(n):
     # The interleaved grouping's theorem: for k | N, every lambda of exact
@@ -1453,7 +1508,7 @@ def test_memoised_arrays_are_read_only():
     region = numerical_range(U9, 3)
     with pytest.raises(ValueError, match="read-only"):
         region.vertices[0] = 0
-    dec = binary_unitary._analysis(U9, DEFAULT_TOL)[0]
+    dec = unitary_eigen(U9, DEFAULT_TOL)
     for array in (dec.eigenvalues, dec.eigenvectors):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qecentropy import code as code_module
+from qecentropy import entropy
 from qecentropy.channel import channel, choi_gram, pauli_channel
 from qecentropy.code import (
     SIGMA_LAMBDA_ATOL,
@@ -215,7 +216,7 @@ def test_exchange_state_from_the_compressions_matches_exchange_matrix():
         for _ in range(3):
             rho_code = random_density(code.k, rng)
             rho = code.basis @ rho_code @ dag(code.basis)
-            sigma = code_module._code_exchange_matrix(compressed, rho_code)
+            sigma = entropy._exchange(compressed, rho_code)
             assert np.max(np.abs(sigma - exchange_matrix(c, rho))) <= 1e-12
             checked += 1
     assert checked >= 60

@@ -115,3 +115,54 @@ def test_predicates_compare_distances_at_every_scale():
             assert (geometry.signed_distance(tri, z) <= EPS) is kept
             hull = geometry.convex_hull(np.array([0, z, scale, scale * (0.5 + 1j)]), EPS)
             assert len(hull) == (3 if kept else 4)
+
+
+def _segment_clip_reference(pts, normal, offset, eps):
+    """A two-point list clipped on its own: the inside end, then the cut
+    (clamped to that end when the end lies on the line or past it), unless
+    the cut is within ``eps`` of the end."""
+    conj, slack = normal.conjugate(), eps * abs(normal)
+    (a, b), (va, vb) = pts, [(conj * z).real - offset for z in pts]
+    if va <= slack and vb <= slack:
+        return pts
+    if va > slack and vb > slack:
+        return []
+    kept, vk = (a, va) if va <= slack else (b, vb)
+    cut = kept if vk >= 0 else a + va / (va - vb) * (b - a)
+    return [kept] if abs(cut - kept) <= eps else [kept, cut]
+
+
+# Segments in a frame where the line is the real axis and the inside is
+# Im z >= 0, with the number of points the clip keeps, and how far they may
+# lie from the segment clip's when the inside end is the second point.  Of
+# an end and its cut within eps of it, the 2-gon keeps the one that comes
+# first in its output: the end when it is the first point, else the cut.
+SEGMENT_CLIPS = [
+    ((-0.3 + 0.7j, 0.9 - 0.4j), 2, 1e-15),  # crosses the line
+    ((0.1 + 0.2j, 0.4 - 0.9j), 2, 1e-15),
+    ((0.2 + 0.5 * EPS * 1j, 0.9 - 0.6j), 1, EPS),  # an end inside by less than the slack
+    ((0.2 - 0.5 * EPS * 1j, 0.9 - 0.6j), 1, 1e-15),  # an end past the line, within the slack
+    ((0.2 - 0.5 * EPS * 1j, 0.9 - 1e-6j), 1, 1e-15),  # the same, nearly parallel to the line
+    ((0.3 + 0j, 0.8 - 0.6j), 1, 1e-15),  # an end exactly on the line
+    ((0.3 + 0.2j, 0.8 + 0.6j), 2, 1e-15),  # both ends inside
+    ((0.3 - 0.2j, 0.8 - 0.6j), 0, 1e-15),  # both ends outside
+    ((0.5 + 0.5j, 0.5 + 0.5j), 1, 1e-15),  # equal endpoints, inside
+    ((0.5 - 0.5j, 0.5 - 0.5j), 0, 1e-15),  # equal endpoints, outside
+]
+
+
+@pytest.mark.parametrize("pair, count, reversed_atol", SEGMENT_CLIPS)
+def test_clip_halfplane_on_two_points_matches_the_segment_clip(pair, count, reversed_atol):
+    # A two-point list is clipped as a 2-gon, whose cut can come twice; once
+    # canonical it is the segment's own clip, in frames of every orientation.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        rot, centre = np.exp(1j * rng.uniform(0, 2 * np.pi)), complex(*rng.uniform(-1, 1, 2))
+        normal = -1j * rot * rng.uniform(0.1, 10)
+        offset = (normal.conjugate() * centre).real
+        for order, atol in ((1, 1e-15), (-1, reversed_atol)):
+            pts = [centre + rot * z for z in pair[::order]]
+            got = geometry.canonical_vertices(geometry.clip_halfplane(pts, normal, offset, EPS), EPS)
+            want = geometry.canonical_vertices(_segment_clip_reference(pts, normal, offset, EPS), EPS)
+            assert len(got) == len(want) == count
+            assert np.abs(got - want).max(initial=0.0) <= atol
