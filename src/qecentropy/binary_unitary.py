@@ -157,16 +157,19 @@ def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tupl
 
 def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> NumRangeRegion:
     """Rank-k range in one pass: the polygon of the cluster representatives
-    cut by one or two chord half-planes per distinct run.
+    cut by one chord half-plane per distinct run.
 
     The representatives come in phase order on the unit circle, so they are
     already the vertices of their CCW hull, and a run holds an arc of them.
-    The hull of a run of three or more clusters is the full hull cut by one
+    The hull of a run of two or more clusters is the full hull cut by one
     chord, from the run's last cluster to its first across the excluded arc.
-    A run of two clusters holds the chord between two hull vertices, which is
-    where the two opposite half-planes through it meet the hull.  A run of one
-    cluster holds only its representative: the range is then that point, if
-    every other run keeps it, or empty.
+    For a run of two clusters that chord joins representatives adjacent in
+    phase order, so it is an edge of the polygon, which lies in the opposite
+    half-plane, as does each region below (it starts as the polygon or one
+    representative, and each cut lies on an edge of its input): one cut
+    leaves the region's part on the edge.  A run of one cluster holds its
+    representative alone: the range is then that point, if every other run
+    keeps it, or empty.
 
     The clips run on a plain vertex list and may leave collinear vertices
     or near-copies; it is canonicalised once, at the end.
@@ -185,8 +188,6 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
             normal = -1j * (b - a)
             offset = (normal.conjugate() * a).real
             region = geometry.clip_halfplane(region, normal, offset, eps)
-            if size == 2 and region:
-                region = geometry.clip_halfplane(region, -normal, -offset, eps)
     pts = geometry.canonical_vertices(region, eps)
     pts.flags.writeable = False
     return NumRangeRegion(k, _KINDS[min(len(pts), 3)], pts)

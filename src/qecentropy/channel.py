@@ -9,7 +9,7 @@ import numpy as np
 
 from . import serialization
 from .errors import NotTracePreserving
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag, frobenius, is_unitary, psd_eigen
+from .numerics import DEFAULT_TOL, ToleranceConfig, _psd_floor, as_matrix, dag, frobenius, is_unitary, psd_eigen
 
 # Hermiticity of a density matrix is checked relative to its Frobenius norm
 # (at least 1), at the resolution of a few rounding errors per entry.
@@ -71,8 +71,8 @@ class QuantumChannel:
 
 @dataclasses.dataclass(frozen=True)
 class ChoiGram:
-    """Gram matrix (Tr E_i^dag E_j) of a Kraus family, its eigenvalue weights
-    and the channel's Choi rank."""
+    """Gram matrix (Tr E_i^dag E_j) of a Kraus family, and one ``psd_eigen`` solve
+    of it: ``weights`` ascending, clipped at 0, and the channel's Choi rank."""
 
     matrix: np.ndarray
     weights: np.ndarray
@@ -134,16 +134,15 @@ def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
     if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
     w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
-    if w[0] < -tol.eps_rank * max(1.0, float(w[-1])):
+    if w[0] < -_psd_floor(float(w[-1]), tol):
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     return rho, w, v
 
 
 def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:
     """Gram matrix of the Kraus family; its rank is the Choi rank of the map."""
-    g = c._kraus_gram
-    weights = np.clip(np.linalg.eigvalsh(g), 0.0, None)
-    return ChoiGram(g, weights, psd_eigen(g, tol)[2])
+    w, _, rank = psd_eigen(c._kraus_gram, tol)
+    return ChoiGram(c._kraus_gram, np.clip(w[::-1], 0.0, None), rank)
 
 
 def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:

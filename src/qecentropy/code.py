@@ -50,10 +50,9 @@ class CodeSubspace:
 
 @dataclasses.dataclass(frozen=True)
 class ErrorCorrectionMatrix:
-    """Positive unit-trace matrix Lambda of compression coefficients.  The
-    reported ``spectrum`` (ascending) is from ``eigvalsh``; ``weights``
-    (descending), ``vectors`` and ``rank`` are from one ``psd_eigen`` call, via
-    ``eigh``, whose values can differ from ``eigvalsh``'s in the last bits."""
+    """Positive unit-trace matrix Lambda of compression coefficients, and one
+    ``psd_eigen`` solve of it: ``weights`` (descending), ``vectors`` and
+    ``rank``; the reported ``spectrum`` is ``weights`` ascending, clipped at 0."""
 
     matrix: np.ndarray
     spectrum: np.ndarray
@@ -168,8 +167,8 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2
-    spectrum = np.clip(np.linalg.eigvalsh(lam), 0.0, None)
-    matrix = ErrorCorrectionMatrix(lam, spectrum, *psd_eigen(lam, tol))
+    weights, vectors, rank = psd_eigen(lam, tol)
+    matrix = ErrorCorrectionMatrix(lam, np.clip(weights[::-1], 0.0, None), weights, vectors, rank)
     for a in (matrix.matrix, matrix.spectrum, matrix.weights, matrix.vectors):
         a.flags.writeable = False
     return compressed, matrix, residual

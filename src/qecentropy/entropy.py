@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 
 from .channel import QuantumChannel, _density_spectrum, apply_channel, validate_density
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_matrix, dag
+from .numerics import DEFAULT_TOL, ToleranceConfig, _psd_floor, as_matrix, dag
 
 # lindblad_omega's partial traces must reproduce the exchange state and the
 # channel output to rounding error, relative to omega's largest entry.
@@ -30,13 +30,11 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
 
 
 def _entropy_of_spectrum(w, tol: ToleranceConfig) -> float:
-    """Entropy (bits) of one spectrum, summed over its positive weights alone
-    so that zeros do not regroup numpy's pairwise sum."""
+    """Entropy (bits) of one spectrum, summed over its positive weights alone, as
+    zeros would regroup numpy's pairwise sum; ValueError below ``-_psd_floor``."""
     w = np.asarray(w, dtype=float)
     low = w.min(initial=0.0)
-    # low < -eps_rank * max(1, largest weight), with the largest read only
-    # when low is below -eps_rank: biunitary_code_entropy calls this per p.
-    if low < -tol.eps_rank and low < -tol.eps_rank * w.max():
+    if low < -_psd_floor(w.max(initial=0.0), tol):
         raise ValueError(f"spectrum has negative weight {low:.3e}")
     return float(_entropy_rows(w[w > 0]))
 

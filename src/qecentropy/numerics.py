@@ -195,18 +195,21 @@ def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecompositio
     return EigenDecomposition(eigs, v, clusters)
 
 
+def _psd_floor(largest: float, tol: ToleranceConfig) -> float:
+    """How far below 0 a PSD matrix's eigenvalues may round: the rank cutoff, with
+    eps_rank at least the default, as zeros round to about -1e-16 at any cutoff."""
+    return max(tol.eps_rank, DEFAULT_TOL.eps_rank) * max(1.0, largest)
+
+
 def psd_eigen(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, int]:
     """Descending eigenvalues, their eigenvectors (columns) and the rank of a
     PSD Hermitian matrix: the count above ``eps_rank * max(1, largest)``.
-    Ties keep ``np.argsort(w)[::-1]`` order; ValueError below minus the cutoff."""
+    Ties keep ``np.argsort(w)[::-1]`` order; ValueError below ``-_psd_floor``."""
     a = as_matrix(a)
     _require_square(a)
     w, v = np.linalg.eigh((a + dag(a)) / 2)
     order = np.argsort(w)[::-1]
     w, v = w[order], v[:, order]
-    cutoff = tol.eps_rank * max(1.0, float(w[0]))
-    # Rounding leaves the zero eigenvalues of a PSD matrix slightly negative,
-    # so an eps_rank below the default does not tighten this check.
-    if float(w[-1]) < -max(cutoff, DEFAULT_TOL.eps_rank * max(1.0, float(w[0]))):
+    if float(w[-1]) < -_psd_floor(float(w[0]), tol):
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})")
-    return w, v, int(np.count_nonzero(w > cutoff))
+    return w, v, int(np.count_nonzero(w > tol.eps_rank * max(1.0, float(w[0]))))

@@ -619,7 +619,7 @@ def test_reproduce_csv_and_exit_codes(capsys):
 # SHA-256 of each table's CSV on stdout, final newline included, and the exit
 # code; they guard the catalog evaluation against any change in its output.
 REPRODUCE_SHA256 = {
-    "table1": ("a521acaae466c27af45835cc64c7337392c4d295cf0e43c824ccb1984341d43b", 0),
+    "table1": ("b0dd3e1e83f7bd22398c7a77cb6d27450f2f669484a4f503428929c072c5c0c3", 0),
     "stabilizer": ("3f713be08a6154f78ff3afe9971a626320470fe6dcf4400eb32ad8471bb8cc64", 0),
     "example33": ("e5a76284e88c07bd9bcc6a4b0324d5076b4fe4139c63c3898fc325eaaad29295", 0),
     "qutrit": ("a4936e0094013fb8ec43cf540aa397f9d8a7b5e4cf38e793ebaadb7bf24e264c", 4),
@@ -687,6 +687,34 @@ def test_tolerances_file_rejects_rank_cutoff_of_one_or_more(files, tmp_path, cap
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "eps_rank" in captured.err
+
+
+def test_tolerances_environment_variable(files, tmp_path, capsys, monkeypatch):
+    # The variable names a tolerance file, as --tolerances does.
+    big, loose = tmp_path / "big.json", tmp_path / "loose.json"
+    big.write_text('{"eps_rank": 1e300}')
+    loose.write_text('{"eps_kl": 1.0}')
+    analyze = ["code", "analyze", files["chan.json"], files["bad.json"]]
+
+    def assert_one_error_line(code, *needles):
+        assert main(analyze) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert all(needle in captured.err for needle in needles)
+
+    # The variable alone applies: its rank cutoff is refused.
+    monkeypatch.setenv(cli.TOLERANCES_ENV, str(big))
+    assert_one_error_line(1, "eps_rank")
+    # --tolerances FILE takes precedence: its eps_kl accepts the non-code.
+    assert main(["--tolerances", str(loose), *analyze]) == 0
+    assert json.loads(capsys.readouterr().out)["max_kl_residual"] > DEFAULT_TOL.eps_kl
+    # An empty value means the defaults, under which the non-code exits 2.
+    monkeypatch.setenv(cli.TOLERANCES_ENV, "")
+    assert_one_error_line(2)
+    # An unreadable path exits 1.
+    monkeypatch.setenv(cli.TOLERANCES_ENV, str(tmp_path / "missing.json"))
+    assert_one_error_line(1, "missing.json")
 
 
 def test_code_analyze_zero_channel_under_loose_tolerance(tmp_path, capsys):

@@ -18,7 +18,7 @@ from qecentropy.entropy import (
     purification_exchange_entropy,
     von_neumann_entropy,
 )
-from qecentropy.numerics import DEFAULT_TOL
+from qecentropy.numerics import DEFAULT_TOL, ToleranceConfig
 from qecentropy.sampling import haar_unitary, random_channel, random_density
 
 
@@ -104,6 +104,33 @@ def test_lindblad_bounds_hold_and_tight_for_pure_input():
     assert rep.S_rho < 1e-12
     assert abs(rep.S_rho_prime - rep.S_sigma) < 1e-10
     assert rep.to_json()["bounds_hold"] is True
+
+
+def test_entropy_layer_under_a_tiny_rank_cutoff():
+    # Rounding leaves the zero eigenvalues of a pure or low-rank state, and of
+    # its exchange state, near -1e-16, which an eps_rank of 1e-300 must not
+    # turn into a "negative eigenvalue" error.
+    tiny = ToleranceConfig(eps_rank=1e-300)
+    rng = np.random.default_rng(5)
+    for case in range(60):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+        c = random_channel(n, m, rng)
+        if case % 2:
+            rho = random_density(n, rng)
+        else:
+            psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            psi /= np.linalg.norm(psi)
+            rho = np.outer(psi, np.conj(psi))
+        assert abs(von_neumann_entropy(rho, tiny) - von_neumann_entropy(rho)) <= 1e-12
+        pure_tiny, pure = purification_exchange_entropy(c, rho, tiny), purification_exchange_entropy(c, rho)
+        assert abs(pure_tiny - pure) <= 1e-12
+        (sigma, s), (sigma_tiny, s_tiny) = entropy_exchange(c, rho), entropy_exchange(c, rho, tiny)
+        assert np.array_equal(sigma, sigma_tiny) and abs(s - s_tiny) <= 1e-12
+        assert np.max(np.abs(lindblad_omega(c, rho, tiny) - lindblad_omega(c, rho))) <= 1e-12
+        rep, rep_tiny = check_lindblad_bounds(c, rho), check_lindblad_bounds(c, rho, tiny)
+        assert rep_tiny.holds == rep.holds
+        for name in ("S_rho", "S_rho_prime", "S_sigma"):
+            assert abs(getattr(rep_tiny, name) - getattr(rep, name)) <= 1e-12
 
 
 def test_dimension_mismatch_raises():
