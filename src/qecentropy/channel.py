@@ -9,7 +9,8 @@ import numpy as np
 
 from . import serialization
 from .errors import NotTracePreserving
-from .numerics import DEFAULT_TOL, ToleranceConfig, _psd_floor, as_matrix, dag, frobenius, is_unitary, psd_eigen
+from .numerics import (DEFAULT_TOL, ToleranceConfig, _descending_eigh, _frozen, _psd_floor, _psd_rank, as_matrix,
+                       dag, frobenius, is_unitary)
 
 # Hermiticity of a density matrix is checked relative to its Frobenius norm
 # (at least 1), at the resolution of a few rounding errors per entry.
@@ -19,6 +20,9 @@ DENSITY_HERMITIAN_RTOL = 1e-10
 DENSITY_TRACE_ATOL = 1e-12
 # Pauli weights in double precision sum to one up to a few rounding errors.
 PAULI_WEIGHT_SUM_ATOL = 1e-12
+# From this channel dimension the trace residual takes one real symmetric product (half the
+# flops); below it the complex product, whose kernel the rest of a request keeps warm, is faster.
+_SYRK_MIN_DIM = 64
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -46,11 +50,17 @@ class QuantumChannel:
 
     @functools.cached_property
     def _trace_residual(self) -> float:
-        """||sum_i E_i^dag E_i - I||_F, formed once per channel, as ``kraus``
-        is read-only."""
-        # Stacking the operators row-wise turns the sum into one product.
+        """||sum_i E_i^dag E_i - I||_F, formed once per channel (``kraus`` is read-only)."""
         rows = self.kraus.reshape(-1, self.dim)
-        return frobenius(dag(rows) @ rows - np.eye(self.dim))
+        if self.dim < _SYRK_MIN_DIM:
+            return frobenius(dag(rows) @ rows - np.eye(self.dim))
+        # The stacked operators A = X + iY have the real view V = [x_1 y_1 x_2 y_2 ...]:
+        # V^T V (syrk) has 2x2 blocks [[X^T X, X^T Y], [Y^T X, Y^T Y]].
+        v = rows.view(float)
+        g = (v.T @ v).reshape(self.dim, 2, self.dim, 2)
+        re, im = g[:, 0, :, 0] + g[:, 1, :, 1], g[:, 0, :, 1] - g[:, 1, :, 0]
+        re.reshape(-1)[:: self.dim + 1] -= 1.0
+        return float(np.sqrt(np.vdot(re, re) + np.vdot(im, im)))
 
     @functools.cached_property
     def _kraus_gram(self) -> np.ndarray:
@@ -58,9 +68,12 @@ class QuantumChannel:
         ``kraus`` is read-only; the returned array is read-only too."""
         flat = self.kraus.reshape(self.num_kraus, -1)
         g = np.conj(flat) @ flat.T
-        g = (g + dag(g)) / 2
-        g.flags.writeable = False
-        return g
+        return _frozen((g + dag(g)) / 2)
+
+    @functools.cached_property
+    def _gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_descending_eigh`` of ``_kraus_gram``, once per channel; read-only."""
+        return tuple(map(_frozen, _descending_eigh(self._kraus_gram)))
 
     def to_json(self) -> dict:
         return {
@@ -71,8 +84,8 @@ class QuantumChannel:
 
 @dataclasses.dataclass(frozen=True)
 class ChoiGram:
-    """Gram matrix (Tr E_i^dag E_j) of a Kraus family, and one ``psd_eigen`` solve
-    of it: ``weights`` ascending, clipped at 0, and the channel's Choi rank."""
+    """Gram matrix (Tr E_i^dag E_j) of a Kraus family, and the channel's one
+    solve of it: ``weights`` ascending, clipped at 0, and the Choi rank."""
 
     matrix: np.ndarray
     weights: np.ndarray
@@ -80,8 +93,7 @@ class ChoiGram:
 
 
 def _stacked(ops: np.ndarray) -> QuantumChannel:
-    ops.flags.writeable = False
-    return QuantumChannel(ops.shape[1], ops)
+    return QuantumChannel(ops.shape[1], _frozen(ops))
 
 
 def channel(kraus_ops) -> QuantumChannel:
@@ -140,9 +152,10 @@ def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
 
 
 def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:
-    """Gram matrix of the Kraus family; its rank is the Choi rank of the map."""
-    w, _, rank = psd_eigen(c._kraus_gram, tol)
-    return ChoiGram(c._kraus_gram, np.clip(w[::-1], 0.0, None), rank)
+    """Gram matrix of the Kraus family, and its eigensolve, both formed once per channel
+    and shared (read-only); the Choi rank and the PSD check follow each call's ``tol``."""
+    w = c._gram_eigen[0]
+    return ChoiGram(c._kraus_gram, np.clip(w[::-1], 0.0, None), _psd_rank(w, tol))
 
 
 def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
@@ -151,8 +164,8 @@ def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> Qu
     The output implements the same map with exactly ``choi_rank`` nonzero
     operators; operators with Gram weight at the rank cutoff are dropped.
     """
-    _, vecs, rank = psd_eigen(c._kraus_gram, tol)
-    return _stacked(np.tensordot(vecs[:, :rank].T, c.kraus, axes=1))
+    w, vecs = c._gram_eigen
+    return _stacked(np.tensordot(vecs[:, : _psd_rank(w, tol)].T, c.kraus, axes=1))
 
 
 def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:

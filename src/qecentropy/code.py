@@ -12,7 +12,7 @@ from . import serialization
 from .channel import QuantumChannel, _stacked, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, _exchange
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
-from .numerics import DEFAULT_TOL, ToleranceConfig, dag, frobenius, psd_eigen
+from .numerics import DEFAULT_TOL, ToleranceConfig, _descending_eigh, _frozen, _psd_rank, dag, frobenius
 from .sampling import random_density
 
 # Entrywise tolerance between the exchange matrix of a code state and Lambda.
@@ -51,7 +51,7 @@ class CodeSubspace:
 @dataclasses.dataclass(frozen=True)
 class ErrorCorrectionMatrix:
     """Positive unit-trace matrix Lambda of compression coefficients, and one
-    ``psd_eigen`` solve of it: ``weights`` (descending), ``vectors`` and
+    ``_descending_eigh`` solve of it: ``weights`` (descending), ``vectors`` and
     ``rank``; the reported ``spectrum`` is ``weights`` ascending, clipped at 0."""
 
     matrix: np.ndarray
@@ -156,22 +156,19 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
             f"code ambient dimension {code.ambient_dim} does not match channel dim {c.dim}"
         )
     k = code.k
-    compressed = c.kraus @ code.basis
-    compressed.flags.writeable = False
+    compressed = _frozen(c.kraus @ code.basis)
     # blocks[i, j] = (E_i B)^dag (E_j B), the (k, k) compression of E_i^dag E_j.
     blocks = np.conj(compressed).transpose(0, 2, 1)[:, None] @ compressed[None, :]
     lam = np.trace(blocks, axis1=2, axis2=3) / k
     residual = float(np.linalg.norm(blocks - lam[:, :, None, None] * np.eye(k), axis=(2, 3)).max())
-    scale = float(np.linalg.norm(c.kraus.reshape(c.num_kraus, -1), axis=1).max())
-    threshold = tol.eps_kl * max(1.0, scale * scale)
+    flat = c.kraus.reshape(c.num_kraus, -1).view(float)  # max_i ||E_i||_F^2 from the real view
+    threshold = tol.eps_kl * max(1.0, float((flat * flat).sum(axis=1).max()))
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2
-    weights, vectors, rank = psd_eigen(lam, tol)
-    matrix = ErrorCorrectionMatrix(lam, np.clip(weights[::-1], 0.0, None), weights, vectors, rank)
-    for a in (matrix.matrix, matrix.spectrum, matrix.weights, matrix.vectors):
-        a.flags.writeable = False
-    return compressed, matrix, residual
+    weights, vectors = _descending_eigh(lam)
+    arrays = map(_frozen, (lam, np.clip(weights[::-1], 0.0, None), weights, vectors))
+    return compressed, ErrorCorrectionMatrix(*arrays, _psd_rank(weights, tol)), residual
 
 
 def _analysed(

@@ -6,11 +6,12 @@ All entropies are in bits (logarithm base two).
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from .channel import QuantumChannel, _density_spectrum, apply_channel, validate_density
-from .numerics import DEFAULT_TOL, ToleranceConfig, _psd_floor, as_matrix, dag
+from .channel import QuantumChannel, _density_spectrum, apply_channel
+from .numerics import DEFAULT_TOL, ToleranceConfig, _frozen, _psd_floor, as_matrix, dag
 
 # lindblad_omega's partial traces must reproduce the exchange state and the
 # channel output to rounding error, relative to omega's largest entry.
@@ -72,24 +73,53 @@ def _exchange(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def exchange_matrix(c: QuantumChannel, rho) -> np.ndarray:
-    """The exchange state: sigma_ij = Tr(rho E_i^dag E_j)."""
+    """The exchange state sigma_ij = Tr(rho E_i^dag E_j), the raw linear map: rho is not validated."""
     rho = as_matrix(rho)
     if rho.shape != (c.dim, c.dim):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
     return _exchange(c.kraus, rho)
 
 
-def entropy_exchange(
-    c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, float]:
-    """Exchange state and its entropy; zero for any unitary channel."""
-    sigma = exchange_matrix(c, rho)
-    return sigma, _entropy_of_spectrum(np.linalg.eigvalsh(sigma), tol)
+class _State:
+    """rho validated, with ``w`` and ``v`` from one ``eigh``; sigma with its ``eigh``, and Phi(rho), on first use."""
+
+    def __init__(self, c: QuantumChannel, rho: np.ndarray, tol: ToleranceConfig):
+        self.c, (self.rho, self.w, self.v) = c, map(_frozen, _density_spectrum(rho, tol, vectors=True))
+        if self.rho.shape != (c.dim, c.dim):
+            raise ValueError(f"state shape {self.rho.shape} does not match channel dim {c.dim}")
+
+    @functools.cached_property
+    def exchange(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sigma = _exchange(self.c.kraus, self.rho)
+        return tuple(map(_frozen, (sigma, *np.linalg.eigh(sigma))))
+
+    @functools.cached_property
+    def output(self) -> np.ndarray:
+        return _frozen(apply_channel(self.c, self.rho))
 
 
-def purification_exchange_entropy(
-    c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
+# The most recent (channel, state) analysis, (channel, key, _State), kept as code._last_code keeps a code's:
+# channel by identity, key (shape and bytes of rho, tolerances); refusals are not stored; arrays are read-only.
+_last_state: tuple | None = None
+
+
+def _state(c: QuantumChannel, rho, tol: ToleranceConfig) -> _State:
+    global _last_state
+    rho = as_matrix(rho)
+    key = (rho.shape, rho.tobytes(), tol)
+    last = _last_state
+    if last is None or last[0] is not c or last[1] != key:
+        _last_state = last = (c, key, _State(c, rho.copy(), tol))
+    return last[2]
+
+
+def entropy_exchange(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+    """Exchange state (shared, read-only) and its entropy, zero for any unitary channel; rho is validated."""
+    sigma, w, _ = _state(c, rho, tol).exchange
+    return sigma, _entropy_of_spectrum(w, tol)
+
+
+def purification_exchange_entropy(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Entropy exchange via a purification of the input state.
 
     Purifies ``rho`` against a reference sized to its rank r and returns the
@@ -101,15 +131,13 @@ def purification_exchange_entropy(
     nonzero eigenvalues are the squared singular values of X; the
     (n*r) x (n*r) output itself is never formed.
 
-    Agrees with :func:`entropy_exchange` for any purification.  The two
-    routes stay independent: this one takes the eigendecomposition of
-    ``rho``, which its validation computes, and a singular value
-    decomposition, and forms neither the exchange matrix nor any product
-    E_i^dag E_j.
+    Agrees with :func:`entropy_exchange` for any purification.  The two routes
+    share only the validation of ``rho`` (this one reads its eigenvectors); past
+    it, this one takes an SVD and forms no exchange matrix and no E_i^dag E_j.
     """
-    _, w, v = _density_spectrum(rho, tol, vectors=True)
-    keep = w > tol.eps_rank * max(1.0, float(w[-1]))
-    psi = v[:, keep] * np.sqrt(w[keep])
+    state = _state(c, rho, tol)
+    keep = state.w > tol.eps_rank * max(1.0, float(state.w[-1]))
+    psi = state.v[:, keep] * np.sqrt(state.w[keep])
     x = (c.kraus @ psi).reshape(c.num_kraus, -1)
     return _entropy_of_spectrum(np.linalg.svd(x, compute_uv=False) ** 2, tol)
 
@@ -130,22 +158,18 @@ def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -
     Q Q^T, with Q the eigenbasis of sigma, which carries conj(sigma) onto
     sigma without touching the other marginal or the spectrum.
     """
-    rho = validate_density(rho, tol)
-    if rho.shape != (c.dim, c.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
-    n, m = c.dim, c.num_kraus
-    sigma = exchange_matrix(c, rho)
-    _, q = np.linalg.eigh(sigma)
+    state = _state(c, rho, tol)
+    (sigma, _, q), n, m = state.exchange, c.dim, c.num_kraus
     # omega = V rho V^dag for the Stinespring isometry V = sum_i E_i (x) |i>,
     # with the environment rotation folded into the Kraus family first:
     # (I (x) R) V = sum_i (sum_j R_ij E_j) (x) |i>.
     rotated = np.tensordot(q @ q.T, c.kraus, axes=1)
     v = rotated.transpose(1, 0, 2).reshape(n * m, n)
-    omega = v @ rho @ dag(v)
+    omega = v @ state.rho @ dag(v)
     check = MARGINAL_CHECK_RTOL * max(1.0, float(np.abs(omega).max()))
     if np.max(np.abs(partial_trace_system(omega, n, m) - sigma)) > check:
         raise ArithmeticError("composite state partial trace does not match exchange state")
-    if np.max(np.abs(partial_trace_environment(omega, n, m) - apply_channel(c, rho))) > check:
+    if np.max(np.abs(partial_trace_environment(omega, n, m) - state.output)) > check:
         raise ArithmeticError("composite state partial trace does not match channel output")
     return omega
 
@@ -162,9 +186,10 @@ def partial_trace_environment(omega: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def check_lindblad_bounds(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LindbladReport:
     """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``LINDBLAD_SLACK``."""
-    s_rho = von_neumann_entropy(rho, tol)
-    s_out = von_neumann_entropy(apply_channel(c, rho), tol)
-    _, s_sigma = entropy_exchange(c, rho, tol)
+    state = _state(c, rho, tol)
+    s_rho = _entropy_of_spectrum(state.w, tol)
+    s_out = von_neumann_entropy(state.output, tol)
+    s_sigma = _entropy_of_spectrum(state.exchange[1], tol)
     slack = LINDBLAD_SLACK
     holds = abs(s_out - s_sigma) <= s_rho + slack and s_rho <= s_sigma + s_out + slack
     return LindbladReport(s_rho, s_out, s_sigma, holds)

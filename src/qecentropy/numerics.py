@@ -74,6 +74,11 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _require_square(a: np.ndarray):
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -160,8 +165,6 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     if last is not None and last[0] == key:
         return last[1]
     dec = _decompose_unitary(u, tol)
-    dec.eigenvalues.flags.writeable = False
-    dec.eigenvectors.flags.writeable = False
     _last_eigen = (key, dec)
     return dec
 
@@ -192,7 +195,7 @@ def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecompositio
     order = np.argsort(phases, kind="stable")
     eigs, v = eigs[order], v[:, order]
     clusters = _chain_clusters(eigs, tol.eps_eig * n)
-    return EigenDecomposition(eigs, v, clusters)
+    return EigenDecomposition(_frozen(eigs), _frozen(v), clusters)
 
 
 def _psd_floor(largest: float, tol: ToleranceConfig) -> float:
@@ -201,15 +204,17 @@ def _psd_floor(largest: float, tol: ToleranceConfig) -> float:
     return max(tol.eps_rank, DEFAULT_TOL.eps_rank) * max(1.0, largest)
 
 
-def psd_eigen(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, int]:
-    """Descending eigenvalues, their eigenvectors (columns) and the rank of a
-    PSD Hermitian matrix: the count above ``eps_rank * max(1, largest)``.
-    Ties keep ``np.argsort(w)[::-1]`` order; ValueError below ``-_psd_floor``."""
-    a = as_matrix(a)
-    _require_square(a)
-    w, v = np.linalg.eigh((a + dag(a)) / 2)
+def _descending_eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and eigenvectors (columns) of a Hermitian matrix, whose
+    lower triangle ``eigh`` reads; ties keep ``np.argsort(w)[::-1]`` order."""
+    w, v = np.linalg.eigh(as_matrix(a))
     order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
+    return w[order], v[:, order]
+
+
+def _psd_rank(w: np.ndarray, tol: ToleranceConfig) -> int:
+    """Rank of a PSD matrix from its descending eigenvalues: the count above
+    ``eps_rank * max(1, largest)``; ValueError below ``-_psd_floor``."""
     if float(w[-1]) < -_psd_floor(float(w[0]), tol):
         raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})")
-    return w, v, int(np.count_nonzero(w > tol.eps_rank * max(1.0, float(w[0]))))
+    return int(np.count_nonzero(w > tol.eps_rank * max(1.0, float(w[0]))))

@@ -1,19 +1,23 @@
 import pytest
 
-from qecentropy import binary_unitary, numerics
+from qecentropy import binary_unitary, entropy, numerics
 from qecentropy import code as code_module
 
 
 @pytest.fixture(autouse=True)
 def _forget_last_analyses():
     # numerics keeps the most recent U's decomposition, binary_unitary the
-    # ranges built from it, and code the most recent (channel, code)
-    # analysis; tests that count decompositions, range builds or KL checks
-    # must not find an earlier test's U or code there.  Clearing the
-    # decomposition alone makes the next call on any U cold.
+    # ranges built from it, code the most recent (channel, code) analysis and
+    # entropy the most recent (channel, state) analysis; tests that count
+    # decompositions, range builds, KL checks or eigensolves must not find an
+    # earlier test's U, code or state there.  Clearing the decomposition alone
+    # makes the next call on any U cold.  Per-channel quantities (the trace
+    # residual, the Kraus Gram and its eigensolve) live on the channel object,
+    # so a new channel starts without them.
     numerics._last_eigen = None
     binary_unitary._last_u = None
     code_module._last_code = None
+    entropy._last_state = None
 
 
 @pytest.fixture

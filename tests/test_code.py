@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -69,24 +70,27 @@ def test_rank_one_code_decomposes_lambda_once(monkeypatch):
 
 
 def test_one_channel_checks_trace_preservation_once(monkeypatch):
-    # The residual ||sum_i E_i^dag E_i - I||_F starts from dag of the stacked
-    # Kraus operators, a view of the channel's own array.
+    # ||sum_i E_i^dag E_i - I||_F is formed once, for the analysed channel
+    # alone: the built recovery is checked in the code space instead.
     # The package's own ``channel`` attribute is the constructor function.
     channel_module = importlib.import_module("qecentropy.channel")
+    cls = channel_module.QuantumChannel
     chan, code1 = _table1_channel(), _table1_codes()[0]
-    dag_of, calls = channel_module.dag, []
+    form, formed = cls.__dict__["_trace_residual"].func, []
 
-    def counting(a):
-        if np.shares_memory(a, chan.kraus):
-            calls.append(a)
-        return dag_of(a)
+    def counting(c):
+        formed.append(c)
+        return form(c)
 
-    monkeypatch.setattr(channel_module, "dag", counting)
+    prop = functools.cached_property(counting)
+    prop.__set_name__(cls, "_trace_residual")
+    monkeypatch.setattr(cls, "_trace_residual", prop)
     kl_check(chan, code1)
     classify_code(chan, code1)
     build_recovery(chan, code1)
     assert sigma_equals_lambda_check(chan, code1, 2)
-    assert len(calls) == 1
+    assert rank_bound_check(chan, code1)
+    assert len(formed) == 1 and formed[0] is chan
 
 
 def test_code_subspace_requires_orthonormal_basis():

@@ -142,7 +142,10 @@ def test_dimension_mismatch_raises():
 
 
 def test_each_density_is_diagonalised_once(monkeypatch):
-    # The positivity check's spectrum is the one the entropy reads.
+    # The positivity check's spectrum is the one the entropy reads, and across
+    # the four routes on one (c, rho) each of rho, sigma and Phi(rho) is
+    # diagonalised once: rho and sigma by eigh (their vectors feed the
+    # purification and omega), Phi(rho) by the Lindblad check's eigvalsh.
     calls = []
 
     def counting(name):
@@ -160,11 +163,24 @@ def test_each_density_is_diagonalised_once(monkeypatch):
     c, rho = random_channel(3, 2, rng), random_density(3, rng)
     assert von_neumann_entropy(np.eye(4) / 4) == 2.0 and calls == ["eigvalsh"]
     calls.clear()
+    # In the kraus workload's order: rho and sigma in entropy_exchange, then
+    # nothing new until Phi(rho) in check_lindblad_bounds.
+    entropy_exchange(c, rho)
+    assert calls == ["eigh", "eigh"]
+    purification_exchange_entropy(c, rho)
+    lindblad_omega(c, rho)
+    assert calls == ["eigh", "eigh"]
+    check_lindblad_bounds(c, rho)
+    assert calls == ["eigh", "eigh", "eigvalsh"]
+    # The purification route first, on a fresh (c, rho): rho alone; then
+    # Phi(rho) and sigma in check_lindblad_bounds.
+    calls.clear()
+    c, rho = random_channel(3, 2, rng), random_density(3, rng)
     purification_exchange_entropy(c, rho)
     assert calls == ["eigh"]
-    calls.clear()
-    # S(rho), S(rho') and S(sigma): one solve each.
     check_lindblad_bounds(c, rho)
-    assert calls == ["eigvalsh"] * 3
+    entropy_exchange(c, rho)
+    lindblad_omega(c, rho)
+    assert calls == ["eigh", "eigvalsh", "eigh"]
     with pytest.raises(ValueError, match="negative eigenvalue"):
         von_neumann_entropy(np.diag([1.5, -0.5]))

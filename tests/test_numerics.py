@@ -8,10 +8,11 @@ from qecentropy.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     _chain_clusters,
+    _descending_eigh,
+    _psd_rank,
     dag,
     hermitian_eigen,
     is_unitary,
-    psd_eigen,
     unitary_eigen,
 )
 
@@ -96,21 +97,21 @@ def test_is_unitary():
     assert not is_unitary(np.ones((2, 3)))
 
 
-def test_psd_eigen_rank_and_invariance():
+def test_psd_rank_and_invariance():
     a = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex) / 3
-    w, v, rank = psd_eigen(a)
-    assert rank == 2
+    w, v = _descending_eigh(a)
+    assert _psd_rank(w, DEFAULT_TOL) == 2
     assert np.all(np.diff(w) <= 0)
     assert np.allclose((v * w) @ dag(v), a, atol=1e-12)
     rng = np.random.default_rng(5)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(g)
-    assert psd_eigen(q @ a @ dag(q))[2] == 2
+    assert _psd_rank(_descending_eigh(q @ a @ dag(q))[0], DEFAULT_TOL) == 2
 
 
-def test_psd_eigen_rejects_indefinite():
+def test_psd_rank_rejects_indefinite():
     with pytest.raises(ValueError, match="not positive semidefinite"):
-        psd_eigen(np.diag([1.0, -0.5]))
+        _psd_rank(_descending_eigh(np.diag([1.0, -0.5]))[0], DEFAULT_TOL)
 
 
 def test_default_tolerances():
