@@ -27,6 +27,7 @@ from .numerics import (
     DEFAULT_TOL,
     EigenDecomposition,
     ToleranceConfig,
+    _LastCall,
     as_matrix,
     dag,
     is_unitary,
@@ -193,25 +194,15 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
     return NumRangeRegion(k, _KINDS[min(len(pts), 3)], pts)
 
 
-# The ranges built from the most recent U's decomposition, (decomposition,
-# {k: rank-k range}), so that the calls made in turn on one U build each range
-# once.  The decomposition comes from unitary_eigen's memo, which decides when
-# U is the same; another decomposition object starts a new entry.  The entry
-# is replaced by one assignment, so concurrent callers at worst compute the
-# same thing twice; returned regions are read-only, since a hit hands the
-# same objects to every caller.
-_last_u: tuple | None = None
+_range_memo = _LastCall()  # the rank-k ranges {k: range} of unitary_eigen's last decomposition
 
 
 def _analysed_range(u, k: int, tol: ToleranceConfig) -> tuple[EigenDecomposition, NumRangeRegion]:
-    global _last_u
     dec = unitary_eigen(u, tol)
-    last = _last_u
-    if last is None or last[0] is not dec:
-        last = _last_u = (dec, {})
-    region = last[1].get(k)
+    ranges = _range_memo((dec,), dict)
+    region = ranges.get(k)
     if region is None:
-        region = last[1][k] = _range_from_eigen(dec, k, tol)
+        region = ranges[k] = _range_from_eigen(dec, k, tol)
     return dec, region
 
 

@@ -32,13 +32,14 @@ _PAULI = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """A completely positive map given by m square Kraus operators of size n.
 
     ``kraus`` is one read-only complex array of shape (m, n, n), built by
     :func:`channel`, or by ``_stacked`` from an array formed in the package;
-    iterating over it yields the operators in order.
+    iterating over it yields the operators in order.  Channels compare and
+    hash by identity.
     """
 
     dim: int

@@ -12,7 +12,7 @@ from . import serialization
 from .channel import QuantumChannel, _stacked, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, _exchange
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
-from .numerics import DEFAULT_TOL, ToleranceConfig, _descending_eigh, _frozen, _psd_rank, dag, frobenius
+from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _descending_eigh, _frozen, _psd_rank, dag, frobenius
 from .sampling import random_density
 
 # Entrywise tolerance between the exchange matrix of a code state and Lambda.
@@ -135,18 +135,7 @@ def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     return code_subspace(vectors, tol)
 
 
-# The most recent accepted (channel, code) analysis, (channel, key,
-# compressions E_i B, Lambda, KL residual), so that the calls made in turn on
-# one code (kl_check, classify_code, build_recovery, ...) run the KL check
-# once.  The channel is compared by identity, since its Kraus array is
-# read-only; the key is (ambient dimension, shape, dtype and bytes of the
-# code basis, tolerances), since a caller may change the basis in place.  A
-# hit reuses a trace-preservation verdict reached under equal tolerances.  A
-# refused code is not stored, so a repeat checks it again.  The entry is
-# replaced by one assignment, so concurrent callers at worst compute the same
-# thing twice; its arrays are read-only, since a hit hands the same objects
-# to every caller.
-_last_code: tuple | None = None
+_code_memo = _LastCall()  # the last accepted (channel, code) pair's KL analysis
 
 
 def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) -> tuple:
@@ -177,15 +166,9 @@ def _analysed(
     """The compressions E_i B (shape (m, n, k)), Lambda and the KL residual of
     the code, from the memo of the most recent accepted (channel, code) pair;
     raises NotCorrectable for a refused code."""
-    global _last_code
     basis = code.basis
-    key = (code.ambient_dim, basis.shape, basis.dtype.str, basis.tobytes(), tol)
-    last = _last_code
-    if last is not None and last[0] is c and last[1] == key:
-        return last[2:]
-    analysis = _kl_analysis(c, code, tol)
-    _last_code = (c, key, *analysis)
-    return analysis
+    key = (c, code.ambient_dim, basis.shape, basis.dtype.str, basis.tobytes(), tol)
+    return _code_memo(key, _kl_analysis, c, code, tol)
 
 
 def kl_check(

@@ -10,8 +10,8 @@ import functools
 
 import numpy as np
 
-from .channel import QuantumChannel, _density_spectrum, apply_channel
-from .numerics import DEFAULT_TOL, ToleranceConfig, _frozen, _psd_floor, as_matrix, dag
+from .channel import QuantumChannel, _density_spectrum, apply_channel, validate_channel
+from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_floor, as_matrix, dag
 
 # lindblad_omega's partial traces must reproduce the exchange state and the
 # channel output to rounding error, relative to omega's largest entry.
@@ -81,10 +81,11 @@ def exchange_matrix(c: QuantumChannel, rho) -> np.ndarray:
 
 
 class _State:
-    """rho validated, with ``w`` and ``v`` from one ``eigh``; sigma with its ``eigh``, and Phi(rho), on first use."""
+    """A copy of rho, validated, with ``w`` and ``v`` from one ``eigh``; sigma with its ``eigh``,
+    and Phi(rho), on first use."""
 
     def __init__(self, c: QuantumChannel, rho: np.ndarray, tol: ToleranceConfig):
-        self.c, (self.rho, self.w, self.v) = c, map(_frozen, _density_spectrum(rho, tol, vectors=True))
+        self.c, (self.rho, self.w, self.v) = c, map(_frozen, _density_spectrum(rho.copy(), tol, vectors=True))
         if self.rho.shape != (c.dim, c.dim):
             raise ValueError(f"state shape {self.rho.shape} does not match channel dim {c.dim}")
 
@@ -98,23 +99,17 @@ class _State:
         return _frozen(apply_channel(self.c, self.rho))
 
 
-# The most recent (channel, state) analysis, (channel, key, _State), kept as code._last_code keeps a code's:
-# channel by identity, key (shape and bytes of rho, tolerances); refusals are not stored; arrays are read-only.
-_last_state: tuple | None = None
+_state_memo = _LastCall()  # the last accepted (channel, state) pair's _State
 
 
 def _state(c: QuantumChannel, rho, tol: ToleranceConfig) -> _State:
-    global _last_state
     rho = as_matrix(rho)
-    key = (rho.shape, rho.tobytes(), tol)
-    last = _last_state
-    if last is None or last[0] is not c or last[1] != key:
-        _last_state = last = (c, key, _State(c, rho.copy(), tol))
-    return last[2]
+    return _state_memo((c, rho.shape, rho.tobytes(), tol), _State, c, rho, tol)
 
 
 def entropy_exchange(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Exchange state (shared, read-only) and its entropy, zero for any unitary channel; rho is validated."""
+    """Exchange state (shared, read-only) and its entropy, zero for any unitary channel; rho is
+    validated, and any Kraus family is accepted (trace preservation is not checked)."""
     sigma, w, _ = _state(c, rho, tol).exchange
     return sigma, _entropy_of_spectrum(w, tol)
 
@@ -134,6 +129,7 @@ def purification_exchange_entropy(c: QuantumChannel, rho, tol: ToleranceConfig =
     Agrees with :func:`entropy_exchange` for any purification.  The two routes
     share only the validation of ``rho`` (this one reads its eigenvectors); past
     it, this one takes an SVD and forms no exchange matrix and no E_i^dag E_j.
+    Any Kraus family is accepted: trace preservation is not checked.
     """
     state = _state(c, rho, tol)
     keep = state.w > tol.eps_rank * max(1.0, float(state.w[-1]))
@@ -156,7 +152,8 @@ def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -
     pairing that would give it entrywise is its partial transpose and is
     not positive semidefinite), so the environment factor is rotated by
     Q Q^T, with Q the eigenbasis of sigma, which carries conj(sigma) onto
-    sigma without touching the other marginal or the spectrum.
+    sigma without touching the other marginal or the spectrum.  Any Kraus
+    family is accepted: trace preservation is not checked.
     """
     state = _state(c, rho, tol)
     (sigma, _, q), n, m = state.exchange, c.dim, c.num_kraus
@@ -185,7 +182,10 @@ def partial_trace_environment(omega: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def check_lindblad_bounds(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LindbladReport:
-    """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``LINDBLAD_SLACK``."""
+    """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``LINDBLAD_SLACK``.
+
+    The bounds are stated for channels: raises NotTracePreserving for another Kraus family."""
+    validate_channel(c, tol)
     state = _state(c, rho, tol)
     s_rho = _entropy_of_spectrum(state.w, tol)
     s_out = von_neumann_entropy(state.output, tol)

@@ -2,8 +2,9 @@
 
 Everything here works on plain ``numpy`` complex arrays at desk scale
 (dimensions up to a few hundred).  All functions are pure, except that
-``unitary_eigen`` remembers the most recent unitary's decomposition and hands
-the same read-only arrays to every caller that asks again.
+``unitary_eigen`` keeps the most recent unitary's decomposition in a
+``_LastCall`` memo and hands the same read-only arrays to every caller that
+asks again.
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenvalues, orthonormal eigenvectors (as columns) and degeneracy clusters.
 
     ``cluster_map`` groups indices whose eigenvalues coincide within the
     clustering threshold (transitive closure of pairwise closeness).
+    Decompositions compare and hash by identity.
     """
 
     eigenvalues: np.ndarray
@@ -134,15 +136,31 @@ def is_unitary(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return u.shape[0] == u.shape[1] and _unitarity_residual(u) <= tol.eps_eig * u.shape[0]
 
 
-# The most recent unitary's decomposition, (key, decomposition), so that the
-# calls made in turn on one U (its range at several k, the groupings, the
-# figure's eigenvalue dots) decompose it once.  The key is (shape, bytes of U
-# as a complex matrix, tolerances): U is not hashable and a caller may change
-# it in place, so its bytes are compared, and a hit reuses a unitarity verdict
-# reached on the same bytes under equal tolerances.  The entry is replaced by
-# one assignment, so concurrent callers at worst compute the same thing twice;
-# its arrays are read-only, since a hit hands the same objects to every caller.
-_last_eigen: tuple | None = None
+class _LastCall:
+    """One-entry memo: ``memo(key, build, *args)`` returns ``build(*args)``,
+    building again only when ``key != `` the key of the result it keeps.
+
+    Every memo in the package follows this rule.  The entry is the last result
+    only, replaced by one assignment, so concurrent callers at worst compute
+    the same thing twice.  Owners (channels, decompositions) sit in the key by
+    identity, as they compare by identity; arrays by shape and bytes, since a
+    caller may change them in place; and the tolerances, so a hit reuses only
+    verdicts reached under equal ones.  A build that raises is not stored, so
+    a refused input is checked again.  A hit hands the same objects to every
+    caller, so their arrays are read-only.  Callers name ``build`` at each
+    call, so a builder replaced in its module is the one that runs.
+    """
+
+    last: tuple | None = None  # (key, result)
+
+    def __call__(self, key, build, *args):
+        last = self.last
+        if last is None or last[0] != key:
+            last = self.last = (key, build(*args))
+        return last[1]
+
+
+_eigen_memo = _LastCall()
 
 
 def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
@@ -158,15 +176,8 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     without decomposing or checking it again.  Its ``eigenvalues`` and
     ``eigenvectors`` are read-only; copy them before writing.
     """
-    global _last_eigen
     u = as_matrix(u)
-    key = (u.shape, u.tobytes(), tol)
-    last = _last_eigen
-    if last is not None and last[0] == key:
-        return last[1]
-    dec = _decompose_unitary(u, tol)
-    _last_eigen = (key, dec)
-    return dec
+    return _eigen_memo((u.shape, u.tobytes(), tol), _decompose_unitary, u, tol)
 
 
 def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:

@@ -1470,7 +1470,7 @@ def test_memo_follows_the_bytes_of_u_and_the_tolerances():
     other = _unitary_with_phases(_oracle_phases("repeated", 8, rng), rng)
 
     def cold(v, k, tol=DEFAULT_TOL):
-        numerics._last_eigen = None
+        numerics._eigen_memo.last = None
         return numerical_range(v.copy(), k, tol)
 
     def same(a, b):
@@ -1480,7 +1480,7 @@ def test_memo_follows_the_bytes_of_u_and_the_tolerances():
     u[:] = other  # changed in place after a call
     warm_region, warm_dfs = numerical_range(u, 3), dfs_exists(u, 2)
     assert same(warm_region, cold(other, 3))
-    numerics._last_eigen = None
+    numerics._eigen_memo.last = None
     assert warm_dfs == dfs_exists(other.copy(), 2)
 
     # Two eigenvalues 1e-8 apart: one cluster under eps_eig = 1e-6 only.
@@ -1577,9 +1577,9 @@ def test_memo_gives_the_cold_results():
                 calls += _memo_calls(_unitary_with_phases(_oracle_phases(family, n, rng), rng), rng)
     cold = []
     for fn, args, _ in calls:
-        numerics._last_eigen = None
+        numerics._eigen_memo.last = None
         cold.append(_run(fn, args))
-    numerics._last_eigen = None
+    numerics._eigen_memo.last = None
     warm = [_run(fn, args) for fn, args, _ in calls]
     assert warm == cold
     outcomes = [outcome for outcome, _ in cold]

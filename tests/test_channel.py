@@ -26,6 +26,13 @@ def test_validate_channel_accepts_tp_and_rejects_non_tp():
         validate_channel(channel([0.5 * np.eye(2)]))
 
 
+def test_channels_compare_and_hash_by_identity():
+    ops = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * pauli_word("X")]
+    a, b = channel(ops), channel(ops)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_validate_density():
     validate_density(np.eye(2) / 2)
     with pytest.raises(ValueError, match="trace"):

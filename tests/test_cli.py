@@ -301,7 +301,7 @@ def test_numrange_svg_decomposes_once(files, tmp_path, capsys, analysis_counts):
     svg_path = tmp_path / "fig.svg"
     # The calls above left this U in the memo and in the counts; the command
     # must start from neither.
-    numerics._last_eigen = None
+    numerics._eigen_memo.last = None
     eigen_calls, range_ks = analysis_counts
     eigen_calls.clear()
     range_ks.clear()
@@ -461,7 +461,7 @@ def test_min_entropy_code_decomposes_once(files, capsys, analysis_counts):
     built = binary_unitary.grouping_code(u, 3, lam)
     # The calls above left this U in the memo and in the counts; the command
     # must start from neither.
-    numerics._last_eigen = None
+    numerics._eigen_memo.last = None
     eigen_calls, range_ks = analysis_counts
     eigen_calls.clear()
     range_ks.clear()

@@ -52,7 +52,7 @@ def test_rank_one_code_decomposes_lambda_once(monkeypatch):
     # build_recovery and sigma_equals_lambda_check then reuse.
     chan, code3 = _table1_channel(), _table1_codes()[2]
     lam = kl_check(chan, code3)[0].matrix
-    code_module._last_code = None
+    code_module._code_memo.last = None
     eigh, calls = np.linalg.eigh, []
 
     def counting(a, *args, **kwargs):

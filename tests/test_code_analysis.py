@@ -126,9 +126,9 @@ def test_memo_gives_the_cold_results():
         calls += [(ENTRY_POINTS[i], case) for i in order]
     cold = []
     for fn, case in calls:
-        code_module._last_code = None
+        code_module._code_memo.last = None
         cold.append(_run(fn, case))
-    code_module._last_code = None
+    code_module._code_memo.last = None
     warm = [_run(fn, case) for fn, case in calls]
     assert warm == cold
     outcomes = [outcome for outcome, _ in cold]

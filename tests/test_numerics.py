@@ -52,6 +52,12 @@ def test_hermitian_eigen_known_spectrum():
     assert np.allclose(dag(v) @ v, np.eye(3), atol=1e-14)
 
 
+def test_decompositions_compare_and_hash_by_identity():
+    a, b = hermitian_eigen(np.diag([1.0, 2.0])), hermitian_eigen(np.diag([1.0, 2.0]))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_hermitian_eigen_rejects_asymmetric():
     with pytest.raises(ValueError, match="not Hermitian"):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -212,7 +218,7 @@ def _same_decomposition(a, b):
 
 
 def _cold_eigen(u, tol=DEFAULT_TOL):
-    numerics._last_eigen = None
+    numerics._eigen_memo.last = None
     return unitary_eigen(u.copy(), tol)
 
 

@@ -154,7 +154,7 @@ def _cold(c, rho):
     out = []
     for route in (lambda: entropy_exchange(c, rho), lambda: purification_exchange_entropy(c, rho),
                   lambda: lindblad_omega(c, rho), lambda: check_lindblad_bounds(c, rho)):
-        entropy._last_state = None
+        entropy._state_memo.last = None
         out.append(route())
     (sigma, s_exchange), s_pure, omega, report = out
     return [sigma.tobytes(), s_exchange.hex(), s_pure.hex(), omega.tobytes(),
@@ -166,10 +166,10 @@ def test_warm_state_analysis_equals_cold(n, m):
     rng = np.random.default_rng(100 * n + m)
     c, rho = random_channel(n, m, rng), random_density(n, rng)
     cold = _cold(c, rho)
-    entropy._last_state = None
+    entropy._state_memo.last = None
     assert _four_routes(c, rho) == cold
     # The purification route first, then the rest.
-    entropy._last_state = None
+    entropy._state_memo.last = None
     purification_exchange_entropy(c, rho)
     assert _four_routes(c, rho) == cold
     # A pure state and a unitary channel (Lindblad equalities).
@@ -177,7 +177,7 @@ def test_warm_state_analysis_equals_cold(n, m):
     pure, unitary = psi @ dag(psi), channel([haar_unitary(n, rng)])
     for case in ((c, pure), (unitary, rho), (unitary, pure)):
         cold = _cold(*case)
-        entropy._last_state = None
+        entropy._state_memo.last = None
         assert _four_routes(*case) == cold
 
 
@@ -192,7 +192,7 @@ def test_state_memo_misses_on_a_changed_state_channel_or_tolerances():
     s_new = entropy_exchange(c, rho)[1]
     assert entropy._state(c, rho, DEFAULT_TOL) is not state
     assert np.array_equal(state.rho, kept)
-    entropy._last_state = None
+    entropy._state_memo.last = None
     assert entropy_exchange(c, other)[1].hex() == s_new.hex()
     # Another channel object with the same operators, and other tolerances.
     state = entropy._state(c, rho, DEFAULT_TOL)
@@ -205,10 +205,10 @@ def test_state_memo_misses_on_a_changed_state_channel_or_tolerances():
     loose = ToleranceConfig(eps_rank=1e-6)
     binary = pauli_channel([(0.5, "I"), (0.5, "X")])
     entropy_exchange(binary, near, loose)
-    kept = entropy._last_state
+    kept = entropy._state_memo.last
     with pytest.raises(ValueError, match="negative eigenvalue"):
         entropy_exchange(binary, near)
-    assert entropy._last_state is kept
+    assert entropy._state_memo.last is kept
 
 
 def test_state_memo_shares_read_only_arrays_and_leaves_the_caller_s_own():
@@ -230,7 +230,7 @@ def test_purification_route_never_forms_the_exchange_state(monkeypatch):
     rng = np.random.default_rng(11)
     c, rho = random_channel(5, 3, rng), random_density(5, rng)
     expected = entropy_exchange(c, rho)[1]
-    entropy._last_state = None
+    entropy._state_memo.last = None
 
     def refuse(*args):
         raise AssertionError("the purification route formed sigma")
@@ -258,3 +258,14 @@ def test_entropy_exchange_validates_the_state_as_the_purification_route_does():
     assert np.allclose(exchange_matrix(c, np.eye(2)), np.eye(2))
     unit = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.array_equal(exchange_matrix(c, unit), _exchange(c.kraus, unit.astype(complex)))
+
+
+def test_lindblad_bounds_refuse_a_kraus_family_that_is_not_trace_preserving():
+    # rho = I/2 is a valid state; {I/2} is no channel, and its output has trace 1/4.
+    c, rho = channel([0.5 * np.eye(2)]), np.eye(2) / 2
+    with pytest.raises(NotTracePreserving):
+        check_lindblad_bounds(c, rho)
+    # The other three routes take any Kraus family: sigma = (1/4), of entropy 1/2.
+    assert entropy_exchange(c, rho)[1] == pytest.approx(0.5)
+    assert purification_exchange_entropy(c, rho) == pytest.approx(0.5)
+    assert np.allclose(lindblad_omega(c, rho), rho / 4)
