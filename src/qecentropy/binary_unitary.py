@@ -29,8 +29,6 @@ from .numerics import (
     ToleranceConfig,
     _LastCall,
     as_matrix,
-    dag,
-    is_unitary,
     unitary_eigen,
 )
 
@@ -53,14 +51,6 @@ class BinaryUnitaryChannel:
 
     p: float
     u: np.ndarray
-
-    @classmethod
-    def from_pair(cls, p: float, w1, w2, tol: ToleranceConfig = DEFAULT_TOL):
-        """Channel mixing two arbitrary unitaries; reduces to U = W1^dag W2."""
-        w1, w2 = as_matrix(w1), as_matrix(w2)
-        if not (is_unitary(w1, tol) and is_unitary(w2, tol)):
-            raise ValueError("both operators must be unitary")
-        return cls(p, dag(w1) @ w2)
 
     def __post_init__(self):
         _check_mixing_probability(self.p)

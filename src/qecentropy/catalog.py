@@ -167,12 +167,9 @@ def pauli_zz_instance() -> NamedInstance:
     )
 
 
-def example_unitaries() -> list[NamedInstance]:
-    return [example33_instance(), qutrit_instance(), pauli_zz_instance()]
-
-
 def all_instances() -> dict[str, NamedInstance]:
-    instances = [table1_instances(), stabilizer_instance()] + example_unitaries()
+    instances = [table1_instances(), stabilizer_instance(), example33_instance(), qutrit_instance(),
+                 pauli_zz_instance()]
     return {inst.name: inst for inst in instances}
 
 

@@ -129,14 +129,10 @@ def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> N
         raise NotTracePreserving(residual)
 
 
-def validate_density(rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Check Hermiticity, positivity and unit trace of a density matrix."""
-    return _density_spectrum(rho, tol)[0]
-
-
 def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
-    """``validate_density``'s checks; returns rho, its ascending eigenvalues
-    and their eigenvectors if ``vectors`` (else None)."""
+    """Check that rho is a density matrix: square, Hermitian, of unit trace and
+    PSD; returns rho, its ascending eigenvalues and their eigenvectors if
+    ``vectors`` (else None)."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
@@ -187,13 +183,6 @@ def remix_kraus(c: QuantumChannel, v, tol: ToleranceConfig = DEFAULT_TOL) -> Qua
     if not is_unitary(v, tol):
         raise ValueError("remix matrix must be unitary")
     return _stacked(np.tensordot(v, c.kraus, axes=1))
-
-
-def unitary_channel(u, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
-    u = as_matrix(u)
-    if not is_unitary(u, tol):
-        raise ValueError("unitary_channel requires a unitary matrix")
-    return channel([u])
 
 
 def _check_mixing_probability(p: float) -> None:

@@ -15,12 +15,6 @@ from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationErro
 from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _descending_eigh, _frozen, _psd_rank, dag, frobenius
 from .sampling import random_density
 
-# Entrywise tolerance between the exchange matrix of a code state and Lambda.
-# Both are O(1) matrices formed by different products of the Kraus operators,
-# and a code is accepted with a KL residual up to eps_kl (1e-8 by default), so
-# the two may differ by that much on an accepted code.
-SIGMA_LAMBDA_ATOL = 1e-8
-
 # Process-identity residual a built recovery must meet: an accepted code keeps
 # a KL residual up to eps_kl (1e-8 by default), which the 1/sqrt(w) scaling of
 # the isometries magnifies for small Lambda weights w.
@@ -37,9 +31,6 @@ class CodeSubspace:
     @property
     def k(self) -> int:
         return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ dag(self.basis)
 
     def to_json(self) -> dict:
         return {
@@ -113,15 +104,6 @@ def code_subspace(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     return CodeSubspace(n, basis)
 
 
-def span_code(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
-    """Build a code from a spanning set, orthonormalizing it first."""
-    raw = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-    q, r = np.linalg.qr(raw)
-    if np.min(np.abs(np.diag(r))) <= tol.eps_rank * max(1.0, float(np.abs(r).max())):
-        raise ValueError("spanning vectors are linearly dependent")
-    return code_subspace(q.T, tol)
-
-
 def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     try:
         dim, basis = serialization.size_from_json(obj["dim"], "dim"), obj["basis"]
@@ -157,15 +139,15 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
     lam = (lam + dag(lam)) / 2
     weights, vectors = _descending_eigh(lam)
     arrays = map(_frozen, (lam, np.clip(weights[::-1], 0.0, None), weights, vectors))
-    return compressed, ErrorCorrectionMatrix(*arrays, _psd_rank(weights, tol)), residual
+    return compressed, ErrorCorrectionMatrix(*arrays, _psd_rank(weights, tol)), residual, threshold
 
 
 def _analysed(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig
-) -> tuple[np.ndarray, ErrorCorrectionMatrix, float]:
-    """The compressions E_i B (shape (m, n, k)), Lambda and the KL residual of
-    the code, from the memo of the most recent accepted (channel, code) pair;
-    raises NotCorrectable for a refused code."""
+) -> tuple[np.ndarray, ErrorCorrectionMatrix, float, float]:
+    """The compressions E_i B (shape (m, n, k)), Lambda, the KL residual and the
+    threshold it was accepted under, from the memo of the most recent accepted
+    (channel, code) pair; raises NotCorrectable for a refused code."""
     basis = code.basis
     key = (c, code.ambient_dim, basis.shape, basis.dtype.str, basis.tobytes(), tol)
     return _code_memo(key, _kl_analysis, c, code, tol)
@@ -183,7 +165,7 @@ def kl_check(
     returned matrix is shared with later calls on the same channel and code,
     and read-only.
     """
-    _, lam, residual = _analysed(c, code, tol)
+    _, lam, residual, _ = _analysed(c, code, tol)
     return lam, residual
 
 
@@ -210,19 +192,23 @@ def classify_code(
                    and frobenius(common - phase * code.basis) <= scale)
         cls = CodeClass.DECOHERENCE_FREE if dfs else CodeClass.UNITARILY_CORRECTABLE
         return CodeReport(lam, entropy, 1, d, cls, True, dfs, residual)
-    flat = d > 0 and bool(np.max(np.abs(lam.spectrum - 1.0 / d)) <= tol.eps_kl)
+    # Flat on the d largest weights: with m > d Kraus operators Lambda has m - d zeros.
+    flat = d > 0 and bool(np.max(np.abs(lam.weights[:d] - 1.0 / d)) <= tol.eps_kl)
     cls = CodeClass.NON_DEGENERATE if (lam.rank == d and flat) else CodeClass.PARTIALLY_DEGENERATE
     return CodeReport(lam, entropy, lam.rank, d, cls, False, False, residual)
 
 
 def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: int, seed: int = 0,
                               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Exchange state equals the correction matrix for random states on the code."""
-    compressed, lam, _ = _analysed(c, code, tol)
+    """Exchange state equals the correction matrix for random states on the code,
+    entrywise within the KL threshold the code was accepted under: each entry of
+    sigma - Lambda is tr(rho D) for one block deviation
+    D = B^dag E_i^dag E_j B - lambda_ij I, so it is at most the KL residual."""
+    compressed, lam, _, threshold = _analysed(c, code, tol)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         sigma = _exchange(compressed, random_density(code.k, rng))
-        if np.max(np.abs(sigma - lam.matrix)) > SIGMA_LAMBDA_ATOL:
+        if np.max(np.abs(sigma - lam.matrix)) > threshold:
             return False
     return True
 
@@ -300,7 +286,7 @@ def build_recovery(
     a matrix-unit basis of the code.  A non-finite recovery fails the first
     check.
     """
-    compressed, lam, _ = _analysed(c, code, tol)
+    compressed, lam, _, _ = _analysed(c, code, tol)
     b = code.basis
     n, k, r = code.ambient_dim, code.k, lam.rank
     # Restricted canonical operators (sum_i v_i E_i) B, scaled to isometries.

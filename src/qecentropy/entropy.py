@@ -164,21 +164,12 @@ def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -
     v = rotated.transpose(1, 0, 2).reshape(n * m, n)
     omega = v @ state.rho @ dag(v)
     check = MARGINAL_CHECK_RTOL * max(1.0, float(np.abs(omega).max()))
-    if np.max(np.abs(partial_trace_system(omega, n, m) - sigma)) > check:
+    blocks = omega.reshape(n, m, n, m)  # [system, environment, system, environment]
+    if np.max(np.abs(np.einsum("aiaj->ij", blocks) - sigma)) > check:
         raise ArithmeticError("composite state partial trace does not match exchange state")
-    if np.max(np.abs(partial_trace_environment(omega, n, m) - state.output)) > check:
+    if np.max(np.abs(np.einsum("aibi->ab", blocks) - state.output)) > check:
         raise ArithmeticError("composite state partial trace does not match channel output")
     return omega
-
-
-def partial_trace_system(omega: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Trace out the n-dimensional system factor of an (n*m)-dim composite."""
-    return np.einsum("aiaj->ij", omega.reshape(n, m, n, m))
-
-
-def partial_trace_environment(omega: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Trace out the m-dimensional environment index of an (n*m)-dim composite."""
-    return np.einsum("aibi->ab", omega.reshape(n, m, n, m))
 
 
 def check_lindblad_bounds(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LindbladReport:

@@ -81,11 +81,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_square(a: np.ndarray):
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-
-
 def _chain_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[int, ...], ...]:
     """Group indices whose values are chained within ``threshold`` of each other.
 
@@ -105,24 +100,6 @@ def _chain_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[int, ..
     if breaks and abs(z[-1] - z[0]) <= threshold:
         groups[0] = groups[0] + groups.pop()
     return tuple(groups)
-
-
-def hermitian_eigen(a, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Raises ValueError when the input is not Hermitian within ``eps_eig``
-    (relative to the Frobenius norm), reporting the largest asymmetry.
-    """
-    a = as_matrix(a)
-    _require_square(a)
-    asym = a - dag(a)
-    max_asym = float(np.max(np.abs(asym))) if a.size else 0.0
-    scale = max(1.0, frobenius(a))
-    if max_asym > tol.eps_eig * scale:
-        raise ValueError(f"matrix is not Hermitian: max asymmetry {max_asym:.3e}")
-    w, v = np.linalg.eigh((a + dag(a)) / 2)
-    clusters = _chain_clusters(w, tol.eps_eig * a.shape[0])
-    return EigenDecomposition(w, v, clusters)
 
 
 def _unitarity_residual(u: np.ndarray) -> float:
@@ -183,7 +160,8 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
 def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:
     """``unitary_eigen``'s work on a matrix not in its memo: the unitarity
     check, then the decomposition."""
-    _require_square(u)
+    if u.shape[0] != u.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {u.shape}")
     n = u.shape[0]
     resid = _unitarity_residual(u)
     if not resid <= tol.eps_eig * n:

@@ -23,6 +23,7 @@ from qecentropy.binary_unitary import (
     lambda_spectrum,
     numerical_range,
 )
+from qecentropy.channel import apply_channel, channel
 from qecentropy.code import kl_check
 from qecentropy.errors import (
     LambdaOutsideRegionError,
@@ -31,7 +32,7 @@ from qecentropy.errors import (
     UnsupportedCodeDimensionError,
 )
 from qecentropy.numerics import DEFAULT_TOL, ToleranceConfig, dag, unitary_eigen
-from qecentropy.sampling import haar_unitary
+from qecentropy.sampling import haar_unitary, random_density
 
 U4 = np.diag(np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4))
 U9 = np.diag(np.exp(2j * np.pi * np.arange(9) / 9))
@@ -39,10 +40,14 @@ ZZ = np.diag([1.0, -1.0, -1.0, 1.0]).astype(complex)
 
 
 def test_from_pair_reduces_to_single_unitary():
+    # Mixing two unitaries, (1-p) W1 rho W1^dag + p W2 rho W2^dag, is the binary
+    # unitary channel of U = W1^dag W2 followed by W1.
     rng = np.random.default_rng(0)
     w1, w2 = haar_unitary(3, rng), haar_unitary(3, rng)
-    c = BinaryUnitaryChannel.from_pair(0.3, w1, w2)
-    assert np.allclose(c.u, dag(w1) @ w2, atol=1e-14)
+    pair = channel([np.sqrt(0.7) * w1, np.sqrt(0.3) * w2])
+    reduced = BinaryUnitaryChannel(0.3, dag(w1) @ w2).to_channel()
+    rho = random_density(3, rng)
+    assert np.allclose(apply_channel(pair, rho), w1 @ apply_channel(reduced, rho) @ dag(w1), atol=1e-14)
     with pytest.raises(ValueError):
         BinaryUnitaryChannel(1.2, np.eye(2))
 
@@ -1224,6 +1229,53 @@ def test_reported_vertices_have_eps_depth_within_the_slack(family):
 def test_reported_vertices_have_eps_depth_within_the_slack_property(pairs, family, diagonal, seed):
     u = _eps_depth_unitary(family, 2 * pairs, diagonal, np.random.default_rng(seed))
     _assert_vertices_have_eps_depth(u)
+
+
+# Points this many membership slacks along the outward normal at an edge's
+# midpoint: negative inside, 0.9 accepted and 1.1 refused just either side.
+EDGE_SLACKS = (-2, -1, -0.5, 0.5, 0.9, 1.1, 2)
+
+
+def _assert_membership_matches_eps_depth(u):
+    """Off the midpoint of every edge of every polygon rank-k range of u, the
+    membership verdict (distance within the slack) agrees with D(lambda): an
+    accepted lambda has D <= slack + eps_geom, a refused one D > slack -
+    eps_geom.  Past a sharp corner D is smaller than the distance, so only
+    edge midpoints are taken.  Returns how many points were checked."""
+    eigs = unitary_eigen(u).eigenvalues
+    slack, eps = binary_unitary._membership_slack(DEFAULT_TOL), DEFAULT_TOL.eps_geom
+    checked = 0
+    for k in range(1, len(eigs) + 1):
+        region = numerical_range(u, k)
+        if region.kind is not RegionKind.POLYGON:
+            continue
+        vertices = region.vertices
+        centre = np.mean(vertices)
+        for a, b in zip(vertices, np.roll(vertices, -1)):
+            mid, normal = (a + b) / 2, -1j * (b - a) / abs(b - a)
+            if (np.conj(normal) * (mid - centre)).real < 0:
+                normal = -normal
+            for t in EDGE_SLACKS:
+                lam = complex(mid + t * slack * normal)
+                depth = _eps_depth(eigs, k, lam)
+                if region.distance(lam) <= slack:
+                    assert depth <= slack + eps, (k, lam, t, depth)
+                else:
+                    assert depth > slack - eps, (k, lam, t, depth)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("family", ("random", "twin-1e-7", "grid"))
+def test_membership_off_edge_midpoints_agrees_with_eps_depth(family):
+    rng = np.random.default_rng(2100 + ["random", "twin-1e-7", "grid"].index(family))
+    checked = 0
+    for n in range(4, 13):
+        for diagonal in (True, False):
+            phases = _covariance_phases(family, n, rng)
+            u = np.diag(np.exp(1j * phases)) if diagonal else _unitary_with_phases(phases, rng)
+            checked += _assert_membership_matches_eps_depth(u)
+    assert checked > 2000
 
 
 def _covariance_phases(family, n, rng):

@@ -25,7 +25,7 @@ def test_bitflip_channel_lambda_is_diagonal():
 
 def test_stabilizer_code_projector():
     code = catalog.stabilizer_code()
-    p = code.projector()
+    p = code.basis @ code.basis.conj().T
     expected = np.zeros((8, 8))
     expected[0, 0] = expected[7, 7] = 1.0
     assert np.allclose(p, expected, atol=1e-14)

@@ -11,10 +11,9 @@ from qecentropy.channel import (
     pauli_channel,
     pauli_word,
     remix_kraus,
-    unitary_channel,
     validate_channel,
-    validate_density,
 )
+from qecentropy.entropy import von_neumann_entropy
 from qecentropy.errors import NotTracePreserving
 from qecentropy.numerics import dag
 from qecentropy.sampling import haar_unitary, random_channel, random_density
@@ -34,17 +33,18 @@ def test_channels_compare_and_hash_by_identity():
 
 
 def test_validate_density():
-    validate_density(np.eye(2) / 2)
+    # The density checks every entropy route runs, reached through von_neumann_entropy.
+    assert von_neumann_entropy(np.eye(2) / 2) == 1.0
     with pytest.raises(ValueError, match="trace"):
-        validate_density(np.eye(2))
+        von_neumann_entropy(np.eye(2))
     with pytest.raises(ValueError, match="Hermitian"):
-        validate_density(np.array([[0.5, 1.0], [0.0, 0.5]]))
+        von_neumann_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        validate_density(np.diag([1.5, -0.5]))
+        von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
 def test_choi_rank_examples():
-    assert choi_gram(unitary_channel(np.eye(4))).choi_rank == 1
+    assert choi_gram(channel([np.eye(4)])).choi_rank == 1
     table1 = pauli_channel([(1 / 3, "III"), (1 / 3, "XII"), (1 / 3, "IXI")])
     assert choi_gram(table1).choi_rank == 3
     # A redundant Kraus presentation does not inflate the rank.

@@ -11,9 +11,8 @@ import pytest
 
 import qecentropy
 from qecentropy import catalog, cli, code_subspace, pauli_channel, serialization
-from qecentropy.channel import unitary_channel, validate_channel
+from qecentropy.channel import channel, validate_channel
 from qecentropy.cli import main
-from qecentropy.code import span_code
 from qecentropy.numerics import DEFAULT_TOL
 
 U4 = np.diag(np.exp(1j * np.pi * np.array([1, 3, 5, 7]) / 4))
@@ -35,7 +34,7 @@ def files(tmp_path):
     write("u4.json", serialization.matrix_to_json(U4))
     write("u9.json", serialization.matrix_to_json(U9))
     e = np.eye(8)
-    write("bad.json", span_code([e[0], e[4]]).to_json())
+    write("bad.json", code_subspace([e[0], e[4]]).to_json())
     paths["dir"] = str(tmp_path)
     return paths
 
@@ -80,11 +79,11 @@ def test_code_analyze_with_sigma_samples_runs_one_analysis(files, capsys, monkey
 def test_code_analyze_rank_one_codes(tmp_path, capsys):
     # Rank-one Lambda takes the decoherence-free test, whose verdict must
     # serialize as a JSON boolean either way.
-    flip = unitary_channel(np.kron([[0, 1], [1, 0]], np.eye(2)))
+    flip = channel([np.kron([[0, 1], [1, 0]], np.eye(2))])
     cases = [(catalog.all_instances()[name].channel, catalog.all_instances()[name].code(label), cls)
              for name, label, cls in (("table1", "code3", "DecoherenceFree"),
                                       ("pauli-zz", "plus-eigenspace", "DecoherenceFree"))]
-    cases.append((flip, span_code(np.eye(4)[:2]), "UnitarilyCorrectable"))
+    cases.append((flip, code_subspace(np.eye(4)[:2]), "UnitarilyCorrectable"))
     for chan, code, cls in cases:
         chan_path, code_path = tmp_path / "chan.json", tmp_path / "code.json"
         chan_path.write_text(serialization.dumps(chan.to_json()))
@@ -99,7 +98,7 @@ def test_code_analyze_prints_a_pure_lambda_entropy_as_0(tmp_path, capsys):
     # Lambda of a unitary channel is pure: its entropy printed as -0, and the
     # pauli-zz code's as -3.2e-16, before the entropy was clamped at 0.
     pauli = catalog.all_instances()["pauli-zz"]
-    cases = [(unitary_channel(np.eye(2)), span_code(np.eye(2))),
+    cases = [(channel([np.eye(2)]), code_subspace(np.eye(2))),
              (pauli.channel, pauli.code("plus-eigenspace"))]
     for chan, code in cases:
         chan_path, code_path = tmp_path / "chan.json", tmp_path / "code.json"
@@ -258,10 +257,10 @@ def test_a_non_finite_recovery_exits_1(files, capsys, monkeypatch, bad):
     analysed = code_module._analysed
 
     def spoiled(c, code, tol):
-        compressed, lam, residual = analysed(c, code, tol)
+        compressed, *rest = analysed(c, code, tol)
         compressed = compressed.copy()
         compressed[0, 0, 0] = bad
-        return compressed, lam, residual
+        return compressed, *rest
 
     monkeypatch.setattr(code_module, "_analysed", spoiled)
     assert main(["code", "recovery", files["chan.json"], files["code1.json"]]) == 1

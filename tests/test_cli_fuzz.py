@@ -19,9 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qecentropy import serialization
-from qecentropy.channel import pauli_channel, unitary_channel
+from qecentropy.channel import channel, pauli_channel
 from qecentropy.cli import main
-from qecentropy.code import span_code
+from qecentropy.code import code_subspace
 from qecentropy.sampling import haar_unitary, random_channel
 
 BIG_INT = 10 ** 400  # a JSON integer too large for a float
@@ -83,7 +83,7 @@ def channel_and_code(draw):
         weights = rng.dirichlet(np.ones(len(words)))
         c = pauli_channel(zip(weights, words))
     elif kind == "unitary":
-        c = unitary_channel(_unitary(draw, draw(st.integers(1, 6))))
+        c = channel([_unitary(draw, draw(st.integers(1, 6)))])
     else:
         c = random_channel(draw(st.integers(1, 5)), draw(st.integers(1, 4)), rng)
     n = c.dim
@@ -93,7 +93,7 @@ def channel_and_code(draw):
                                           unique=True))]
     else:
         vectors = haar_unitary(n, rng)[:, :k].T
-    return c.to_json(), span_code(vectors).to_json()
+    return c.to_json(), code_subspace(vectors).to_json()
 
 
 @st.composite

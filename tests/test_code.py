@@ -1,11 +1,13 @@
 import functools
 import importlib
+import json
 
 import numpy as np
 import pytest
 
 from qecentropy import code as code_module
-from qecentropy.channel import apply_channel, pauli_channel, unitary_channel
+from qecentropy import serialization
+from qecentropy.channel import apply_channel, channel, pauli_channel
 from qecentropy.code import (
     CodeClass,
     build_recovery,
@@ -16,8 +18,8 @@ from qecentropy.code import (
     kl_check,
     rank_bound_check,
     sigma_equals_lambda_check,
-    span_code,
 )
+from qecentropy.cli import main
 from qecentropy.errors import NotCorrectable
 from qecentropy.numerics import dag
 from qecentropy.sampling import haar_unitary
@@ -98,15 +100,6 @@ def test_code_subspace_requires_orthonormal_basis():
         code_subspace([_ket(4, 0), (_ket(4, 0) + _ket(4, 1)) / np.sqrt(2)])
 
 
-def test_span_code_orthonormalizes():
-    code = span_code([_ket(4, 0) * 2.0, _ket(4, 0) + _ket(4, 1)])
-    p = code.projector()
-    assert np.allclose(p @ p, p, atol=1e-12)
-    assert code.k == 2
-    with pytest.raises(ValueError, match="dependent"):
-        span_code([_ket(4, 0), 2 * _ket(4, 0)])
-
-
 def test_kl_check_table1_lambda_matrices():
     chan = _table1_channel()
     code1, code2, _ = _table1_codes()
@@ -159,11 +152,47 @@ def test_classify_code_table1():
     assert r3.entropy_bits < 1e-12
 
 
+def _table1_presentations():
+    """Table 1's channel as written, and three other Kraus families of the same
+    channel with more operators than its Choi rank 3: III split into two halves
+    of weight 1/sqrt(2), a zero operator appended, and an isometric embedding of
+    the three operators into five by a Haar isometry."""
+    chan = _table1_channel()
+    ops = list(chan.kraus)
+    isometry = haar_unitary(5, np.random.default_rng(12))[:, :3]
+    return {
+        "written": chan,
+        "split": channel([ops[0] / np.sqrt(2), ops[0] / np.sqrt(2), *ops[1:]]),
+        "zero-padded": channel([*ops, np.zeros((8, 8))]),
+        "embedded": channel(np.tensordot(isometry, chan.kraus, axes=1)),
+    }
+
+
+def test_classification_follows_the_channel_not_its_kraus_list(tmp_path, capsys):
+    # Lambda is m x m with m - d zeros beside its d nonzero weights, so the
+    # flat-spectrum test reads the d largest weights only.
+    code = _table1_codes()[0]
+    code_path = tmp_path / "code.json"
+    code_path.write_text(serialization.dumps(code.to_json()))
+    for name, chan in _table1_presentations().items():
+        report = classify_code(chan, code)
+        assert report.classification is CodeClass.NON_DEGENERATE, name
+        assert abs(report.entropy_bits - LOG2_3) <= 1e-12, name
+        assert (report.choi_rank, report.lambda_rank) == (3, 3), name
+        chan_path = tmp_path / f"{name}.json"
+        chan_path.write_text(serialization.dumps(chan.to_json()))
+        assert main(["code", "analyze", str(chan_path), str(code_path)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["classification"] == "NonDegenerate", name
+        assert abs(printed["entropy_bits"] - LOG2_3) <= 1e-12, name
+        assert (printed["choi_rank"], printed["lambda_rank"]) == (3, 3), name
+
+
 def test_unitarily_correctable_but_not_dfs():
     # A unitary channel acts as X on the code: correctable by one unitary,
     # but not the identity, so not decoherence free.
     u = np.kron(np.array([[0, 1], [1, 0]], dtype=complex), np.eye(2))
-    chan = unitary_channel(u)
+    chan = channel([u])
     code = code_subspace([_ket(4, 0), _ket(4, 1)])
     report = classify_code(chan, code)
     assert report.classification is CodeClass.UNITARILY_CORRECTABLE
@@ -195,7 +224,7 @@ def test_build_recovery_table1():
 def test_build_recovery_unitary_channel_is_adjoint():
     rng = np.random.default_rng(4)
     u = haar_unitary(4, rng)
-    chan = unitary_channel(u)
+    chan = channel([u])
     code = code_subspace([_ket(4, 0), _ket(4, 2)])
     rec = build_recovery(chan, code)
     assert rec.residual <= 1e-10
@@ -207,6 +236,6 @@ def test_build_recovery_unitary_channel_is_adjoint():
 def test_code_json_roundtrip():
     code = _table1_codes()[1]
     back = code_from_json(code.to_json())
-    assert np.allclose(back.projector(), code.projector(), atol=1e-14)
+    assert np.allclose(back.basis @ dag(back.basis), code.basis @ dag(code.basis), atol=1e-14)
     with pytest.raises(ValueError):
         code_from_json({"dim": 8})

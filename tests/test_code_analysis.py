@@ -9,7 +9,6 @@ from qecentropy import code as code_module
 from qecentropy import entropy
 from qecentropy.channel import channel, choi_gram, pauli_channel
 from qecentropy.code import (
-    SIGMA_LAMBDA_ATOL,
     CodeSubspace,
     build_recovery,
     classify_code,
@@ -197,13 +196,19 @@ def test_memoised_arrays_are_read_only():
             array[0] = 0
 
 
-def _sigma_reference(c, code, lam, samples, seed):
-    """sigma = Lambda on random code states, by the n x n exchange matrix."""
+def _kl_threshold(c, tol):
+    """The KL acceptance threshold, eps_kl * max(1, max_i ||E_i||_F^2)."""
+    return tol.eps_kl * max(1.0, max(frobenius(e) ** 2 for e in c.kraus))
+
+
+def _sigma_reference(c, code, lam, samples, seed, tol):
+    """sigma = Lambda within the KL threshold on random code states, by the
+    n x n exchange matrix."""
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         rho_code = random_density(code.k, rng)
         sigma = exchange_matrix(c, code.basis @ rho_code @ dag(code.basis))
-        if np.max(np.abs(sigma - lam.matrix)) > SIGMA_LAMBDA_ATOL:
+        if np.max(np.abs(sigma - lam.matrix)) > _kl_threshold(c, tol):
             return False
     return True
 
@@ -223,20 +228,47 @@ def test_exchange_state_from_the_compressions_matches_exchange_matrix():
 
 
 def test_sigma_check_agrees_with_the_exchange_matrix_route():
-    # Under a loose eps_kl a near code is accepted while sigma differs from
-    # Lambda by more than SIGMA_LAMBDA_ATOL, so both verdicts occur.
+    # Near codes accepted under a loose eps_kl pass, as sigma - Lambda is at most
+    # the KL residual.  Only rounding fails the check: the identity channel on
+    # its exact code under an eps_kl far below it, where tr(rho) misses 1 by an
+    # ulp for some states.  So both verdicts occur.
     e = np.eye(8)
     chan = pauli_channel([(1 / 3, "III"), (1 / 3, "XII"), (1 / 3, "IXI")])
     loose = ToleranceConfig(eps_kl=1e-2)
+    cases = [(chan, code_subspace([(e[0] + delta * e[1]) / np.sqrt(1 + delta ** 2), e[7]]), loose)
+             for delta in (0.0, 1e-9, 1e-6, 1e-3)]
+    cases.append((channel([np.eye(2)]), code_subspace(np.eye(2)), ToleranceConfig(eps_kl=1e-300)))
     verdicts = []
-    for delta in (0.0, 1e-9, 1e-6, 1e-3):
-        code = code_subspace([(e[0] + delta * e[1]) / np.sqrt(1 + delta ** 2), e[7]])
+    for c, code, tol in cases:
         for seed in range(4):
-            lam, _ = kl_check(chan, code, loose)
-            got = sigma_equals_lambda_check(chan, code, 3, seed, loose)
-            assert got == _sigma_reference(chan, code, lam, 3, seed)
+            lam, _ = kl_check(c, code, tol)
+            got = sigma_equals_lambda_check(c, code, 3, seed, tol)
+            assert got == _sigma_reference(c, code, lam, 3, seed, tol)
             verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def test_sigma_check_passes_on_every_accepted_near_code():
+    # Table 1's first code perturbed by 1e-9 to 10^-7.5 and renormalised: each
+    # entry of sigma - Lambda is tr(rho D) for one KL block deviation D, so it is
+    # at most the residual, which an accepted code keeps within the threshold.
+    # A fixed entrywise bound of 1e-8 refused some of these codes.
+    e = np.eye(8)
+    chan = pauli_channel([(1 / 3, "III"), (1 / 3, "XII"), (1 / 3, "IXI")])
+    rng = np.random.default_rng(8)
+    accepted = 0
+    for _ in range(60):
+        scale = 10.0 ** rng.uniform(-9, -7.5)
+        basis = np.column_stack([e[0], e[7]]) + scale * (
+            rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
+        code = code_subspace(np.linalg.qr(basis)[0].T)
+        try:
+            kl_check(chan, code)
+        except NotCorrectable:
+            continue
+        assert sigma_equals_lambda_check(chan, code, 20, seed=int(rng.integers(2 ** 31)))
+        accepted += 1
+    assert accepted >= 20
 
 
 def _recovery_parts(c, code, tol):
@@ -334,10 +366,10 @@ def test_build_recovery_refuses_a_nan_verification_residual(monkeypatch):
     analysed = code_module._analysed
 
     def spoiled(c, code, tol):
-        compressed, lam, residual = analysed(c, code, tol)
+        compressed, *rest = analysed(c, code, tol)
         compressed = compressed.copy()
         compressed[0, 0, 0] = np.nan
-        return compressed, lam, residual
+        return compressed, *rest
 
     monkeypatch.setattr(code_module, "_analysed", spoiled)
     monkeypatch.setattr(code_module, "_recovery_trace_residual", lambda *args: 0.0)

@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qecentropy.binary_unitary import biunitary_code_entropy
-from qecentropy.channel import apply_channel, pauli_channel, unitary_channel
+from qecentropy.channel import apply_channel, channel, pauli_channel
 from qecentropy.entropy import (
     _entropy_of_spectrum,
     check_lindblad_bounds,
     entropy_exchange,
     exchange_matrix,
     lindblad_omega,
-    partial_trace_environment,
-    partial_trace_system,
     purification_exchange_entropy,
     von_neumann_entropy,
 )
@@ -55,7 +53,7 @@ def test_von_neumann_entropy_rejects_negative_spectrum():
 
 def test_exchange_entropy_zero_for_unitary_channel():
     rng = np.random.default_rng(0)
-    c = unitary_channel(haar_unitary(3, rng))
+    c = channel([haar_unitary(3, rng)])
     _, s = entropy_exchange(c, random_density(3, rng))
     assert s < 1e-12
 
@@ -86,9 +84,9 @@ def test_lindblad_omega_marginals_and_entropy():
         rho = random_density(n, rng)
         omega = lindblad_omega(c, rho)
         sigma = exchange_matrix(c, rho)
-        assert np.max(np.abs(partial_trace_system(omega, n, m) - sigma)) < 1e-10
-        assert np.max(np.abs(partial_trace_environment(omega, n, m) -
-                             apply_channel(c, rho))) < 1e-10
+        blocks = omega.reshape(n, m, n, m)  # [system, environment, system, environment]
+        assert np.max(np.abs(np.einsum("aiaj->ij", blocks) - sigma)) < 1e-10
+        assert np.max(np.abs(np.einsum("aibi->ab", blocks) - apply_channel(c, rho))) < 1e-10
         assert abs(von_neumann_entropy(omega) - von_neumann_entropy(rho)) < 1e-10
 
 

@@ -22,7 +22,6 @@ from qecentropy.channel import (
     pauli_channel,
     pauli_word,
     remix_kraus,
-    unitary_channel,
 )
 from qecentropy.code import (
     RECOVERY_VERIFY_ATOL,
@@ -30,7 +29,6 @@ from qecentropy.code import (
     build_recovery,
     code_subspace,
     kl_check,
-    span_code,
 )
 from qecentropy.entropy import (
     _entropy_of_spectrum,
@@ -149,7 +147,9 @@ def _random_channels(seed, count):
 
 
 def _random_subspace(n, k, rng):
-    return span_code(list(rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))))
+    """The span of k Gaussian vectors, orthonormalised by QR."""
+    vectors = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
+    return code_subspace(np.linalg.qr(vectors.T)[0].T)
 
 
 # [[5,1,3]] code (cyclic shifts of XZZXI) and Steane [[7,1,3]] code (X- and
@@ -181,7 +181,7 @@ def _correctable_pairs():
         pairs.append((pauli_channel(zip(rng.dirichlet(np.ones(nq + 1)), words)),
                       code_subspace([eye[0], eye[-1]])))
     for n, k in ((4, 2), (6, 3), (8, 4)):
-        pairs.append((unitary_channel(haar_unitary(n, rng)), _random_subspace(n, k, rng)))
+        pairs.append((channel([haar_unitary(n, rng)]), _random_subspace(n, k, rng)))
     for n, m in ((3, 2), (7, 5), (12, 9)):
         pairs.append((random_channel(n, m, rng), _random_subspace(n, 1, rng)))
     return pairs

@@ -11,7 +11,6 @@ from qecentropy.numerics import (
     _descending_eigh,
     _psd_rank,
     dag,
-    hermitian_eigen,
     is_unitary,
     unitary_eigen,
 )
@@ -41,31 +40,11 @@ def test_tolerance_config_rejects_rank_cutoff_of_one_or_more():
     assert ToleranceConfig(eps_kl=1.0, eps_geom=2.0, eps_eig=1.0).eps_kl == 1.0
 
 
-def test_hermitian_eigen_known_spectrum():
-    # This matrix shows up as a correction matrix later; spectrum {0, 1/3, 2/3}.
-    a = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex) / 3
-    dec = hermitian_eigen(a)
-    assert np.allclose(dec.eigenvalues, [0.0, 1 / 3, 2 / 3], atol=1e-14)
-    # Reconstruction and orthonormality.
-    v = dec.eigenvectors
-    assert np.allclose(v @ np.diag(dec.eigenvalues) @ dag(v), a, atol=1e-14)
-    assert np.allclose(dag(v) @ v, np.eye(3), atol=1e-14)
-
-
 def test_decompositions_compare_and_hash_by_identity():
-    a, b = hermitian_eigen(np.diag([1.0, 2.0])), hermitian_eigen(np.diag([1.0, 2.0]))
+    u = np.diag([1.0, 1j])
+    a, b = numerics._decompose_unitary(u, DEFAULT_TOL), numerics._decompose_unitary(u, DEFAULT_TOL)
     assert a == a and a != b
     assert len({a, b, a}) == 2
-
-
-def test_hermitian_eigen_rejects_asymmetric():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_eigen_clusters_degenerate():
-    dec = hermitian_eigen(np.diag([1.0, 1.0, 2.0]))
-    assert dec.cluster_map == ((0, 1), (2,))
 
 
 def test_unitary_eigen_reconstructs_and_sorts_by_phase():
