@@ -26,7 +26,6 @@ from .channel import (
     ChoiGram,
     QuantumChannel,
     apply_channel,
-    binary_unitary_kraus,
     canonical_kraus,
     channel,
     channel_from_json,

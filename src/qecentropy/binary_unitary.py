@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import geometry, serialization
-from .channel import QuantumChannel, _check_mixing_probability, binary_unitary_kraus
+from .channel import QuantumChannel, channel
 from .code import CodeSubspace, code_subspace
 from .entropy import _entropy_of_spectrum, _entropy_rows
 from .errors import (
@@ -29,6 +29,7 @@ from .numerics import (
     ToleranceConfig,
     _LastCall,
     as_matrix,
+    is_unitary,
     unitary_eigen,
 )
 
@@ -56,8 +57,16 @@ class BinaryUnitaryChannel:
         _check_mixing_probability(self.p)
 
     def to_channel(self, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
-        """Kraus form; checks U for unitarity under ``tol``."""
-        return binary_unitary_kraus(self.p, self.u, tol)
+        """Kraus form {sqrt(1-p) I, sqrt(p) U}; checks U for unitarity under ``tol``."""
+        u = as_matrix(self.u)
+        if not is_unitary(u, tol):
+            raise ValueError("binary unitary channel requires a unitary matrix")
+        return channel([np.sqrt(1 - self.p) * np.eye(u.shape[0]), np.sqrt(self.p) * u])
+
+
+def _check_mixing_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"mixing probability must be in [0, 1], got {p}")
 
 
 class RegionKind(str, enum.Enum):

@@ -185,21 +185,6 @@ def remix_kraus(c: QuantumChannel, v, tol: ToleranceConfig = DEFAULT_TOL) -> Qua
     return _stacked(np.tensordot(v, c.kraus, axes=1))
 
 
-def _check_mixing_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing probability must be in [0, 1], got {p}")
-
-
-def binary_unitary_kraus(p: float, u, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
-    """Kraus form {sqrt(1-p) I, sqrt(p) U} of the two-term mixing channel."""
-    _check_mixing_probability(p)
-    u = as_matrix(u)
-    if not is_unitary(u, tol):
-        raise ValueError("binary unitary channel requires a unitary matrix")
-    n = u.shape[0]
-    return channel([np.sqrt(1 - p) * np.eye(n), np.sqrt(p) * u])
-
-
 def pauli_word(word: str) -> np.ndarray:
     """Tensor product of single-qubit Pauli operators, e.g. ``'XIZ'``."""
     if not word or any(ch not in _PAULI for ch in word):

@@ -16,8 +16,9 @@ from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _descending_eigh,
 from .sampling import random_density
 
 # Process-identity residual a built recovery must meet: an accepted code keeps
-# a KL residual up to eps_kl (1e-8 by default), which the 1/sqrt(w) scaling of
-# the isometries magnifies for small Lambda weights w.
+# a KL residual up to eps_kl (1e-8 by default) times max(1, largest Kraus Gram
+# weight), which the 1/sqrt(w) scaling of the isometries magnifies for small
+# Lambda weights w.
 RECOVERY_VERIFY_ATOL = 1e-6
 
 
@@ -68,7 +69,7 @@ class CodeReport:
     classification: CodeClass
     unitarily_correctable: bool
     decoherence_free: bool
-    max_kl_residual: float
+    kl_residual: float
 
     def to_json(self) -> dict:
         return {
@@ -80,7 +81,7 @@ class CodeReport:
             "classification": self.classification.value,
             "unitarily_correctable": self.unitarily_correctable,
             "decoherence_free": self.decoherence_free,
-            "max_kl_residual": self.max_kl_residual,
+            "kl_residual": self.kl_residual,
         }
 
 
@@ -94,7 +95,10 @@ class RecoveryOperation:
 
 def code_subspace(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     """Build a code from basis vectors; they must already be orthonormal."""
-    basis = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
+    columns = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if not columns:
+        raise ValueError("code basis must hold at least one vector")
+    basis = np.column_stack(columns)
     n, k = basis.shape
     if k > n:
         raise ValueError(f"code dimension {k} exceeds ambient dimension {n}")
@@ -126,14 +130,14 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
         raise ValueError(
             f"code ambient dimension {code.ambient_dim} does not match channel dim {c.dim}"
         )
-    k = code.k
+    m, n, k = c.num_kraus, code.ambient_dim, code.k
     compressed = _frozen(c.kraus @ code.basis)
-    # blocks[i, j] = (E_i B)^dag (E_j B), the (k, k) compression of E_i^dag E_j.
-    blocks = np.conj(compressed).transpose(0, 2, 1)[:, None] @ compressed[None, :]
-    lam = np.trace(blocks, axis1=2, axis2=3) / k
-    residual = float(np.linalg.norm(blocks - lam[:, :, None, None] * np.eye(k), axis=(2, 3)).max())
-    flat = c.kraus.reshape(c.num_kraus, -1).view(float)  # max_i ||E_i||_F^2 from the real view
-    threshold = tol.eps_kl * max(1.0, float((flat * flat).sum(axis=1).max()))
+    # T = C^dag C for C = [E_1 B ... E_m B]: t[i, a, j, b] = ((E_i B)^dag E_j B)[a, b].
+    cols = compressed.transpose(1, 0, 2).reshape(n, m * k)
+    t = (dag(cols) @ cols).reshape(m, k, m, k)
+    lam = np.einsum("iaja->ij", t) / k
+    residual = frobenius(t - lam[:, None, :, None] * np.eye(k)[:, None])  # ||T - Lambda (x) I_k||_F
+    threshold = tol.eps_kl * max(1.0, float(choi_gram(c, tol).weights[-1]))
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2
@@ -159,9 +163,11 @@ def kl_check(
     """Verify the compression conditions P E_i^dag E_j P = lambda_ij P.
 
     Coefficients come from the least-squares extraction
-    lambda_ij = Tr(P E_i^dag E_j P)/k, and the acceptance threshold scales
-    with the Kraus operator norms so verdicts are invariant under global
-    rescaling.  Raises NotCorrectable when the residual exceeds it.  The
+    lambda_ij = Tr(P E_i^dag E_j P)/k.  The residual ||T - Lambda (x) I_k||_F,
+    with T the mk x mk matrix of blocks B^dag E_i^dag E_j B, must be at most
+    eps_kl * max(1, largest Kraus Gram eigenvalue), or NotCorrectable is
+    raised.  Both are invariant under isometric remixes of the Kraus family
+    (unitary remix, zero padding, splitting), so the verdict is the channel's.  The
     returned matrix is shared with later calls on the same channel and code,
     and read-only.
     """

@@ -20,7 +20,7 @@ class NotCorrectable(QecError):
         self.residual = residual
         self.threshold = threshold
         super().__init__(
-            f"subspace is not a correctable code (max residual {residual:.3e}, "
+            f"subspace is not a correctable code (residual {residual:.3e}, "
             f"threshold {threshold:.3e})"
         )
 

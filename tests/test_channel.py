@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from qecentropy.binary_unitary import BinaryUnitaryChannel
 from qecentropy.channel import (
     apply_channel,
-    binary_unitary_kraus,
     canonical_kraus,
     channel,
     channel_from_json,
@@ -99,10 +99,12 @@ def test_pauli_word_and_channel():
 
 def test_binary_unitary_kraus():
     u = np.diag([1.0, -1.0]).astype(complex)
-    c = binary_unitary_kraus(0.25, u)
+    c = BinaryUnitaryChannel(0.25, u).to_channel()
     validate_channel(c)
     with pytest.raises(ValueError):
-        binary_unitary_kraus(1.5, u)
+        BinaryUnitaryChannel(1.5, u).to_channel()
+    with pytest.raises(ValueError, match="requires a unitary matrix"):
+        BinaryUnitaryChannel(0.25, 2 * u).to_channel()
 
 
 def test_channel_json_roundtrip():

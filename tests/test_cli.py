@@ -141,6 +141,17 @@ def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, o
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("dim", [8, 0])
+def test_an_empty_code_basis_gives_its_own_error_line(files, tmp_path, capsys, dim):
+    # np.column_stack's "need at least one array to concatenate" used to leak out.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"dim": dim, "basis": []}))
+    assert main(["code", "analyze", files["chan.json"], str(empty)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: code basis must hold at least one vector\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_inputs_fail_their_validity_checks(files, tmp_path, capsys):
     # An entry 1e300(1 + i) squares to inf - inf = nan in the Gram products,
@@ -502,10 +513,10 @@ def test_qutrit_min_entropy_code_groups_by_interleaving(files, capsys, p):
 # CLI workload; the library calls that the decompose-once tests compare with
 # would change along with the command, these would not.
 QUTRIT_STDOUT_SHA256 = {
-    ("min-entropy-code", "3", "0.01"): "7aa5d6da6339cdb9e9f751726827b00ae582d2475482d22f2f751a5c62d9863c",
-    ("min-entropy-code", "3", "0.1"): "6c92685000e54055ec73fa7790cf382f96fbf8ae7c4f116a1c3279fc3a6f7297",
-    ("min-entropy-code", "3", "0.25"): "bb74e79abd36c0947f2597299e25bd084a3cb2aff6ac335d7253bdd3586b4b9c",
-    ("min-entropy-code", "3", "0.4"): "4b191de123e3c8d6f52f4ffcb3e6cb870a00c634ca143aba12449117a625d608",
+    ("min-entropy-code", "3", "0.01"): "b81d7151903d745f433c8229f6d48f0c8bf911e3e0ce0c7305fe70d56e819355",
+    ("min-entropy-code", "3", "0.1"): "5474972151c02cfc53675900b451548b41166d0ef95f03b992a5eee28191f52c",
+    ("min-entropy-code", "3", "0.25"): "2b8b4cd296d028712aa146d393accbd417432d35c82730695bed117165644995",
+    ("min-entropy-code", "3", "0.4"): "7880981cba50524436bd7191706a1edd7ab92011cf435d10b94221de2589f882",
     ("entropy-vs-p", "3", "--lam", "0,0", "--p-steps", "5"):
         "a3a3038add37d91dfe04cf310aa759499baa8b6758a6dd4a4e91d34e751b0493",
 }
@@ -707,7 +718,7 @@ def test_tolerances_environment_variable(files, tmp_path, capsys, monkeypatch):
     assert_one_error_line(1, "eps_rank")
     # --tolerances FILE takes precedence: its eps_kl accepts the non-code.
     assert main(["--tolerances", str(loose), *analyze]) == 0
-    assert json.loads(capsys.readouterr().out)["max_kl_residual"] > DEFAULT_TOL.eps_kl
+    assert json.loads(capsys.readouterr().out)["kl_residual"] > DEFAULT_TOL.eps_kl
     # An empty value means the defaults, under which the non-code exits 2.
     monkeypatch.setenv(cli.TOLERANCES_ENV, "")
     assert_one_error_line(2)

@@ -72,15 +72,15 @@ def _kl_check_reference(c, code, tol=DEFAULT_TOL):
         raise NotTracePreserving(tp_residual)
     b, k, m = code.basis, code.k, c.num_kraus
     lam = np.empty((m, m), dtype=complex)
-    residual = 0.0
+    squares = 0.0
     compressed = [e @ b for e in c.kraus]
     for i in range(m):
         for j in range(m):
             block = dag(compressed[i]) @ compressed[j]
             lam[i, j] = np.trace(block) / k
-            residual = max(residual, frobenius(block - lam[i, j] * np.eye(k)))
-    scale = max(frobenius(e) for e in c.kraus)
-    threshold = tol.eps_kl * max(1.0, scale * scale)
+            squares += frobenius(block - lam[i, j] * np.eye(k)) ** 2
+    residual = np.sqrt(squares)  # ||T - Lambda (x) I_k||_F over all pairs
+    threshold = tol.eps_kl * max(1.0, np.linalg.eigvalsh(_choi_gram_reference(c))[-1])
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
     return (lam + dag(lam)) / 2, residual

@@ -18,10 +18,11 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 # Names the package no longer provides; README says what replaces each.
 REMOVED = {
     qecentropy: ("hermitian_eigen", "span_code", "validate_density", "unitary_channel",
-                 "partial_trace_system", "partial_trace_environment"),
+                 "partial_trace_system", "partial_trace_environment", "binary_unitary_kraus"),
     numerics: ("hermitian_eigen", "_require_square"),
     code: ("span_code", "SIGMA_LAMBDA_ATOL"),
-    channel_module: ("validate_density", "unitary_channel"),
+    channel_module: ("validate_density", "unitary_channel", "binary_unitary_kraus",
+                     "_check_mixing_probability"),
     entropy: ("partial_trace_system", "partial_trace_environment"),
     catalog: ("example_unitaries",),
     code.CodeSubspace: ("projector",),
