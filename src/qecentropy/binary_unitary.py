@@ -171,6 +171,11 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
     representative alone: the range is then that point, if every other run
     keeps it, or empty.
 
+    Each cut keeps a vertex past its chord's line only within eps_geom of the
+    chord itself.  Where two runs' chords cross at a small angle, the bands
+    along their whole lines would otherwise meet in a sliver that reaches
+    past a representative, out of every run hull's eps_geom-neighbourhood.
+
     The clips run on a plain vertex list and may leave collinear vertices
     or near-copies; it is canonicalised once, at the end.
     """
@@ -187,7 +192,7 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
             a, b = reps[(first + size - 1) % m], reps[first]
             normal = -1j * (b - a)
             offset = (normal.conjugate() * a).real
-            region = geometry.clip_halfplane(region, normal, offset, eps)
+            region = geometry.clip_halfplane(region, normal, offset, eps, (a, b))
     pts = geometry.canonical_vertices(region, eps)
     pts.flags.writeable = False
     return NumRangeRegion(k, _KINDS[min(len(pts), 3)], pts)

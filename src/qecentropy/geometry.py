@@ -49,9 +49,24 @@ def convex_hull(pts: np.ndarray, eps: float) -> np.ndarray:
     return np.array(chain(zs)[:-1] + chain(zs[::-1])[:-1], dtype=complex)
 
 
-def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: float) -> list[complex]:
+def _segment_distance(z: complex, a: complex, b: complex) -> float:
+    """Distance from ``z`` to the segment from ``a`` to ``b``."""
+    d = b - a
+    t = (d.conjugate() * (z - a)).real / (abs(d) ** 2 or 1.0)
+    return abs(z - a - min(max(t, 0.0), 1.0) * d)
+
+
+def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: float,
+                   chord: tuple[complex, complex] | None = None) -> list[complex]:
     """Intersect a convex vertex list with {z : Re(conj(normal) z) <= offset},
     keeping vertices within distance ``eps`` outside the line.
+
+    ``chord``, when given, is the segment of the line that bounds the set the
+    half-plane stands for, such as a polygon cut by one of its chords; a
+    vertex outside the line is then kept only within ``eps`` of that segment.
+    Where the chord meets an edge of that set at a small angle theta, the
+    band along the whole line reaches about eps/theta past the chord's end,
+    out of the set's eps-neighbourhood.
 
     The list is a point, a segment's endpoints (a 2-gon) or a CCW polygon,
     which may repeat vertices or hold collinear ones; so may the result.
@@ -62,7 +77,8 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
     """
     conj, slack = normal.conjugate(), eps * abs(normal)
     vals = [(conj * z).real - offset for z in pts]
-    inside = [v <= slack for v in vals]
+    inside = ([v <= slack for v in vals] if chord is None else
+              [v <= 0 or v <= slack and _segment_distance(z, *chord) <= eps for z, v in zip(pts, vals)])
     if all(inside):
         return pts
     if not any(inside):

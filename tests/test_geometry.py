@@ -117,6 +117,20 @@ def test_predicates_compare_distances_at_every_scale():
             assert len(hull) == (3 if kept else 4)
 
 
+
+def test_clip_halfplane_keeps_a_vertex_past_the_line_only_near_the_chord():
+    # The half-plane Im z >= 0 bounded by the chord from 0 to 1.  A vertex
+    # 0.5 eps below the line is kept above the chord, but not 1e-3 past its
+    # end, however close to the line: there the edges are cut at the line.
+    normal = -1j
+    for x, kept in ((0.5, True), (1.0 + 0.5 * EPS, True), (1.0 + 1e-3, False), (-1e-3, False)):
+        z = x - 0.5j * EPS
+        assert geometry.clip_halfplane([z], normal, 0.0, EPS) == [z]
+        assert geometry.clip_halfplane([z], normal, 0.0, EPS, (0j, 1 + 0j)) == ([z] if kept else [])
+    tri = [2 - 0.5j * EPS, 1.5 + 1j, 0.5 + 1j]
+    got = geometry.clip_halfplane(tri, normal, 0.0, EPS, (0j, 1 + 0j))
+    assert tri[0] not in got and min(abs(z.imag) for z in got) <= 1e-15
+
 def _segment_clip_reference(pts, normal, offset, eps):
     """A two-point list clipped on its own: the inside end, then the cut
     (clamped to that end when the end lies on the line or past it), unless
