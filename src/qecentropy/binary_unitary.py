@@ -284,7 +284,7 @@ def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
 def biunitary_code_entropy(p: float, lam: complex) -> float:
     """Closed-form code entropy (bits) for a binary unitary channel: the
     entropy of the spectrum {L+, L-}."""
-    return _entropy_of_spectrum(lambda_spectrum(p, lam), DEFAULT_TOL)
+    return _entropy_of_spectrum(lambda_spectrum(p, lam))
 
 
 def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT_TOL):

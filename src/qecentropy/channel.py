@@ -9,8 +9,7 @@ import numpy as np
 
 from . import serialization
 from .errors import NotTracePreserving
-from .numerics import (DEFAULT_TOL, ToleranceConfig, _descending_eigh, _frozen, _psd_floor, _psd_rank, as_matrix,
-                       dag, frobenius, is_unitary)
+from .numerics import DEFAULT_TOL, ToleranceConfig, _frozen, _psd_rank, as_matrix, dag, frobenius, is_unitary
 
 # Hermiticity of a density matrix is checked relative to its Frobenius norm
 # (at least 1), at the resolution of a few rounding errors per entry.
@@ -73,8 +72,8 @@ class QuantumChannel:
 
     @functools.cached_property
     def _gram_eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """``_descending_eigh`` of ``_kraus_gram``, once per channel; read-only."""
-        return tuple(map(_frozen, _descending_eigh(self._kraus_gram)))
+        """Ascending ``eigh`` of ``_kraus_gram``, once per channel; read-only."""
+        return tuple(map(_frozen, np.linalg.eigh(self._kraus_gram)))
 
     def to_json(self) -> dict:
         return {
@@ -130,9 +129,9 @@ def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> N
 
 
 def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
-    """Check that rho is a density matrix: square, Hermitian, of unit trace and
-    PSD; returns rho, its ascending eigenvalues and their eigenvectors if
-    ``vectors`` (else None)."""
+    """Check that rho is a density matrix: square, Hermitian, of unit trace and,
+    by ``_psd_rank`` where it is solved, PSD; returns rho, its ascending
+    eigenvalues, their eigenvectors if ``vectors`` (else None) and its rank."""
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
@@ -143,26 +142,26 @@ def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
     if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
     w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
-    if w[0] < -_psd_floor(float(w[-1]), tol):
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    return rho, w, v
+    return rho, w, v, _psd_rank(w, tol, "density matrix")
 
 
 def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:
     """Gram matrix of the Kraus family, and its eigensolve, both formed once per channel
     and shared (read-only); the Choi rank and the PSD check follow each call's ``tol``."""
     w = c._gram_eigen[0]
-    return ChoiGram(c._kraus_gram, np.clip(w[::-1], 0.0, None), _psd_rank(w, tol))
+    return ChoiGram(c._kraus_gram, np.clip(w, 0.0, None), _psd_rank(w, tol, "Kraus Gram matrix"))
 
 
 def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
     """Remix the Kraus family into mutually orthogonal operators.
 
     The output implements the same map with exactly ``choi_rank`` nonzero
-    operators; operators with Gram weight at the rank cutoff are dropped.
+    operators, largest Gram weight first; operators with Gram weight at the
+    rank cutoff are dropped.
     """
     w, vecs = c._gram_eigen
-    return _stacked(np.tensordot(vecs[:, : _psd_rank(w, tol)].T, c.kraus, axes=1))
+    rank = _psd_rank(w, tol, "Kraus Gram matrix")
+    return _stacked(np.tensordot(vecs[:, ::-1][:, :rank].T, c.kraus, axes=1))
 
 
 def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:

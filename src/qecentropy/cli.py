@@ -62,7 +62,10 @@ def _fail(message: str, code: int) -> int:
 
 def _load_json_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def _load_tolerances(path: str | None) -> ToleranceConfig:
@@ -188,6 +191,8 @@ def _cmd_channel_info(args, tol: ToleranceConfig) -> dict:
 
 
 def _cmd_code_analyze(args, tol: ToleranceConfig) -> dict:
+    if args.sigma_samples < 0:
+        raise ValueError(f"--sigma-samples must be a non-negative number of states, got {args.sigma_samples}")
     c = channel_from_json(_load_json_file(args.channel))
     code = code_from_json(_load_json_file(args.code), tol)
     result = classify_code(c, code, tol)

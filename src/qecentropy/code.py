@@ -12,7 +12,7 @@ from . import serialization
 from .channel import QuantumChannel, _stacked, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, _exchange
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
-from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _descending_eigh, _frozen, _psd_rank, dag, frobenius
+from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, dag, frobenius
 from .sampling import random_density
 
 # Process-identity residual a built recovery must meet: an accepted code keeps
@@ -43,12 +43,12 @@ class CodeSubspace:
 @dataclasses.dataclass(frozen=True)
 class ErrorCorrectionMatrix:
     """Positive unit-trace matrix Lambda of compression coefficients, and one
-    ``_descending_eigh`` solve of it: ``weights`` (descending), ``vectors`` and
-    ``rank``; the reported ``spectrum`` is ``weights`` ascending, clipped at 0."""
+    ``eigh`` of it: ``spectrum`` ascending, clipped at 0, ``vectors`` its
+    eigenvectors (columns, in the same order) and ``rank``, from ``_psd_rank``'s
+    PSD check of the unclipped eigenvalues."""
 
     matrix: np.ndarray
     spectrum: np.ndarray
-    weights: np.ndarray
     vectors: np.ndarray
     rank: int
 
@@ -141,9 +141,10 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2
-    weights, vectors = _descending_eigh(lam)
-    arrays = map(_frozen, (lam, np.clip(weights[::-1], 0.0, None), weights, vectors))
-    return compressed, ErrorCorrectionMatrix(*arrays, _psd_rank(weights, tol)), residual, threshold
+    w, vectors = np.linalg.eigh(lam)
+    arrays = map(_frozen, (lam, np.clip(w, 0.0, None), vectors))
+    rank = _psd_rank(w, tol, "error correction matrix")
+    return compressed, ErrorCorrectionMatrix(*arrays, rank), residual, threshold
 
 
 def _analysed(
@@ -178,7 +179,7 @@ def kl_check(
 def code_entropy(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Entropy (bits) of the error correction matrix; a property of the code."""
     lam, _ = kl_check(c, code, tol)
-    return _entropy_of_spectrum(lam.spectrum, tol)
+    return _entropy_of_spectrum(lam.spectrum)
 
 
 def classify_code(
@@ -186,12 +187,12 @@ def classify_code(
 ) -> CodeReport:
     """Full report: coefficients, entropy, rank data and extremal classification."""
     lam, residual = kl_check(c, code, tol)
-    entropy = _entropy_of_spectrum(lam.spectrum, tol)
+    entropy = _entropy_of_spectrum(lam.spectrum)
     d = choi_gram(c, tol).choi_rank
     if lam.rank == 1:
         # All restricted operators share one isometry; the code is decoherence
         # free iff it is the identity on the code up to a global phase.
-        common = np.tensordot(lam.vectors[:, 0], _analysed(c, code, tol)[0], axes=1)
+        common = np.tensordot(lam.vectors[:, -1], _analysed(c, code, tol)[0], axes=1)
         phase = np.trace(dag(code.basis) @ common) / code.k
         scale = tol.eps_kl * max(1.0, np.sqrt(code.k))
         dfs = bool(abs(abs(phase) - 1.0) <= scale
@@ -199,7 +200,7 @@ def classify_code(
         cls = CodeClass.DECOHERENCE_FREE if dfs else CodeClass.UNITARILY_CORRECTABLE
         return CodeReport(lam, entropy, 1, d, cls, True, dfs, residual)
     # Flat on the d largest weights: with m > d Kraus operators Lambda has m - d zeros.
-    flat = d > 0 and bool(np.max(np.abs(lam.weights[:d] - 1.0 / d)) <= tol.eps_kl)
+    flat = d > 0 and bool(np.max(np.abs(lam.spectrum[-d:] - 1.0 / d)) <= tol.eps_kl)
     cls = CodeClass.NON_DEGENERATE if (lam.rank == d and flat) else CodeClass.PARTIALLY_DEGENERATE
     return CodeReport(lam, entropy, lam.rank, d, cls, False, False, residual)
 
@@ -295,9 +296,9 @@ def build_recovery(
     compressed, lam, _, _ = _analysed(c, code, tol)
     b = code.basis
     n, k, r = code.ambient_dim, code.k, lam.rank
-    # Restricted canonical operators (sum_i v_i E_i) B, scaled to isometries.
-    isometries = np.tensordot(lam.vectors[:, :r].T, compressed, axes=1)
-    isometries /= np.sqrt(lam.weights[:r])[:, None, None]
+    # Restricted canonical operators (sum_i v_i E_i) B, largest weight first, scaled to isometries.
+    isometries = np.tensordot(lam.vectors[:, ::-1][:, :r].T, compressed, axes=1)
+    isometries /= np.sqrt(lam.spectrum[::-1][:r])[:, None, None]
     images = isometries.transpose(1, 0, 2).reshape(n, r * k)
     trace_residual = _recovery_trace_residual(images, b)
     if not trace_residual <= tol.eps_kl * n:

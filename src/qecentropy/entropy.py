@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 from .channel import QuantumChannel, _density_spectrum, apply_channel, validate_channel
-from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_floor, as_matrix, dag
+from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, as_matrix, dag
 
 # lindblad_omega's partial traces must reproduce the exchange state and the
 # channel output to rounding error, relative to omega's largest entry.
@@ -30,19 +30,17 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 0.0 - (w * np.log2(np.where(w > 0, w, 1.0))).sum(axis=-1))
 
 
-def _entropy_of_spectrum(w, tol: ToleranceConfig) -> float:
-    """Entropy (bits) of one spectrum, summed over its positive weights alone, as
-    zeros would regroup numpy's pairwise sum; ValueError below ``-_psd_floor``."""
+def _entropy_of_spectrum(w) -> float:
+    """Entropy (bits) of one spectrum, already checked PSD where it was solved,
+    summed over its positive weights alone, as zeros (and rounded negatives)
+    would regroup numpy's pairwise sum."""
     w = np.asarray(w, dtype=float)
-    low = w.min(initial=0.0)
-    if low < -_psd_floor(w.max(initial=0.0), tol):
-        raise ValueError(f"spectrum has negative weight {low:.3e}")
     return float(_entropy_rows(w[w > 0]))
 
 
 def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """-Tr(rho log2 rho) with the 0*log(0) := 0 convention."""
-    return _entropy_of_spectrum(_density_spectrum(rho, tol)[1], tol)
+    return _entropy_of_spectrum(_density_spectrum(rho, tol)[1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,18 +79,21 @@ def exchange_matrix(c: QuantumChannel, rho) -> np.ndarray:
 
 
 class _State:
-    """A copy of rho, validated, with ``w`` and ``v`` from one ``eigh``; sigma with its ``eigh``,
-    and Phi(rho), on first use."""
+    """A copy of rho, validated, with ``w`` and ``v`` from one ``eigh`` and its ``rank``;
+    sigma with its ``eigh``, checked PSD, and Phi(rho), on first use."""
 
     def __init__(self, c: QuantumChannel, rho: np.ndarray, tol: ToleranceConfig):
-        self.c, (self.rho, self.w, self.v) = c, map(_frozen, _density_spectrum(rho.copy(), tol, vectors=True))
+        rho, w, v, self.rank = _density_spectrum(rho.copy(), tol, vectors=True)
+        self.c, self.tol, (self.rho, self.w, self.v) = c, tol, map(_frozen, (rho, w, v))
         if self.rho.shape != (c.dim, c.dim):
             raise ValueError(f"state shape {self.rho.shape} does not match channel dim {c.dim}")
 
     @functools.cached_property
     def exchange(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         sigma = _exchange(self.c.kraus, self.rho)
-        return tuple(map(_frozen, (sigma, *np.linalg.eigh(sigma))))
+        w, v = np.linalg.eigh(sigma)
+        _psd_rank(w, self.tol, "exchange state")
+        return tuple(map(_frozen, (sigma, w, v)))
 
     @functools.cached_property
     def output(self) -> np.ndarray:
@@ -111,7 +112,7 @@ def entropy_exchange(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL)
     """Exchange state (shared, read-only) and its entropy, zero for any unitary channel; rho is
     validated, and any Kraus family is accepted (trace preservation is not checked)."""
     sigma, w, _ = _state(c, rho, tol).exchange
-    return sigma, _entropy_of_spectrum(w, tol)
+    return sigma, _entropy_of_spectrum(w)
 
 
 def purification_exchange_entropy(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -132,10 +133,10 @@ def purification_exchange_entropy(c: QuantumChannel, rho, tol: ToleranceConfig =
     Any Kraus family is accepted: trace preservation is not checked.
     """
     state = _state(c, rho, tol)
-    keep = state.w > tol.eps_rank * max(1.0, float(state.w[-1]))
-    psi = state.v[:, keep] * np.sqrt(state.w[keep])
+    top = slice(len(state.w) - state.rank, None)  # the eigenpairs above the rank cutoff
+    psi = state.v[:, top] * np.sqrt(state.w[top])
     x = (c.kraus @ psi).reshape(c.num_kraus, -1)
-    return _entropy_of_spectrum(np.linalg.svd(x, compute_uv=False) ** 2, tol)
+    return _entropy_of_spectrum(np.linalg.svd(x, compute_uv=False) ** 2)
 
 
 def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -178,9 +179,9 @@ def check_lindblad_bounds(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT
     The bounds are stated for channels: raises NotTracePreserving for another Kraus family."""
     validate_channel(c, tol)
     state = _state(c, rho, tol)
-    s_rho = _entropy_of_spectrum(state.w, tol)
+    s_rho = _entropy_of_spectrum(state.w)
     s_out = von_neumann_entropy(state.output, tol)
-    s_sigma = _entropy_of_spectrum(state.exchange[1], tol)
+    s_sigma = _entropy_of_spectrum(state.exchange[1])
     slack = LINDBLAD_SLACK
     holds = abs(s_out - s_sigma) <= s_rho + slack and s_rho <= s_sigma + s_out + slack
     return LindbladReport(s_rho, s_out, s_sigma, holds)

@@ -187,23 +187,12 @@ def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecompositio
     return EigenDecomposition(_frozen(eigs), _frozen(v), clusters)
 
 
-def _psd_floor(largest: float, tol: ToleranceConfig) -> float:
-    """How far below 0 a PSD matrix's eigenvalues may round: the rank cutoff, with
-    eps_rank at least the default, as zeros round to about -1e-16 at any cutoff."""
-    return max(tol.eps_rank, DEFAULT_TOL.eps_rank) * max(1.0, largest)
-
-
-def _descending_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Descending eigenvalues and eigenvectors (columns) of a Hermitian matrix, whose
-    lower triangle ``eigh`` reads; ties keep ``np.argsort(w)[::-1]`` order."""
-    w, v = np.linalg.eigh(as_matrix(a))
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
-
-
-def _psd_rank(w: np.ndarray, tol: ToleranceConfig) -> int:
-    """Rank of a PSD matrix from its descending eigenvalues: the count above
-    ``eps_rank * max(1, largest)``; ValueError below ``-_psd_floor``."""
-    if float(w[-1]) < -_psd_floor(float(w[0]), tol):
-        raise ValueError(f"matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e})")
-    return int(np.count_nonzero(w > tol.eps_rank * max(1.0, float(w[0]))))
+def _psd_rank(w: np.ndarray, tol: ToleranceConfig, what: str) -> int:
+    """Rank of the PSD matrix ``what`` from its ascending eigenvalues: the count
+    above ``eps_rank * max(1, largest)``.  The one PSD check: ValueError below
+    -max(eps_rank, default eps_rank) * max(1, largest), as zeros round to about
+    -1e-16 at any cutoff, or for an end of the spectrum that is nan."""
+    scale = float(np.maximum(1.0, w[-1]))
+    if not w[0] >= -max(tol.eps_rank, DEFAULT_TOL.eps_rank) * scale:
+        raise ValueError(f"{what} is not positive semidefinite (negative eigenvalue {w[0]:.3e})")
+    return int(np.count_nonzero(w > tol.eps_rank * scale))

@@ -109,6 +109,7 @@ def test_code_analyze_prints_a_pure_lambda_entropy_as_0(tmp_path, capsys):
 
 
 BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
+DEEP_JSON = "[" * 100000 + "]" * 100000  # nested past json.load's recursion limit
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -124,10 +125,11 @@ BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
     ("channel", '{"dim": 1, "kraus": [{"rows": 1, "cols": 1, "data": [[%s, 0]]}]}' % BIG_INT),
     ("code", '{"dim": 1e400, "basis": [{"dim": 8, "data": []}]}'),
     ("code", '{"dim": 8, "basis": [{"dim": 1e400, "data": []}]}'),
+    ("channel", DEEP_JSON),
 ], ids=["kraus-not-a-list", "data-not-a-list", "null-component",
         "basis-not-a-list", "vector-data-not-a-list", "matrix-rows-infinite",
         "matrix-cols-fractional", "channel-dim-infinite", "component-too-large",
-        "code-dim-infinite", "vector-dim-infinite"])
+        "code-dim-infinite", "vector-dim-infinite", "nested-too-deeply"])
 def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, obj):
     bad = tmp_path / "malformed.json"
     bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
@@ -444,6 +446,14 @@ def test_numrange_rejects_nonpositive_svg_size(files, tmp_path, capsys):
     assert captured.err.count("error:") == 1 and "--size" in captured.err
 
 
+def test_code_analyze_rejects_negative_sigma_samples(files, capsys):
+    assert main(["code", "analyze", files["chan.json"], files["code1.json"], "--sigma-samples", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "--sigma-samples" in captured.err
+
+
 def test_numrange_deterministic_output(files, capsys):
     assert main(["numrange", files["u4.json"], "2"]) == 0
     first = capsys.readouterr().out
@@ -664,8 +674,8 @@ def test_tolerances_file(files, tmp_path, capsys):
 
 @pytest.mark.parametrize("text", [
     '{"eps_kl": null}', '{"eps_kl": true}', '{"eps_geom": "1e-10"}', '{"eps_eig": [1e-10]}',
-    '{"eps_rank": %s}' % BIG_INT,
-], ids=["null", "bool", "string", "list", "too-large"])
+    '{"eps_rank": %s}' % BIG_INT, DEEP_JSON,
+], ids=["null", "bool", "string", "list", "too-large", "nested-too-deeply"])
 def test_tolerances_file_rejects_non_numbers(files, tmp_path, capsys, text):
     tol_path = tmp_path / "tol.json"
     tol_path.write_text(text)

@@ -84,7 +84,7 @@ def _exact(x):
     if isinstance(x, np.ndarray):
         return x.shape, tuple(_exact(complex(y)) for y in x.ravel())
     if isinstance(x, code_module.ErrorCorrectionMatrix):
-        return _exact((x.matrix, x.spectrum, x.weights, x.vectors, x.rank))
+        return _exact((x.matrix, x.spectrum, x.vectors, x.rank))
     if isinstance(x, code_module.CodeReport):
         return (_exact(x.lam), _exact(x.entropy_bits), x.lambda_rank, x.choi_rank,
                 x.classification, x.unitarily_correctable, x.decoherence_free,
@@ -190,7 +190,7 @@ def test_memoised_arrays_are_read_only():
     chan, code = _block_code(2, 2, np.random.default_rng(4))
     lam, _ = kl_check(chan, code)
     compressed = code_module._analysed(chan, code, DEFAULT_TOL)[0]
-    for array in (compressed, lam.matrix, lam.spectrum, lam.weights, lam.vectors,
+    for array in (compressed, lam.matrix, lam.spectrum, lam.vectors,
                   chan._kraus_gram, choi_gram(chan).matrix):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -277,8 +277,8 @@ def _recovery_parts(c, code, tol):
     """(images, isometries) that build_recovery forms from the code's Lambda."""
     lam, _ = kl_check(c, code, tol)
     n, k, r = code.ambient_dim, code.k, lam.rank
-    isometries = np.tensordot(lam.vectors[:, :r].T, c.kraus @ code.basis, axes=1)
-    isometries /= np.sqrt(lam.weights[:r])[:, None, None]
+    isometries = np.tensordot(lam.vectors[:, ::-1][:, :r].T, c.kraus @ code.basis, axes=1)
+    isometries /= np.sqrt(lam.spectrum[::-1][:r])[:, None, None]
     return isometries.transpose(1, 0, 2).reshape(n, r * k), isometries
 
 

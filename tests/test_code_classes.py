@@ -120,8 +120,8 @@ def _check_class_and_invariants(cls, k, m, seed):
         assert report.classification == first.classification
         assert report.choi_rank == first.choi_rank
         assert report.lambda_rank == first.lambda_rank
-        nonzero = report.lam.weights[:report.lambda_rank]
-        assert np.max(np.abs(nonzero - first.lam.weights[:first.lambda_rank])) <= SPECTRUM_ATOL
+        nonzero = report.lam.spectrum[::-1][:report.lambda_rank]
+        assert np.max(np.abs(nonzero - first.lam.spectrum[::-1][:first.lambda_rank])) <= SPECTRUM_ATOL
         assert abs(report.entropy_bits - first.entropy_bits) <= ENTROPY_ATOL
         # The paper's bounds.
         s, d = report.entropy_bits, report.choi_rank

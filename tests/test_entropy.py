@@ -16,7 +16,7 @@ from qecentropy.entropy import (
     purification_exchange_entropy,
     von_neumann_entropy,
 )
-from qecentropy.numerics import DEFAULT_TOL, ToleranceConfig
+from qecentropy.numerics import ToleranceConfig
 from qecentropy.sampling import haar_unitary, random_channel, random_density
 
 
@@ -41,7 +41,7 @@ def test_entropies_are_never_negative_or_minus_zero(weights, ulps, p, modulus, p
     pure = np.zeros(len(weights))
     pure[0] = 1.0 + ulps * 2.0 ** -52
     for w in (np.array(weights), pure):
-        assert _is_plus_or_zero(_entropy_of_spectrum(w, DEFAULT_TOL))
+        assert _is_plus_or_zero(_entropy_of_spectrum(w))
     assert _is_plus_or_zero(von_neumann_entropy(np.diag(pure / pure[0])))
     assert _is_plus_or_zero(biunitary_code_entropy(p, modulus * complex(math.cos(phase), math.sin(phase))))
 

@@ -115,7 +115,7 @@ def _purification_entropy_reference(c, rho, tol=DEFAULT_TOL):
     for e in c.kraus:
         big = np.kron(e, np.eye(r))
         out += big @ pure @ dag(big)
-    return _entropy_of_spectrum(np.linalg.eigvalsh((out + dag(out)) / 2), tol)
+    return _entropy_of_spectrum(np.linalg.eigvalsh((out + dag(out)) / 2))
 
 
 def _recovery_residual_reference(recovery, c, code):
@@ -268,8 +268,8 @@ def _restricted_operators(c, code):
     """(sum_i v_i E_i B for the r nonzero Lambda weights w, sqrt(w)):
     build_recovery divides the first by the second to get its isometries."""
     lam, _ = kl_check(c, code)
-    restricted = np.tensordot(lam.vectors[:, :lam.rank].T, c.kraus @ code.basis, axes=1)
-    return restricted, np.sqrt(lam.weights[:lam.rank])[:, None, None]
+    restricted = np.tensordot(lam.vectors[:, ::-1][:, :lam.rank].T, c.kraus @ code.basis, axes=1)
+    return restricted, np.sqrt(lam.spectrum[::-1][:lam.rank])[:, None, None]
 
 
 def _recovery_from_factors(isometries, basis):

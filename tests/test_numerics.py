@@ -8,7 +8,6 @@ from qecentropy.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     _chain_clusters,
-    _descending_eigh,
     _psd_rank,
     dag,
     is_unitary,
@@ -84,19 +83,19 @@ def test_is_unitary():
 
 def test_psd_rank_and_invariance():
     a = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex) / 3
-    w, v = _descending_eigh(a)
-    assert _psd_rank(w, DEFAULT_TOL) == 2
-    assert np.all(np.diff(w) <= 0)
+    w, v = np.linalg.eigh(a)
+    assert _psd_rank(w, DEFAULT_TOL, "matrix") == 2
+    assert np.all(np.diff(w) >= 0)
     assert np.allclose((v * w) @ dag(v), a, atol=1e-12)
     rng = np.random.default_rng(5)
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q, _ = np.linalg.qr(g)
-    assert _psd_rank(_descending_eigh(q @ a @ dag(q))[0], DEFAULT_TOL) == 2
+    assert _psd_rank(np.linalg.eigvalsh(q @ a @ dag(q)), DEFAULT_TOL, "matrix") == 2
 
 
 def test_psd_rank_rejects_indefinite():
-    with pytest.raises(ValueError, match="not positive semidefinite"):
-        _psd_rank(_descending_eigh(np.diag([1.0, -0.5]))[0], DEFAULT_TOL)
+    with pytest.raises(ValueError, match="matrix is not positive semidefinite"):
+        _psd_rank(np.linalg.eigvalsh(np.diag([1.0, -0.5])), DEFAULT_TOL, "matrix")
 
 
 def test_default_tolerances():

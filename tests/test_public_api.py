@@ -1,6 +1,7 @@
 """The package's export list, and the library example in README.md."""
 
 import contextlib
+import dataclasses
 import importlib
 import io
 import pathlib
@@ -19,7 +20,7 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 REMOVED = {
     qecentropy: ("hermitian_eigen", "span_code", "validate_density", "unitary_channel",
                  "partial_trace_system", "partial_trace_environment", "binary_unitary_kraus"),
-    numerics: ("hermitian_eigen", "_require_square"),
+    numerics: ("hermitian_eigen", "_require_square", "_descending_eigh", "_psd_floor"),
     code: ("span_code", "SIGMA_LAMBDA_ATOL"),
     channel_module: ("validate_density", "unitary_channel", "binary_unitary_kraus",
                      "_check_mixing_probability"),
@@ -48,6 +49,8 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(owner, name), (owner, name)
     assert not set(REMOVED[qecentropy]) & set(qecentropy.__all__)
+    # Lambda's weights are its spectrum reversed, no longer a field of their own.
+    assert "weights" not in {f.name for f in dataclasses.fields(code.ErrorCorrectionMatrix)}
 
 
 def test_readme_library_example_runs():

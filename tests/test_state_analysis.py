@@ -17,7 +17,7 @@ from qecentropy.channel import (
     remix_kraus,
     validate_channel,
 )
-from qecentropy.code import classify_code, code_subspace, rank_bound_check
+from qecentropy.code import classify_code, code_subspace, kl_check, rank_bound_check
 from qecentropy.entropy import (
     _exchange,
     check_lindblad_bounds,
@@ -139,6 +139,27 @@ def test_gram_rank_follows_the_tolerances_of_each_call():
     for array in (w, v):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+
+def _assert_ascending_eigenpairs(a, w, v):
+    assert np.all(np.diff(w) >= 0)
+    for j in range(len(w)):
+        assert np.allclose(a @ v[:, j], w[j] * v[:, j], rtol=0, atol=1e-12), j
+
+
+def test_each_spectrum_pairs_with_its_vectors_in_ascending_order():
+    # Lambda, the Kraus Gram matrix and sigma, each from one eigh, keep its order.
+    rng = np.random.default_rng(12)
+    e = np.eye(8)
+    table1 = pauli_channel([(0.5, "III"), (0.3, "XII"), (0.2, "IXI")])
+    chan = remix_kraus(table1, haar_unitary(3, rng))
+    lam, _ = kl_check(chan, code_subspace([e[0], e[7]]))
+    _assert_ascending_eigenpairs(lam.matrix, lam.spectrum, lam.vectors)
+    for c in (chan, random_channel(6, 4, rng)):
+        _assert_ascending_eigenpairs(c._kraus_gram, *c._gram_eigen)
+        state = entropy._state(c, random_density(c.dim, rng), DEFAULT_TOL)
+        _assert_ascending_eigenpairs(*state.exchange)
 
 
 def _four_routes(c, rho):
