@@ -23,15 +23,7 @@ from .errors import (
     NoFeasiblePartitionError,
     UnsupportedCodeDimensionError,
 )
-from .numerics import (
-    DEFAULT_TOL,
-    EigenDecomposition,
-    ToleranceConfig,
-    _LastCall,
-    as_matrix,
-    is_unitary,
-    unitary_eigen,
-)
+from .numerics import DEFAULT_TOL, EigenDecomposition, ToleranceConfig, as_matrix, is_unitary, unitary_eigen
 
 # Smallest slack when testing whether a lambda lies in a rank-k range, and
 # how far |lambda| may exceed 1 in lambda_spectrum.  A lambda taken from the
@@ -46,7 +38,7 @@ LAMBDA_MEMBERSHIP_FLOOR = 1e-9
 VERTEX_TIE_ATOL = 1e-9
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class BinaryUnitaryChannel:
     """The two-term mixing channel rho -> (1-p) rho + p U rho U^dag."""
 
@@ -80,7 +72,7 @@ class RegionKind(str, enum.Enum):
 _KINDS = (RegionKind.EMPTY, RegionKind.POINT, RegionKind.SEGMENT, RegionKind.POLYGON)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class NumRangeRegion:
     """Geometric form of the rank-k numerical range of a unitary matrix."""
 
@@ -109,7 +101,7 @@ class ExtremalLambdas:
     max_entropy_lambda: complex
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class GroupingCode:
     """A rank-k code built by grouping eigenstates around one compression value."""
 
@@ -198,16 +190,11 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
     return NumRangeRegion(k, _KINDS[min(len(pts), 3)], pts)
 
 
-_range_memo = _LastCall()  # the rank-k ranges {k: range} of unitary_eigen's last decomposition
-
-
 def _analysed_range(u, k: int, tol: ToleranceConfig) -> tuple[EigenDecomposition, NumRangeRegion]:
     dec = unitary_eigen(u, tol)
-    ranges = _range_memo((dec,), dict)
-    region = ranges.get(k)
-    if region is None:
-        region = ranges[k] = _range_from_eigen(dec, k, tol)
-    return dec, region
+    if k not in dec._ranges:
+        dec._ranges[k] = _range_from_eigen(dec, k, tol)
+    return dec, dec._ranges[k]
 
 
 def numerical_range(u, k: int, tol: ToleranceConfig = DEFAULT_TOL) -> NumRangeRegion:

@@ -35,14 +35,20 @@ _PAULI = {
 class QuantumChannel:
     """A completely positive map given by m square Kraus operators of size n.
 
-    ``kraus`` is one read-only complex array of shape (m, n, n), built by
-    :func:`channel`, or by ``_stacked`` from an array formed in the package;
-    iterating over it yields the operators in order.  Channels compare and
-    hash by identity.
+    ``kraus`` is one complex array of shape (m, n, n), built by :func:`channel`
+    or formed in the package; the channel makes it read-only, without a copy,
+    so its cached properties hold.  Iterating over it yields the operators in
+    order.  Channels compare and hash by identity.
     """
 
-    dim: int
     kraus: np.ndarray
+
+    def __post_init__(self):
+        _frozen(self.kraus)
+
+    @property
+    def dim(self) -> int:
+        return self.kraus.shape[1]
 
     @property
     def num_kraus(self) -> int:
@@ -82,7 +88,7 @@ class QuantumChannel:
         }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ChoiGram:
     """Gram matrix (Tr E_i^dag E_j) of a Kraus family, and the channel's one
     solve of it: ``weights`` ascending, clipped at 0, and the Choi rank."""
@@ -90,10 +96,6 @@ class ChoiGram:
     matrix: np.ndarray
     weights: np.ndarray
     choi_rank: int
-
-
-def _stacked(ops: np.ndarray) -> QuantumChannel:
-    return QuantumChannel(ops.shape[1], _frozen(ops))
 
 
 def channel(kraus_ops) -> QuantumChannel:
@@ -105,7 +107,7 @@ def channel(kraus_ops) -> QuantumChannel:
     for e in ops:
         if e.shape != (n, n):
             raise ValueError(f"all Kraus operators must be {n}x{n}, got {e.shape}")
-    return _stacked(np.array(ops))
+    return QuantumChannel(np.array(ops))
 
 
 def channel_from_json(obj) -> QuantumChannel:
@@ -161,7 +163,7 @@ def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> Qu
     """
     w, vecs = c._gram_eigen
     rank = _psd_rank(w, tol, "Kraus Gram matrix")
-    return _stacked(np.tensordot(vecs[:, ::-1][:, :rank].T, c.kraus, axes=1))
+    return QuantumChannel(np.tensordot(vecs[:, ::-1][:, :rank].T, c.kraus, axes=1))
 
 
 def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -181,7 +183,7 @@ def remix_kraus(c: QuantumChannel, v, tol: ToleranceConfig = DEFAULT_TOL) -> Qua
         raise ValueError(f"remix matrix must be {m}x{m}, got {v.shape}")
     if not is_unitary(v, tol):
         raise ValueError("remix matrix must be unitary")
-    return _stacked(np.tensordot(v, c.kraus, axes=1))
+    return QuantumChannel(np.tensordot(v, c.kraus, axes=1))
 
 
 def pauli_word(word: str) -> np.ndarray:

@@ -9,7 +9,7 @@ import enum
 import numpy as np
 
 from . import serialization
-from .channel import QuantumChannel, _stacked, choi_gram, validate_channel
+from .channel import QuantumChannel, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, _exchange
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
 from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, dag, frobenius
@@ -22,12 +22,15 @@ from .sampling import random_density
 RECOVERY_VERIFY_ATOL = 1e-6
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CodeSubspace:
     """A k-dimensional subspace given by an orthonormal basis (columns)."""
 
-    ambient_dim: int
     basis: np.ndarray
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def k(self) -> int:
@@ -40,7 +43,7 @@ class CodeSubspace:
         }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ErrorCorrectionMatrix:
     """Positive unit-trace matrix Lambda of compression coefficients, and one
     ``eigh`` of it: ``spectrum`` ascending, clipped at 0, ``vectors`` its
@@ -60,7 +63,7 @@ class CodeClass(str, enum.Enum):
     PARTIALLY_DEGENERATE = "PartiallyDegenerate"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CodeReport:
     lam: ErrorCorrectionMatrix
     entropy_bits: float
@@ -85,7 +88,7 @@ class CodeReport:
         }
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class RecoveryOperation:
     """A trace-preserving map undoing the channel on a code subspace."""
 
@@ -105,7 +108,7 @@ def code_subspace(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     gram = dag(basis) @ basis
     if not frobenius(gram - np.eye(k)) <= tol.eps_eig * max(1, n):
         raise ValueError("code basis is not orthonormal")
-    return CodeSubspace(n, basis)
+    return CodeSubspace(basis)
 
 
 def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
@@ -127,9 +130,7 @@ _code_memo = _LastCall()  # the last accepted (channel, code) pair's KL analysis
 def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) -> tuple:
     validate_channel(c, tol)
     if code.ambient_dim != c.dim:
-        raise ValueError(
-            f"code ambient dimension {code.ambient_dim} does not match channel dim {c.dim}"
-        )
+        raise ValueError(f"code ambient dimension {code.ambient_dim} does not match channel dim {c.dim}")
     m, n, k = c.num_kraus, code.ambient_dim, code.k
     compressed = _frozen(c.kraus @ code.basis)
     # T = C^dag C for C = [E_1 B ... E_m B]: t[i, a, j, b] = ((E_i B)^dag E_j B)[a, b].
@@ -153,9 +154,8 @@ def _analysed(
     """The compressions E_i B (shape (m, n, k)), Lambda, the KL residual and the
     threshold it was accepted under, from the memo of the most recent accepted
     (channel, code) pair; raises NotCorrectable for a refused code."""
-    basis = code.basis
-    key = (c, code.ambient_dim, basis.shape, basis.dtype.str, basis.tobytes(), tol)
-    return _code_memo(key, _kl_analysis, c, code, tol)
+    b = code.basis
+    return _code_memo((c, b.shape, b.dtype.str, b.tobytes(), tol), _kl_analysis, c, code, tol)
 
 
 def kl_check(
@@ -187,7 +187,6 @@ def classify_code(
 ) -> CodeReport:
     """Full report: coefficients, entropy, rank data and extremal classification."""
     lam, residual = kl_check(c, code, tol)
-    entropy = _entropy_of_spectrum(lam.spectrum)
     d = choi_gram(c, tol).choi_rank
     if lam.rank == 1:
         # All restricted operators share one isometry; the code is decoherence
@@ -195,14 +194,14 @@ def classify_code(
         common = np.tensordot(lam.vectors[:, -1], _analysed(c, code, tol)[0], axes=1)
         phase = np.trace(dag(code.basis) @ common) / code.k
         scale = tol.eps_kl * max(1.0, np.sqrt(code.k))
-        dfs = bool(abs(abs(phase) - 1.0) <= scale
-                   and frobenius(common - phase * code.basis) <= scale)
+        dfs = abs(abs(phase) - 1.0) <= scale and frobenius(common - phase * code.basis) <= scale
         cls = CodeClass.DECOHERENCE_FREE if dfs else CodeClass.UNITARILY_CORRECTABLE
-        return CodeReport(lam, entropy, 1, d, cls, True, dfs, residual)
-    # Flat on the d largest weights: with m > d Kraus operators Lambda has m - d zeros.
-    flat = d > 0 and bool(np.max(np.abs(lam.spectrum[-d:] - 1.0 / d)) <= tol.eps_kl)
-    cls = CodeClass.NON_DEGENERATE if (lam.rank == d and flat) else CodeClass.PARTIALLY_DEGENERATE
-    return CodeReport(lam, entropy, lam.rank, d, cls, False, False, residual)
+    else:
+        # Flat on the d largest weights: with m > d Kraus operators Lambda has m - d zeros.
+        flat = d > 0 and np.max(np.abs(lam.spectrum[-d:] - 1.0 / d)) <= tol.eps_kl
+        cls = CodeClass.NON_DEGENERATE if (lam.rank == d and flat) else CodeClass.PARTIALLY_DEGENERATE
+    return CodeReport(lam, _entropy_of_spectrum(lam.spectrum), lam.rank, d, cls, lam.rank == 1,
+                      cls is CodeClass.DECOHERENCE_FREE, residual)
 
 
 def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: int, seed: int = 0,
@@ -211,6 +210,8 @@ def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: in
     entrywise within the KL threshold the code was accepted under: each entry of
     sigma - Lambda is tr(rho D) for one block deviation
     D = B^dag E_i^dag E_j B - lambda_ij I, so it is at most the KL residual."""
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     compressed, lam, _, threshold = _analysed(c, code, tol)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -311,4 +312,4 @@ def build_recovery(
     ops = np.empty((r + 1, n, n), dtype=complex)
     np.matmul(b, np.conj(isometries).transpose(0, 2, 1), out=ops[:r])
     np.subtract(np.eye(n), images @ dag(images), out=ops[r])
-    return RecoveryOperation(_stacked(ops), residual)
+    return RecoveryOperation(QuantumChannel(ops), residual)

@@ -33,8 +33,10 @@ def _entropy_rows(w: np.ndarray) -> np.ndarray:
 def _entropy_of_spectrum(w) -> float:
     """Entropy (bits) of one spectrum, already checked PSD where it was solved,
     summed over its positive weights alone, as zeros (and rounded negatives)
-    would regroup numpy's pairwise sum."""
+    would regroup numpy's pairwise sum; ValueError for a non-finite weight."""
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"spectrum has a non-finite weight ({w.max():.3e})")
     return float(_entropy_rows(w[w > 0]))
 
 
@@ -166,9 +168,9 @@ def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -
     omega = v @ state.rho @ dag(v)
     check = MARGINAL_CHECK_RTOL * max(1.0, float(np.abs(omega).max()))
     blocks = omega.reshape(n, m, n, m)  # [system, environment, system, environment]
-    if np.max(np.abs(np.einsum("aiaj->ij", blocks) - sigma)) > check:
+    if not np.max(np.abs(np.einsum("aiaj->ij", blocks) - sigma)) <= check:
         raise ArithmeticError("composite state partial trace does not match exchange state")
-    if np.max(np.abs(np.einsum("aibi->ab", blocks) - state.output)) > check:
+    if not np.max(np.abs(np.einsum("aibi->ab", blocks) - state.output)) <= check:
         raise ArithmeticError("composite state partial trace does not match channel output")
     return omega
 

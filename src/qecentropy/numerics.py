@@ -4,12 +4,13 @@ Everything here works on plain ``numpy`` complex arrays at desk scale
 (dimensions up to a few hundred).  All functions are pure, except that
 ``unitary_eigen`` keeps the most recent unitary's decomposition in a
 ``_LastCall`` memo and hands the same read-only arrays to every caller that
-asks again.
+asks again; the decomposition itself caches the rank-k ranges built from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -55,6 +56,11 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     cluster_map: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def _ranges(self) -> dict:
+        """The rank-k ranges {k: region} that ``numerical_range`` built from this decomposition."""
+        return {}
 
 
 def as_matrix(a) -> np.ndarray:
@@ -117,15 +123,17 @@ class _LastCall:
     """One-entry memo: ``memo(key, build, *args)`` returns ``build(*args)``,
     building again only when ``key != `` the key of the result it keeps.
 
-    Every memo in the package follows this rule.  The entry is the last result
-    only, replaced by one assignment, so concurrent callers at worst compute
-    the same thing twice.  Owners (channels, decompositions) sit in the key by
-    identity, as they compare by identity; arrays by shape and bytes, since a
-    caller may change them in place; and the tolerances, so a hit reuses only
-    verdicts reached under equal ones.  A build that raises is not stored, so
-    a refused input is checked again.  A hit hands the same objects to every
-    caller, so their arrays are read-only.  Callers name ``build`` at each
-    call, so a builder replaced in its module is the one that runs.
+    The package's three memos (decompositions, codes, states) follow this
+    rule.  The entry is the last result only, replaced by one assignment, so
+    concurrent callers at worst compute the same thing twice.  Channels sit
+    in the key by identity, as they compare by identity; arrays by shape and
+    bytes, since a caller may change them in place; and the tolerances, so a
+    hit reuses only verdicts reached under equal ones.  A build that raises is
+    not stored, so a refused input is checked again.  A hit hands the same
+    objects to every caller, so their arrays are read-only.  Callers name
+    ``build`` at each call, so a builder replaced in its module is the one
+    that runs.  What derives from one channel or decomposition alone is
+    cached on that object.
     """
 
     last: tuple | None = None  # (key, result)

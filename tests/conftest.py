@@ -6,17 +6,16 @@ from qecentropy import code as code_module
 
 @pytest.fixture(autouse=True)
 def _forget_last_analyses():
-    # Four one-entry memos (numerics._LastCall) keep the most recent U's
-    # decomposition, the ranges built from it, the most recent (channel, code)
-    # analysis and the most recent (channel, state) analysis; tests that count
-    # decompositions, range builds, KL checks or eigensolves must not find an
-    # earlier test's U, code or state there, so each memo's entry is dropped.
-    # Clearing the decomposition alone makes the next call on any U cold, as
-    # the range memo is keyed by the decomposition.  Per-channel quantities
-    # (the trace residual, the Kraus Gram and its eigensolve) live on the
-    # channel object, so a new channel starts without them.
+    # Three one-entry memos (numerics._LastCall) keep the most recent U's
+    # decomposition, the most recent (channel, code) analysis and the most
+    # recent (channel, state) analysis; tests that count decompositions, range
+    # builds, KL checks or eigensolves must not find an earlier test's U, code
+    # or state there, so each memo's entry is dropped.  The ranges live on the
+    # decomposition, so clearing it makes the next call on any U cold.
+    # Per-channel quantities (the trace residual, the Kraus Gram and its
+    # eigensolve) live on the channel object, so a new channel starts without
+    # them.
     numerics._eigen_memo.last = None
-    binary_unitary._range_memo.last = None
     code_module._code_memo.last = None
     entropy._state_memo.last = None
 

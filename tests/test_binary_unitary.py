@@ -1501,7 +1501,7 @@ def test_dfs_exists_builds_no_range(monkeypatch):
 
 
 # The binary-unitary entry points and unitary_eigen share one memo of the
-# most recent U's decomposition, and the former the rank-k ranges built from it.
+# most recent U's decomposition, and the former the rank-k ranges cached on it.
 
 
 def test_one_unitary_is_decomposed_once_across_the_calls(analysis_counts):
@@ -1518,6 +1518,32 @@ def test_one_unitary_is_decomposed_once_across_the_calls(analysis_counts):
     entropy_vs_p(U9, 2, 0j, [0.1])
     assert len(eigen_calls) == 1
     assert range_ks == [3, 2]
+
+
+def test_ranges_are_cached_on_their_decomposition():
+    region = numerical_range(U9, 3)
+    assert unitary_eigen(U9)._ranges[3] is numerical_range(U9, 3) is region
+    assert list(unitary_eigen(U9)._ranges) == [3]
+
+
+def test_support_weights_refuses_a_singular_triple():
+    # Two members with exactly equal eigenvalues make the barycentric system
+    # singular; lambda lies off the segment from the pair to the third member.
+    z = [1 + 0j, 1 + 0j, 1j]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array([np.real(z), np.imag(z), np.ones(3)]), np.array([-0.5, 0.0, 1.0]))
+    assert binary_unitary._support_weights(z, -0.5 + 0j, LAMBDA_MEMBERSHIP_FLOOR, [0, 1, 2]) is None
+
+
+def test_support_weights_of_a_triangle():
+    z, slack = [1 + 0j, 1j, -1 + 0j], LAMBDA_MEMBERSHIP_FLOOR
+    # Outside the triangle by far more than the slack: a barycentric
+    # coordinate of -0.5.
+    assert binary_unitary._support_weights(z, -0.5j, slack, [0, 1, 2]) is None
+    lam = 0.1 + 0.2j
+    t = binary_unitary._support_weights(z, lam, slack, [0, 1, 2])
+    assert t.min() >= 0 and abs(t.sum() - 1) <= 1e-15
+    assert abs(np.dot(t, z) - lam) <= slack
 
 
 def test_memo_follows_the_bytes_of_u_and_the_tolerances():

@@ -3,6 +3,7 @@ import pytest
 
 from qecentropy.binary_unitary import BinaryUnitaryChannel
 from qecentropy.channel import (
+    QuantumChannel,
     apply_channel,
     canonical_kraus,
     channel,
@@ -85,6 +86,12 @@ def test_apply_channel_is_linear_on_matrix_units():
     direct = apply_channel(c, unit)
     expected = sum(e @ unit @ dag(e) for e in c.kraus)
     assert np.array_equal(direct, expected)
+
+
+def test_a_channel_freezes_the_array_it_is_given_without_a_copy():
+    arr = np.array([np.eye(2, dtype=complex)])
+    assert QuantumChannel(arr).kraus is arr
+    assert not arr.flags.writeable
 
 
 def test_pauli_word_and_channel():

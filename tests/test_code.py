@@ -95,6 +95,13 @@ def test_one_channel_checks_trace_preservation_once(monkeypatch):
     assert len(formed) == 1 and formed[0] is chan
 
 
+def test_sigma_check_refuses_a_negative_sample_count():
+    chan, code1 = _table1_channel(), _table1_codes()[0]
+    with pytest.raises(ValueError, match="samples must be non-negative"):
+        sigma_equals_lambda_check(chan, code1, samples=-1)
+    assert sigma_equals_lambda_check(chan, code1, samples=0)
+
+
 def test_code_subspace_requires_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         code_subspace([_ket(4, 0), (_ket(4, 0) + _ket(4, 1)) / np.sqrt(2)])

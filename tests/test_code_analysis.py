@@ -178,12 +178,12 @@ def test_memo_follows_the_basis_bytes_and_the_tolerances():
     assert kl_check(chan, dfs)[0].rank == 1
     assert kl_check(chan, dfs, TINY_RANK)[0].rank == 2
     assert kl_check(chan, dfs)[0].rank == 1
-    # Another channel object is checked afresh, and so is a code of another
-    # declared dimension with the same basis.
+    # Another channel object is checked afresh, and so is the same basis
+    # padded to a 9-dimensional code.
     with pytest.raises(NotTracePreserving):
         kl_check(channel(0.5 * chan.kraus), dfs)
     with pytest.raises(ValueError, match="does not match"):
-        kl_check(chan, CodeSubspace(9, dfs.basis))
+        kl_check(chan, code_subspace(np.vstack([dfs.basis, np.zeros((1, 2))]).T))
 
 
 def test_memoised_arrays_are_read_only():
@@ -298,7 +298,7 @@ def _recovery_cases():
     rng = np.random.default_rng(2)
     skew = dfs.basis + 1e-11 * (rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))
     cases = [(chan, dfs, DEFAULT_TOL), (chan, dfs, TINY_RANK),
-             (chan, CodeSubspace(8, skew), DEFAULT_TOL),
+             (chan, CodeSubspace(skew), DEFAULT_TOL),
              (chan, code_subspace([e[0], e[7]]), DEFAULT_TOL)]
     return cases + [case for case in _cases(13) if case[1].k > 1]
 
@@ -349,7 +349,7 @@ def test_build_recovery_refuses_what_the_full_residual_refuses():
         rng = np.random.default_rng(seed)
         noise = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
         skew = (1 + 3e-11 * rng.uniform()) * base + 1e-12 * noise
-        code = CodeSubspace(8, skew)
+        code = CodeSubspace(skew)
         try:
             images, isometries = _recovery_parts(chan, code, tol)
         except NotCorrectable:

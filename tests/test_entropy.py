@@ -131,6 +131,18 @@ def test_entropy_layer_under_a_tiny_rank_cutoff():
             assert abs(getattr(rep_tiny, name) - getattr(rep, name)) <= 1e-12
 
 
+def test_an_overflowing_kraus_family_is_refused_by_every_route():
+    # sigma = Tr(rho E^dag E) overflows to inf: its weight would give a silent
+    # 0 bits, and omega's inf/nan entries fail the partial-trace checks.
+    c, rho = channel([1e200 * np.eye(2)]), np.eye(2) / 2
+    with np.errstate(all="ignore"):
+        for route in (entropy_exchange, purification_exchange_entropy):
+            with pytest.raises(ValueError, match="non-finite weight"):
+                route(c, rho)
+        with pytest.raises(ArithmeticError, match="partial trace"):
+            lindblad_omega(c, rho)
+
+
 def test_dimension_mismatch_raises():
     c = pauli_channel([(1.0, "I")])
     with pytest.raises(ValueError):

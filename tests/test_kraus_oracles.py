@@ -358,16 +358,16 @@ def test_loop_reference_catches_a_fault_in_the_stored_operators(monkeypatch, cor
     # a fault in storing them passes its own check, and the loop reference on
     # the returned operators is the check that catches it.  Conjugation leaves
     # a real operator as it is, which is no fault.
-    stacked = code_module._stacked
+    channel_class = code_module.QuantumChannel
     moved = []
 
     def spoiled(ops):
         kept = ops.copy()
         corrupt(ops)
         moved.append(frobenius(ops - kept))
-        return stacked(ops)
+        return channel_class(ops)
 
-    monkeypatch.setattr(code_module, "_stacked", spoiled)
+    monkeypatch.setattr(code_module, "QuantumChannel", spoiled)
     caught = 0
     for c, code in _correctable_pairs():
         rec = build_recovery(c, code)
