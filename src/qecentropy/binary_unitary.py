@@ -23,7 +23,7 @@ from .errors import (
     NoFeasiblePartitionError,
     UnsupportedCodeDimensionError,
 )
-from .numerics import DEFAULT_TOL, EigenDecomposition, ToleranceConfig, as_matrix, is_unitary, unitary_eigen
+from .numerics import DEFAULT_TOL, EigenDecomposition, ToleranceConfig, _require_unitary, as_matrix, unitary_eigen
 
 # Smallest slack when testing whether a lambda lies in a rank-k range, and
 # how far |lambda| may exceed 1 in lambda_spectrum.  A lambda taken from the
@@ -50,9 +50,7 @@ class BinaryUnitaryChannel:
 
     def to_channel(self, tol: ToleranceConfig = DEFAULT_TOL) -> QuantumChannel:
         """Kraus form {sqrt(1-p) I, sqrt(p) U}; checks U for unitarity under ``tol``."""
-        u = as_matrix(self.u)
-        if not is_unitary(u, tol):
-            raise ValueError("binary unitary channel requires a unitary matrix")
+        u = _require_unitary(self.u, tol)
         return channel([np.sqrt(1 - self.p) * np.eye(u.shape[0]), np.sqrt(self.p) * u])
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import serialization
 from .errors import NotTracePreserving
-from .numerics import DEFAULT_TOL, ToleranceConfig, _frozen, _psd_rank, as_matrix, dag, frobenius, is_unitary
+from .numerics import DEFAULT_TOL, ToleranceConfig, _frozen, _psd_rank, _require_unitary, as_matrix, dag, frobenius
 
 # Hermiticity of a density matrix is checked relative to its Frobenius norm
 # (at least 1), at the resolution of a few rounding errors per entry.
@@ -35,16 +35,20 @@ _PAULI = {
 class QuantumChannel:
     """A completely positive map given by m square Kraus operators of size n.
 
-    ``kraus`` is one complex array of shape (m, n, n), built by :func:`channel`
-    or formed in the package; the channel makes it read-only, without a copy,
-    so its cached properties hold.  Iterating over it yields the operators in
-    order.  Channels compare and hash by identity.
+    ``kraus`` is one complex array of shape (m, n, n), n >= 1 and m >= 0, or
+    ValueError; the channel makes it read-only, without a copy, so its checked
+    shape and cached properties hold.  Channels compare and hash by identity.
     """
 
     kraus: np.ndarray
 
     def __post_init__(self):
-        _frozen(self.kraus)
+        k = self.kraus
+        if not (isinstance(k, np.ndarray) and k.dtype == complex and k.ndim == 3
+                and k.shape[1] == k.shape[2] >= 1):
+            got = f"{k.dtype} array of shape {k.shape}" if isinstance(k, np.ndarray) else type(k).__name__
+            raise ValueError(f"Kraus operators must form one complex (m, n, n) array, n >= 1; got {got}")
+        _frozen(k)
 
     @property
     def dim(self) -> int:
@@ -99,24 +103,15 @@ class ChoiGram:
 
 
 def channel(kraus_ops) -> QuantumChannel:
-    """Build a channel from an iterable of square matrices of equal dimension."""
+    """Build a channel from an iterable of finite matrices, at least one, square and of one shape."""
     ops = [as_matrix(e) for e in kraus_ops]
-    if not ops:
-        raise ValueError("channel requires at least one Kraus operator")
-    n = ops[0].shape[0]
-    for e in ops:
-        if e.shape != (n, n):
-            raise ValueError(f"all Kraus operators must be {n}x{n}, got {e.shape}")
+    if len({e.shape for e in ops}) > 1:
+        raise ValueError(f"all Kraus operators must have one shape, got {[e.shape for e in ops]}")
     return QuantumChannel(np.array(ops))
 
 
 def channel_from_json(obj) -> QuantumChannel:
-    try:
-        dim, kraus = serialization.size_from_json(obj["dim"], "dim"), obj["kraus"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("channel JSON must have 'dim' and 'kraus'") from exc
-    if not isinstance(kraus, list):
-        raise ValueError("channel JSON 'kraus' must be a list of matrices")
+    dim, kraus = serialization._record_from_json(obj, "channel", "kraus", "matrices")
     c = channel(serialization.matrix_from_json(m) for m in kraus)
     if c.dim != dim:
         raise ValueError(f"declared dim {dim} does not match Kraus operators ({c.dim})")
@@ -166,10 +161,16 @@ def canonical_kraus(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> Qu
     return QuantumChannel(np.tensordot(vecs[:, ::-1][:, :rank].T, c.kraus, axes=1))
 
 
-def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+def _state_matrix(c: QuantumChannel, rho) -> np.ndarray:
+    """``rho`` as a matrix (``as_matrix``), checked n x n for the channel's n."""
     rho = as_matrix(rho)
     if rho.shape != (c.dim, c.dim):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
+    return rho
+
+
+def apply_channel(c: QuantumChannel, rho: np.ndarray) -> np.ndarray:
+    rho = _state_matrix(c, rho)
     # No Hermitization: the map must stay linear on arbitrary (e.g. matrix
     # unit) inputs for process-identity checks.
     return (c.kraus @ rho @ np.conj(c.kraus).transpose(0, 2, 1)).sum(axis=0)
@@ -181,8 +182,7 @@ def remix_kraus(c: QuantumChannel, v, tol: ToleranceConfig = DEFAULT_TOL) -> Qua
     m = c.num_kraus
     if v.shape != (m, m):
         raise ValueError(f"remix matrix must be {m}x{m}, got {v.shape}")
-    if not is_unitary(v, tol):
-        raise ValueError("remix matrix must be unitary")
+    _require_unitary(v, tol, "remix matrix")
     return QuantumChannel(np.tensordot(v, c.kraus, axes=1))
 
 

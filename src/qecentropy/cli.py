@@ -76,15 +76,11 @@ def _load_tolerances(path: str | None) -> ToleranceConfig:
     obj = _load_json_file(path)
     if not isinstance(obj, dict):
         raise ValueError("tolerance file must be a JSON object")
-    fields = {f.name for f in dataclasses.fields(ToleranceConfig)}
-    unknown = set(obj) - fields
+    unknown = set(obj) - {f.name for f in dataclasses.fields(ToleranceConfig)}
     if unknown:
         raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-    for key, value in obj.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"tolerance {key!r} must be a number, got {value!r}")
     try:
-        return ToleranceConfig(**{k: float(v) for k, v in obj.items()})
+        return ToleranceConfig(**obj)
     except OverflowError as exc:
         raise ValueError(f"tolerance value out of range: {exc}") from exc
 

@@ -12,7 +12,8 @@ from . import serialization
 from .channel import QuantumChannel, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, _exchange
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
-from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, dag, frobenius
+from .numerics import (DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _isometry_residual, _psd_rank, dag,
+                       frobenius)
 from .sampling import random_density
 
 # Process-identity residual a built recovery must meet: an accepted code keeps
@@ -24,9 +25,18 @@ RECOVERY_VERIFY_ATOL = 1e-6
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class CodeSubspace:
-    """A k-dimensional subspace given by an orthonormal basis (columns)."""
+    """A k-dimensional subspace given by an orthonormal basis (columns): one n x k
+    array, 1 <= k <= n, or ValueError, made read-only without a copy so its checks hold."""
 
     basis: np.ndarray
+
+    def __post_init__(self):
+        b = self.basis
+        if not (isinstance(b, np.ndarray) and b.ndim == 2 and b.shape[1] >= 1):
+            raise ValueError(f"code basis must be one n x k array, k >= 1; got shape {np.shape(b)}")
+        if b.shape[1] > b.shape[0]:
+            raise ValueError(f"code dimension {b.shape[1]} exceeds ambient dimension {b.shape[0]}")
+        _frozen(b)
 
     @property
     def ambient_dim(self) -> int:
@@ -97,27 +107,18 @@ class RecoveryOperation:
 
 
 def code_subspace(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
-    """Build a code from basis vectors; they must already be orthonormal."""
+    """Build a code from basis vectors; they must already be orthonormal, to eps_eig * max(1, n)."""
     columns = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if not columns:
         raise ValueError("code basis must hold at least one vector")
-    basis = np.column_stack(columns)
-    n, k = basis.shape
-    if k > n:
-        raise ValueError(f"code dimension {k} exceeds ambient dimension {n}")
-    gram = dag(basis) @ basis
-    if not frobenius(gram - np.eye(k)) <= tol.eps_eig * max(1, n):
+    code = CodeSubspace(np.column_stack(columns))
+    if not _isometry_residual(code.basis) <= tol.eps_eig * max(1, code.ambient_dim):
         raise ValueError("code basis is not orthonormal")
-    return CodeSubspace(basis)
+    return code
 
 
 def code_from_json(obj, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
-    try:
-        dim, basis = serialization.size_from_json(obj["dim"], "dim"), obj["basis"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("code JSON must have 'dim' and 'basis'") from exc
-    if not isinstance(basis, list):
-        raise ValueError("code JSON 'basis' must be a list of vectors")
+    dim, basis = serialization._record_from_json(obj, "code", "basis", "vectors")
     vectors = [serialization.vector_from_json(v) for v in basis]
     if any(len(v) != dim for v in vectors):
         raise ValueError("code basis vectors do not match the declared dimension")
@@ -153,9 +154,8 @@ def _analysed(
 ) -> tuple[np.ndarray, ErrorCorrectionMatrix, float, float]:
     """The compressions E_i B (shape (m, n, k)), Lambda, the KL residual and the
     threshold it was accepted under, from the memo of the most recent accepted
-    (channel, code) pair; raises NotCorrectable for a refused code."""
-    b = code.basis
-    return _code_memo((c, b.shape, b.dtype.str, b.tobytes(), tol), _kl_analysis, c, code, tol)
+    (channel, code) pair, both matched by identity; raises NotCorrectable for a refused code."""
+    return _code_memo((c, code, tol), _kl_analysis, c, code, tol)
 
 
 def kl_check(

@@ -10,8 +10,8 @@ import functools
 
 import numpy as np
 
-from .channel import QuantumChannel, _density_spectrum, apply_channel, validate_channel
-from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, as_matrix, dag
+from .channel import QuantumChannel, _density_spectrum, _state_matrix, apply_channel, validate_channel
+from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, dag
 
 # lindblad_omega's partial traces must reproduce the exchange state and the
 # channel output to rounding error, relative to omega's largest entry.
@@ -74,21 +74,16 @@ def _exchange(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def exchange_matrix(c: QuantumChannel, rho) -> np.ndarray:
     """The exchange state sigma_ij = Tr(rho E_i^dag E_j), the raw linear map: rho is not validated."""
-    rho = as_matrix(rho)
-    if rho.shape != (c.dim, c.dim):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {c.dim}")
-    return _exchange(c.kraus, rho)
+    return _exchange(c.kraus, _state_matrix(c, rho))
 
 
 class _State:
-    """A copy of rho, validated, with ``w`` and ``v`` from one ``eigh`` and its ``rank``;
-    sigma with its ``eigh``, checked PSD, and Phi(rho), on first use."""
+    """A copy of rho, sized by ``_state``, validated, with ``w`` and ``v`` from one ``eigh``
+    and its ``rank``; sigma with its ``eigh``, checked PSD, and Phi(rho), on first use."""
 
     def __init__(self, c: QuantumChannel, rho: np.ndarray, tol: ToleranceConfig):
         rho, w, v, self.rank = _density_spectrum(rho.copy(), tol, vectors=True)
         self.c, self.tol, (self.rho, self.w, self.v) = c, tol, map(_frozen, (rho, w, v))
-        if self.rho.shape != (c.dim, c.dim):
-            raise ValueError(f"state shape {self.rho.shape} does not match channel dim {c.dim}")
 
     @functools.cached_property
     def exchange(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,7 +101,7 @@ _state_memo = _LastCall()  # the last accepted (channel, state) pair's _State
 
 
 def _state(c: QuantumChannel, rho, tol: ToleranceConfig) -> _State:
-    rho = as_matrix(rho)
+    rho = _state_matrix(c, rho)
     return _state_memo((c, rho.shape, rho.tobytes(), tol), _State, c, rho, tol)
 
 

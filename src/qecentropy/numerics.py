@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
+import numbers
 
 import numpy as np
 
@@ -31,9 +33,10 @@ class ToleranceConfig:
     eps_eig: float = 1e-10
 
     def __post_init__(self):
-        for name in ("eps_rank", "eps_kl", "eps_geom", "eps_eig"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
+        for name, value in vars(self).items():
+            # A bool is an int; math.isfinite raises OverflowError for an int past the float range.
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         # The rank cutoff eps_rank * max(1, largest) would reach the largest
         # eigenvalue and make every rank 0.
@@ -108,15 +111,21 @@ def _chain_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[int, ..
     return tuple(groups)
 
 
-def _unitarity_residual(u: np.ndarray) -> float:
-    """||U^dag U - I||_F of a square matrix; U is unitary when this is at
-    most eps_eig * N."""
-    return frobenius(dag(u) @ u - np.eye(u.shape[0]))
+def _isometry_residual(b: np.ndarray) -> float:
+    """||B^dag B - I||_F: how far the columns of B are from orthonormal."""
+    return frobenius(dag(b) @ b - np.eye(b.shape[1]))
 
 
-def is_unitary(u: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def _require_unitary(u, tol: ToleranceConfig, what: str = "matrix") -> np.ndarray:
+    """``u`` as a matrix (``as_matrix``), checked square and unitary:
+    ||U^dag U - I||_F at most eps_eig * N, or ValueError naming ``what``."""
     u = as_matrix(u)
-    return u.shape[0] == u.shape[1] and _unitarity_residual(u) <= tol.eps_eig * u.shape[0]
+    if u.shape[0] != u.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {u.shape}")
+    resid = _isometry_residual(u)
+    if not resid <= tol.eps_eig * u.shape[0]:
+        raise ValueError(f"{what} is not unitary (||U^dag U - I||_F = {resid:.3e})")
+    return u
 
 
 class _LastCall:
@@ -125,15 +134,15 @@ class _LastCall:
 
     The package's three memos (decompositions, codes, states) follow this
     rule.  The entry is the last result only, replaced by one assignment, so
-    concurrent callers at worst compute the same thing twice.  Channels sit
-    in the key by identity, as they compare by identity; arrays by shape and
-    bytes, since a caller may change them in place; and the tolerances, so a
-    hit reuses only verdicts reached under equal ones.  A build that raises is
-    not stored, so a refused input is checked again.  A hit hands the same
-    objects to every caller, so their arrays are read-only.  Callers name
-    ``build`` at each call, so a builder replaced in its module is the one
-    that runs.  What derives from one channel or decomposition alone is
-    cached on that object.
+    concurrent callers at worst compute the same thing twice.  Channels and
+    codes sit in the key by identity, as they compare by identity and their
+    arrays are read-only; U and rho by shape and bytes, since a caller may
+    change them in place; and the tolerances, so a hit reuses only verdicts
+    reached under equal ones.  A build that raises is not stored, so a
+    refused input is checked again.  A hit hands the same objects to every
+    caller, so their arrays are read-only.  Callers name ``build`` at each
+    call, so a builder replaced in its module is the one that runs.  What
+    derives from one channel or decomposition alone is cached on that object.
     """
 
     last: tuple | None = None  # (key, result)
@@ -158,22 +167,18 @@ def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
 
     The most recent result is remembered: a later call with a matrix of the
     same shape and bytes, under equal tolerances, returns the same object
-    without decomposing or checking it again.  Its ``eigenvalues`` and
-    ``eigenvectors`` are read-only; copy them before writing.
+    without decomposing or checking it again, as that matrix passed the check.
+    Its ``eigenvalues`` and ``eigenvectors`` are read-only; copy them before writing.
     """
-    u = as_matrix(u)
+    u = np.asarray(u, dtype=complex)
     return _eigen_memo((u.shape, u.tobytes(), tol), _decompose_unitary, u, tol)
 
 
 def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecomposition:
-    """``unitary_eigen``'s work on a matrix not in its memo: the unitarity
-    check, then the decomposition."""
-    if u.shape[0] != u.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {u.shape}")
+    """``unitary_eigen``'s work on a matrix not in its memo: the one check of U
+    (``_require_unitary``), then the decomposition."""
+    u = _require_unitary(u, tol)
     n = u.shape[0]
-    resid = _unitarity_residual(u)
-    if not resid <= tol.eps_eig * n:
-        raise ValueError(f"matrix is not unitary (||U^dag U - I||_F = {resid:.3e})")
 
     h = (u + dag(u)) / 2
     k = (u - dag(u)) / (2j)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .channel import channel
+
 
 def _ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -23,7 +25,5 @@ def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_channel(dim: int, num_kraus: int, rng: np.random.Generator):
     """Random trace-preserving channel from a Haar-ish Stinespring isometry."""
-    from .channel import channel
-
     q, _ = np.linalg.qr(_ginibre(dim * num_kraus, dim, rng))
     return channel([q[i * dim:(i + 1) * dim, :] for i in range(num_kraus)])

@@ -84,6 +84,17 @@ def size_from_json(value, name: str) -> int:
     return value
 
 
+def _record_from_json(obj, what: str, key: str, items: str) -> tuple[int, list]:
+    """The 'dim' and the list under ``key`` of a ``what`` record (channel, code or vector)."""
+    try:
+        dim, entries = size_from_json(obj["dim"], "dim"), obj[key]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{what} JSON must have 'dim' and '{key}'") from exc
+    if not isinstance(entries, list):
+        raise ValueError(f"{what} JSON '{key}' must be a list of {items}")
+    return dim, entries
+
+
 def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ValueError("complex value must be a two-element [re, im] array")
@@ -146,12 +157,7 @@ def vector_to_json(v: np.ndarray) -> dict:
 
 
 def vector_from_json(obj) -> np.ndarray:
-    try:
-        dim, data = size_from_json(obj["dim"], "dim"), obj["data"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError("vector JSON must have 'dim' and 'data'") from exc
-    if not isinstance(data, list):
-        raise ValueError("vector JSON 'data' must be a list of [re, im] entries")
+    dim, data = _record_from_json(obj, "vector", "data", "[re, im] entries")
     if dim <= 0 or len(data) != dim:
         raise ValueError("vector data length does not match 'dim'")
     return _entries_from_json(data)

@@ -8,13 +8,15 @@ from qecentropy import code as code_module
 def _forget_last_analyses():
     # Three one-entry memos (numerics._LastCall) keep the most recent U's
     # decomposition, the most recent (channel, code) analysis and the most
-    # recent (channel, state) analysis; tests that count decompositions, range
-    # builds, KL checks or eigensolves must not find an earlier test's U, code
-    # or state there, so each memo's entry is dropped.  The ranges live on the
-    # decomposition, so clearing it makes the next call on any U cold.
-    # Per-channel quantities (the trace residual, the Kraus Gram and its
-    # eigensolve) live on the channel object, so a new channel starts without
-    # them.
+    # recent (channel, state) analysis.  U and rho are matched by shape and
+    # bytes, so a test that builds an equal U or state would find an earlier
+    # test's entry; channels and codes are matched by identity, and the entry
+    # keeps them alive.  Tests that count decompositions, range builds, KL
+    # checks or eigensolves must start cold, so each memo's entry is dropped.
+    # The ranges live on the decomposition, so clearing it makes the next
+    # call on any U cold.  Per-channel quantities (the trace residual, the
+    # Kraus Gram and its eigensolve) live on the channel object, so a new
+    # channel starts without them.
     numerics._eigen_memo.last = None
     code_module._code_memo.last = None
     entropy._state_memo.last = None

@@ -100,6 +100,12 @@ def test_pauli_word_and_channel():
         pauli_word("XQ")
     with pytest.raises(ValueError, match="sum to 1"):
         pauli_channel([(0.5, "X")])
+    with pytest.raises(ValueError, match="at least one term"):
+        pauli_channel([])
+    with pytest.raises(ValueError, match="non-negative"):
+        pauli_channel([(1.5, "X"), (-0.5, "Z")])
+    with pytest.raises(ValueError, match="equal length"):
+        pauli_channel([(0.5, "X"), (0.5, "XZ")])
     c = pauli_channel([(0.5, "II"), (0.5, "ZZ")])
     validate_channel(c)
 
@@ -110,7 +116,7 @@ def test_binary_unitary_kraus():
     validate_channel(c)
     with pytest.raises(ValueError):
         BinaryUnitaryChannel(1.5, u).to_channel()
-    with pytest.raises(ValueError, match="requires a unitary matrix"):
+    with pytest.raises(ValueError, match=r"^matrix is not unitary \(\|\|U\^dag U - I\|\|_F = "):
         BinaryUnitaryChannel(0.25, 2 * u).to_channel()
 
 

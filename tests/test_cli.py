@@ -126,10 +126,13 @@ DEEP_JSON = "[" * 100000 + "]" * 100000  # nested past json.load's recursion lim
     ("code", '{"dim": 1e400, "basis": [{"dim": 8, "data": []}]}'),
     ("code", '{"dim": 8, "basis": [{"dim": 1e400, "data": []}]}'),
     ("channel", DEEP_JSON),
+    ("channel", {"dim": 1, "kraus": [{"rows": 0, "cols": 1, "data": []}]}),
+    ("channel", {"dim": 1, "kraus": []}),
 ], ids=["kraus-not-a-list", "data-not-a-list", "null-component",
         "basis-not-a-list", "vector-data-not-a-list", "matrix-rows-infinite",
         "matrix-cols-fractional", "channel-dim-infinite", "component-too-large",
-        "code-dim-infinite", "vector-dim-infinite", "nested-too-deeply"])
+        "code-dim-infinite", "vector-dim-infinite", "nested-too-deeply",
+        "matrix-rows-zero", "kraus-empty"])
 def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, obj):
     bad = tmp_path / "malformed.json"
     bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
@@ -577,6 +580,13 @@ def test_entropy_vs_p(files, capsys):
     report = json.loads(capsys.readouterr().out)
     entropies = [pt["entropy_bits"] for pt in report["points"]]
     assert entropies == [0.0, 1.0, 0.0]
+
+
+def test_entropy_vs_p_refuses_a_three_part_lambda(files, capsys):
+    assert main(["entropy-vs-p", files["u4.json"], "2", "--lam", "1,2,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: complex value must be 'RE' or 'RE,IM', got '1,2,3'\n"
 
 
 def test_entropy_vs_p_refuses_a_lambda_past_a_corner(tmp_path, capsys):

@@ -105,6 +105,8 @@ def test_sigma_check_refuses_a_negative_sample_count():
 def test_code_subspace_requires_orthonormal_basis():
     with pytest.raises(ValueError, match="orthonormal"):
         code_subspace([_ket(4, 0), (_ket(4, 0) + _ket(4, 1)) / np.sqrt(2)])
+    with pytest.raises(ValueError, match="code dimension 3 exceeds ambient dimension 2"):
+        code_subspace([_ket(2, 0), _ket(2, 1), _ket(2, 0)])
 
 
 def test_kl_check_table1_lambda_matrices():

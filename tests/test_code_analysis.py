@@ -152,19 +152,20 @@ def test_one_analysis_serves_the_whole_chain(monkeypatch):
     assert choi_gram(chan).matrix is choi_gram(chan).matrix is chan._kraus_gram
 
 
-def test_memo_follows_the_basis_bytes_and_the_tolerances():
+def test_memo_follows_the_code_and_the_tolerances():
     e = np.eye(8)
     chan = pauli_channel([(1 / 3, "III"), (1 / 3, "XII"), (1 / 3, "IXI")])
     code = code_subspace([e[0], e[7]])
-    good = code.basis.copy()
     assert kl_check(chan, code)[0].rank == 3
-    # The basis changed in place to a non-code, and back.
-    code.basis[:] = np.column_stack([e[0], e[4]])
+    # The checked basis cannot change in place; another basis is another code,
+    # checked afresh, and the first code's analysis stands.
+    with pytest.raises(ValueError, match="read-only"):
+        code.basis[:] = np.column_stack([e[0], e[4]])
+    non_code = code_subspace([e[0], e[4]])
     with pytest.raises(NotCorrectable):
-        kl_check(chan, code)
+        kl_check(chan, non_code)
     with pytest.raises(NotCorrectable):
-        build_recovery(chan, code)
-    code.basis[:] = good
+        build_recovery(chan, non_code)
     assert classify_code(chan, code).lambda_rank == 3
     # A near code: accepted under the default eps_kl, refused under a tighter one.
     near = code_subspace([(e[0] + 1e-9 * e[1]) / np.sqrt(1 + 1e-18), e[7]])

@@ -9,8 +9,8 @@ from qecentropy.numerics import (
     ToleranceConfig,
     _chain_clusters,
     _psd_rank,
+    _require_unitary,
     dag,
-    is_unitary,
     unitary_eigen,
 )
 
@@ -37,6 +37,21 @@ def test_tolerance_config_rejects_rank_cutoff_of_one_or_more():
     assert ToleranceConfig(eps_rank=0.5).eps_rank == 0.5
     # The other thresholds may be 1 or more: eps_kl = 1 is a legal loose test.
     assert ToleranceConfig(eps_kl=1.0, eps_geom=2.0, eps_eig=1.0).eps_kl == 1.0
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1e-8", None, 1e-8j, [1e-8]])
+def test_tolerance_config_rejects_bools_and_non_reals(value):
+    for name in ("eps_rank", "eps_kl", "eps_geom", "eps_eig"):
+        with pytest.raises(ValueError, match="finite positive"):
+            ToleranceConfig(**{name: value})
+
+
+def test_tolerance_config_accepts_numpy_and_integer_reals():
+    assert ToleranceConfig(eps_kl=np.float64(1e-6)).eps_kl == 1e-6
+    assert ToleranceConfig(eps_kl=np.int64(2), eps_geom=1).eps_geom == 1
+    # An integer past the float range is no finite float; the CLI reports it.
+    with pytest.raises(OverflowError):
+        ToleranceConfig(eps_kl=10 ** 400)
 
 
 def test_decompositions_compare_and_hash_by_identity():
@@ -75,10 +90,12 @@ def test_unitary_eigen_rejects_nonunitary():
         unitary_eigen(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-def test_is_unitary():
-    assert is_unitary(np.eye(3))
-    assert not is_unitary(2 * np.eye(3))
-    assert not is_unitary(np.ones((2, 3)))
+def test_require_unitary():
+    assert np.array_equal(_require_unitary(np.eye(3), DEFAULT_TOL), np.eye(3))
+    with pytest.raises(ValueError, match="remix matrix is not unitary"):
+        _require_unitary(2 * np.eye(3), DEFAULT_TOL, "remix matrix")
+    with pytest.raises(ValueError, match=r"matrix must be square, got shape \(2, 3\)"):
+        _require_unitary(np.ones((2, 3)), DEFAULT_TOL)
 
 
 def test_psd_rank_and_invariance():

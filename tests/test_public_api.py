@@ -24,7 +24,8 @@ README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 REMOVED = {
     qecentropy: ("hermitian_eigen", "span_code", "validate_density", "unitary_channel",
                  "partial_trace_system", "partial_trace_environment", "binary_unitary_kraus"),
-    numerics: ("hermitian_eigen", "_require_square", "_descending_eigh", "_psd_floor"),
+    numerics: ("hermitian_eigen", "_require_square", "_descending_eigh", "_psd_floor", "is_unitary",
+               "_unitarity_residual"),
     code: ("span_code", "SIGMA_LAMBDA_ATOL"),
     channel_module: ("validate_density", "unitary_channel", "binary_unitary_kraus",
                      "_check_mixing_probability", "_stacked"),

@@ -27,6 +27,8 @@ def test_dumps_is_valid_and_deterministic():
     parsed = json.loads(out1)
     assert parsed["a"] == [1, 2.5, "x\"y\\z"]
     assert parsed["e"] == [1.0, 2.0]
+    with pytest.raises(TypeError, match="cannot serialize"):
+        serialization.dumps({"a": [object()]})
 
 
 def test_matrix_roundtrip():
@@ -36,11 +38,16 @@ def test_matrix_roundtrip():
         serialization.dumps(serialization.matrix_to_json(a))
     ))
     assert np.array_equal(back, a)
+    # An integral float is read as the size it names.
+    obj = serialization.matrix_to_json(a)
+    assert np.array_equal(serialization.matrix_from_json({**obj, "rows": 3.0, "cols": 4.0}), a)
 
 
 def test_vector_roundtrip():
     v = np.array([1 + 2j, -3.5, 0])
     back = serialization.vector_from_json(serialization.vector_to_json(v))
+    assert np.array_equal(back, v)
+    back = serialization.vector_from_json({**serialization.vector_to_json(v), "dim": 3.0})
     assert np.array_equal(back, v)
 
 
@@ -51,6 +58,8 @@ def test_malformed_inputs_raise():
         serialization.matrix_from_json({"rows": 2, "cols": 2, "data": [[0, 0]]})
     with pytest.raises(ValueError):
         serialization.matrix_from_json({"rows": 2, "data": []})
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        serialization.matrix_from_json({"rows": 0, "cols": 2, "data": []})
     with pytest.raises(ValueError):
         serialization.vector_from_json({"dim": 3, "data": [[0, 0]]})
 
