@@ -109,17 +109,15 @@ class GroupingCode:
     code: CodeSubspace
 
 
-def _representatives(dec: EigenDecomposition, k: int) -> list[complex]:
-    """Cluster means in phase order, once k is checked to lie in [1, N]."""
-    eigs = dec.eigenvalues
-    if not 1 <= k <= len(eigs):
-        raise ValueError(f"rank k must be in [1, {len(eigs)}], got {k}")
-    # A single eigenvalue is its own mean, without a numpy call.
-    z = eigs.tolist()
-    return [z[c[0]] if len(c) == 1 else complex(np.mean(eigs[list(c)])) for c in dec.cluster_map]
+def _representatives(dec: EigenDecomposition, k: int) -> tuple[complex, ...]:
+    """The decomposition's cluster means in phase order, once k is checked to lie in [1, N]."""
+    n = len(dec.eigenvalues)
+    if not 1 <= k <= n:
+        raise ValueError(f"rank k must be in [1, {n}], got {k}")
+    return dec._representatives
 
 
-def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tuple[int, int]]]:
+def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[tuple[complex, ...], list[tuple[int, int]]]:
     """Cluster representatives in phase order, and the distinct arcs of
     clusters, as (first, size), held by the N cyclic runs of N-k+1
     eigenvalues in phase order.
@@ -132,11 +130,14 @@ def _run_arcs(dec: EigenDecomposition, k: int) -> tuple[list[complex], list[tupl
 
     Clusters are contiguous in phase order, so a run holds the clusters from
     its first eigenvalue's on, one more for each cluster boundary it crosses.
-    A run that holds all m clusters is the arc (0, m).
+    A run that holds all m clusters is the arc (0, m).  When every cluster is
+    one eigenvalue, run s is the arc (s, N-k+1).
     """
     clusters = dec.cluster_map
     n, m = len(dec.eigenvalues), len(clusters)
     reps = _representatives(dec, k)
+    if m == n:
+        return reps, [(0, n)] if k == 1 else [(s, n - k + 1) for s in range(n)]
     owner = {i: c for c, members in enumerate(clusters) for i in members}
     # crossed[i]: how many of eigenvalues 0..i-1, twice round, start a cluster.
     opens = [owner[i] != owner[(i - 1) % n] for i in range(n)]
@@ -172,7 +173,7 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
     reps, arcs = _run_arcs(dec, k)
     m, eps = len(reps), tol.eps_geom
     points = [reps[first] for first, size in arcs if size == 1]
-    region = points[:1] or reps
+    region = points[:1] or list(reps)
     for first, size in arcs:
         if not region:
             break

@@ -9,7 +9,8 @@ import numpy as np
 
 from . import serialization
 from .errors import NotTracePreserving
-from .numerics import DEFAULT_TOL, ToleranceConfig, _frozen, _psd_rank, _require_unitary, as_matrix, dag, frobenius
+from .numerics import (DEFAULT_TOL, ToleranceConfig, _frozen, _iterate, _psd_rank, _require_unitary, as_matrix, dag,
+                       frobenius)
 
 # Hermiticity of a density matrix is checked relative to its Frobenius norm
 # (at least 1), at the resolution of a few rounding errors per entry.
@@ -104,7 +105,7 @@ class ChoiGram:
 
 def channel(kraus_ops) -> QuantumChannel:
     """Build a channel from an iterable of finite matrices, at least one, square and of one shape."""
-    ops = [as_matrix(e) for e in kraus_ops]
+    ops = [as_matrix(e) for e in _iterate(kraus_ops, "Kraus operators")]
     if len({e.shape for e in ops}) > 1:
         raise ValueError(f"all Kraus operators must have one shape, got {[e.shape for e in ops]}")
     return QuantumChannel(np.array(ops))
@@ -125,13 +126,11 @@ def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> N
         raise NotTracePreserving(residual)
 
 
-def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
-    """Check that rho is a density matrix: square, Hermitian, of unit trace and,
-    by ``_psd_rank`` where it is solved, PSD; returns rho, its ascending
-    eigenvalues, their eigenvectors if ``vectors`` (else None) and its rank."""
-    rho = as_matrix(rho)
-    if rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
+def _density_spectrum(rho: np.ndarray, tol: ToleranceConfig, vectors: bool = False):
+    """Check that rho, a finite square matrix (``as_matrix``, checked square), is
+    a density matrix: Hermitian, of unit trace and, by ``_psd_rank`` where it is
+    solved, PSD; returns its ascending eigenvalues, their eigenvectors if
+    ``vectors`` (else None) and its rank."""
     herm = float(np.max(np.abs(rho - dag(rho))))
     if herm > DENSITY_HERMITIAN_RTOL * max(1.0, frobenius(rho)):
         raise ValueError(f"density matrix is not Hermitian (asymmetry {herm:.3e})")
@@ -139,7 +138,7 @@ def _density_spectrum(rho, tol: ToleranceConfig, vectors: bool = False):
     if abs(tr - 1.0) > DENSITY_TRACE_ATOL:
         raise ValueError(f"density matrix trace is {tr}, expected 1")
     w, v = np.linalg.eigh(rho) if vectors else (np.linalg.eigvalsh(rho), None)
-    return rho, w, v, _psd_rank(w, tol, "density matrix")
+    return w, v, _psd_rank(w, tol, "density matrix")
 
 
 def choi_gram(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> ChoiGram:

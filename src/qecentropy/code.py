@@ -12,8 +12,8 @@ from . import serialization
 from .channel import QuantumChannel, choi_gram, validate_channel
 from .entropy import _entropy_of_spectrum, _exchange
 from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
-from .numerics import (DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _isometry_residual, _psd_rank, dag,
-                       frobenius)
+from .numerics import (DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _isometry_residual, _iterate, _psd_rank,
+                       dag, frobenius)
 from .sampling import random_density
 
 # Process-identity residual a built recovery must meet: an accepted code keeps
@@ -108,7 +108,7 @@ class RecoveryOperation:
 
 def code_subspace(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     """Build a code from basis vectors; they must already be orthonormal, to eps_eig * max(1, n)."""
-    columns = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    columns = [np.asarray(v, dtype=complex).reshape(-1) for v in _iterate(vectors, "code basis vectors")]
     if not columns:
         raise ValueError("code basis must hold at least one vector")
     code = CodeSubspace(np.column_stack(columns))

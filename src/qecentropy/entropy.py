@@ -11,7 +11,7 @@ import functools
 import numpy as np
 
 from .channel import QuantumChannel, _density_spectrum, _state_matrix, apply_channel, validate_channel
-from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, dag
+from .numerics import DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _psd_rank, as_matrix, dag
 
 # lindblad_omega's partial traces must reproduce the exchange state and the
 # channel output to rounding error, relative to omega's largest entry.
@@ -42,7 +42,10 @@ def _entropy_of_spectrum(w) -> float:
 
 def von_neumann_entropy(rho, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """-Tr(rho log2 rho) with the 0*log(0) := 0 convention."""
-    return _entropy_of_spectrum(_density_spectrum(rho, tol)[1])
+    rho = as_matrix(rho)
+    if rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    return _entropy_of_spectrum(_density_spectrum(rho, tol)[0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,12 +81,13 @@ def exchange_matrix(c: QuantumChannel, rho) -> np.ndarray:
 
 
 class _State:
-    """A copy of rho, sized by ``_state``, validated, with ``w`` and ``v`` from one ``eigh``
-    and its ``rank``; sigma with its ``eigh``, checked PSD, and Phi(rho), on first use."""
+    """A copy of rho, which ``_state`` checked as an n x n matrix, validated as a density matrix,
+    with ``w`` and ``v`` from one ``eigh`` and its ``rank``; sigma with its ``eigh``, checked PSD,
+    and Phi(rho), on first use."""
 
     def __init__(self, c: QuantumChannel, rho: np.ndarray, tol: ToleranceConfig):
-        rho, w, v, self.rank = _density_spectrum(rho.copy(), tol, vectors=True)
-        self.c, self.tol, (self.rho, self.w, self.v) = c, tol, map(_frozen, (rho, w, v))
+        w, v, self.rank = _density_spectrum(rho, tol, vectors=True)
+        self.c, self.tol, (self.rho, self.w, self.v) = c, tol, map(_frozen, (rho.copy(), w, v))
 
     @functools.cached_property
     def exchange(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,12 +21,21 @@ def _cross(o: complex, a: complex, b: complex) -> float:
 
 
 def dedupe_points(pts: np.ndarray, eps: float) -> np.ndarray:
-    """Drop points within ``eps`` of an already-kept point (greedy, ordered)."""
-    kept: list[complex] = []
-    for z in np.asarray(pts, dtype=complex).tolist():
-        if all(abs(z - w) > eps for w in kept):
-            kept.append(z)
-    return np.array(kept, dtype=complex)
+    """Drop points within ``eps`` of an already-kept point (greedy, ordered).
+
+    numpy's complex ``abs`` can differ from ``abs()`` in the last bit, so one
+    numpy test settles only the pairs more than 2 eps apart (as a rule, all
+    but each point paired with itself); ``abs()`` decides the others."""
+    pts = np.array(pts, dtype=complex)
+    close = ~(np.abs(pts[:, None] - pts) > 2 * eps)
+    if np.count_nonzero(close) == len(pts):
+        return pts
+    zs, dropped = pts.tolist(), set()
+    rows, cols = np.nonzero(close)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i < j and i not in dropped and j not in dropped and not abs(zs[j] - zs[i]) > eps:
+            dropped.add(j)
+    return pts[[i for i in range(len(zs)) if i not in dropped]]
 
 
 def convex_hull(pts: np.ndarray, eps: float) -> np.ndarray:
@@ -74,39 +83,64 @@ def clip_halfplane(pts: list[complex], normal: complex, offset: float, eps: floa
     the line or up to the slack past it: the crossing is then on the edge's
     extension (about slack/theta beyond the end, for an edge at angle theta
     to the line), outside the region clipped, and the cut is the end itself.
+
+    Only the vertices past the line are tested against the slack and the
+    chord.  Each run of consecutive outside vertices is replaced by the cuts
+    on the two edges that leave it, and the inside vertices between runs are
+    copied as slices.
     """
     conj, slack = normal.conjugate(), eps * abs(normal)
     vals = [(conj * z).real - offset for z in pts]
-    inside = ([v <= slack for v in vals] if chord is None else
-              [v <= 0 or v <= slack and _segment_distance(z, *chord) <= eps for z, v in zip(pts, vals)])
-    if all(inside):
+    outside = [i for i, v in enumerate(vals)
+               if not (v <= 0 or v <= slack and (chord is None or _segment_distance(pts[i], *chord) <= eps))]
+    n = len(pts)
+    if not outside:
         return pts
-    if not any(inside):
+    if len(outside) == n:
         return []
+
+    def cut(i: int, j: int, e: int) -> tuple[complex, bool]:
+        # The crossing of edge i -> j, whose inside end is e, and whether it
+        # lies within eps of that end.
+        if vals[e] >= 0:
+            return pts[e], True
+        z = pts[i] + vals[i] / (vals[i] - vals[j]) * (pts[j] - pts[i])
+        return z, abs(z - pts[e]) <= eps
+
     # A cut lands next to the inside end of its edge in the output.  When the
     # two are within eps, only the one that comes first is kept, as a greedy
     # dedupe in output order would.  A chord through two vertices would
-    # otherwise add a near-copy of each.
+    # otherwise add a near-copy of each.  Runs are found in index order, so a
+    # run through the last vertex and the first is found as two pieces, and
+    # the edge between them crosses nothing.
+    runs = [[outside[0], outside[0]]]
+    for i in outside[1:]:
+        if i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
     out: list[complex] = []
-    n, skip = len(pts), False
-    for i in range(n):
-        j = (i + 1) % n
-        if inside[i] and not skip:
-            out.append(pts[i])
-        skip = False
-        if inside[i] != inside[j]:
-            e = i if inside[i] else j
-            if vals[e] >= 0:
-                cut, near = pts[e], True
-            else:
-                cut = pts[i] + vals[i] / (vals[i] - vals[j]) * (pts[j] - pts[i])
-                near = abs(cut - pts[e]) <= eps
-            if inside[i] or j == 0:  # the vertex comes first
-                if not near:
-                    out.append(cut)
-            else:
-                out.append(cut)
-                skip = near
+    start = 0
+    for a, b in runs:
+        if a:  # edge a-1 -> a: its cut follows vertex a-1, which comes first
+            out += pts[start:a]
+            z, near = cut(a - 1, a, a - 1)
+            if not near:
+                out.append(z)
+        if b < n - 1:  # edge b -> b+1: its cut comes first, and replaces a near vertex b+1
+            z, near = cut(b, b + 1, b + 1)
+            out.append(z)
+            start = b + 1 + near
+        else:
+            start = n
+    out += pts[start:]
+    # Edge n-1 -> 0 crosses when exactly one of its ends is outside.  Its cut
+    # comes last in the output, after vertex n-1 or after vertex 0 at the
+    # start: either way its inside end comes first.
+    if (outside[0] == 0) != (outside[-1] == n - 1):
+        z, near = cut(n - 1, 0, n - 1 if outside[0] == 0 else 0)
+        if not near:
+            out.append(z)
     return out
 
 

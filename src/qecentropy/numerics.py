@@ -4,7 +4,8 @@ Everything here works on plain ``numpy`` complex arrays at desk scale
 (dimensions up to a few hundred).  All functions are pure, except that
 ``unitary_eigen`` keeps the most recent unitary's decomposition in a
 ``_LastCall`` memo and hands the same read-only arrays to every caller that
-asks again; the decomposition itself caches the rank-k ranges built from it.
+asks again; the decomposition itself caches its cluster representatives
+and the rank-k ranges built from it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import functools
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -65,6 +67,19 @@ class EigenDecomposition:
         """The rank-k ranges {k: region} that ``numerical_range`` built from this decomposition."""
         return {}
 
+    @functools.cached_property
+    def _representatives(self) -> tuple[complex, ...]:
+        """Cluster means in phase order, formed once per decomposition.  A
+        single eigenvalue is its own mean; the clusters of each larger size
+        share one stacked ``np.mean``, whose rows sum as a lone cluster's does."""
+        eigs, clusters = self.eigenvalues, self.cluster_map
+        reps = eigs[[c[0] for c in clusters]].tolist()
+        for size in {len(c) for c in clusters} - {1}:
+            at = [i for i, c in enumerate(clusters) if len(c) == size]
+            for i, mean in zip(at, eigs[[clusters[i] for i in at]].mean(axis=1).tolist()):
+                reps[i] = mean
+        return tuple(reps)
+
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
@@ -74,6 +89,15 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     return m
+
+
+def _iterate(items, what: str):
+    """``iter(items)``, or ValueError naming ``what`` for an argument that
+    cannot be iterated, such as a number or a 0-d array."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise ValueError(f"{what} must be an iterable, got {reprlib.repr(items)}") from None
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -104,8 +128,8 @@ def _chain_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[int, ..
     if not z:
         return ()
     breaks = [i for i in range(1, len(z)) if abs(z[i] - z[i - 1]) > threshold]
-    bounds = [0, *breaks, len(z)]
-    groups = [tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+    bounds, indices = [0, *breaks, len(z)], tuple(range(len(z)))
+    groups = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
     if breaks and abs(z[-1] - z[0]) <= threshold:
         groups[0] = groups[0] + groups.pop()
     return tuple(groups)
@@ -160,9 +184,10 @@ _eigen_memo = _LastCall()
 def unitary_eigen(u, tol: ToleranceConfig = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition of a unitary matrix, eigenvalues sorted by phase in [0, 2pi).
 
-    Diagonalises the Hermitian part, then splits each of its degenerate
-    clusters with the compressed anti-Hermitian part.  The two commute for
-    a normal matrix, so this produces a joint orthonormal eigenbasis
+    Diagonalises the Hermitian part, then, only if it has degenerate
+    clusters, splits each with the compressed anti-Hermitian part, the
+    clusters of one size by one stacked eigensolve.  The two parts commute
+    for a normal matrix, so this produces a joint orthonormal eigenbasis
     without a general complex Schur decomposition.
 
     The most recent result is remembered: a later call with a matrix of the
@@ -180,15 +205,19 @@ def _decompose_unitary(u: np.ndarray, tol: ToleranceConfig) -> EigenDecompositio
     u = _require_unitary(u, tol)
     n = u.shape[0]
 
-    h = (u + dag(u)) / 2
-    k = (u - dag(u)) / (2j)
-    w, v = np.linalg.eigh(h)
-    for cluster in _chain_clusters(w, tol.eps_eig * n):
-        if len(cluster) > 1:
-            idx = list(cluster)
-            block = dag(v[:, idx]) @ k @ v[:, idx]
-            _, rot = np.linalg.eigh((block + dag(block)) / 2)
-            v[:, idx] = v[:, idx] @ rot
+    w, v = np.linalg.eigh((u + dag(u)) / 2)
+    degenerate = [c for c in _chain_clusters(w, tol.eps_eig * n) if len(c) > 1]
+    if degenerate:
+        k = (u - dag(u)) / (2j)
+        # The clusters of one size are split together: stacked (cluster,
+        # row, column) products and one stacked eigh, each layer as a lone
+        # cluster's call computes it.
+        for size in {len(c) for c in degenerate}:
+            idx = np.array([c for c in degenerate if len(c) == size])
+            cols = v[:, idx].transpose(1, 0, 2)
+            block = np.conj(cols).transpose(0, 2, 1) @ k @ cols
+            _, rot = np.linalg.eigh((block + np.conj(block).transpose(0, 2, 1)) / 2)
+            v[:, idx] = (cols @ rot).transpose(1, 0, 2)
 
     # Rayleigh quotients recover the unimodular eigenvalues in the joint basis.
     eigs = np.sum(np.conj(v) * (u @ v), axis=0)

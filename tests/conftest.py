@@ -1,7 +1,29 @@
+import ctypes
+import glob
+import os
+
+import numpy as np
 import pytest
 
 from qecentropy import binary_unitary, entropy, numerics
 from qecentropy import code as code_module
+
+
+def _openblas_core() -> str:
+    """The core (kernel) that numpy's bundled scipy-openblas chose for this CPU."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")
+    for path in glob.glob(libs):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return "unknown (no bundled scipy-openblas)"
+
+
+def pytest_report_header(config):
+    # The stdout pins hold the last bits of BLAS products, which depend on
+    # the kernel; a pin that fails on another kernel shows it here.
+    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
 
 
 @pytest.fixture(autouse=True)

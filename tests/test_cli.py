@@ -327,6 +327,41 @@ def test_numrange_svg_decomposes_once(files, tmp_path, capsys, analysis_counts):
     assert svg_path.read_text(encoding="utf-8") == expected
 
 
+def test_numrange_svg_builds_representatives_once_and_splits_clusters_by_size(tmp_path, capsys, monkeypatch):
+    import functools
+
+    from qecentropy import numerics
+    from qecentropy.sampling import haar_unitary
+
+    # Clusters of sizes 2, 2 and 3 and two single eigenvalues, whose real
+    # parts are all distinct: the Hermitian part has the same clusters.
+    phases = np.array([0.3, 0.3, 1.1, 1.1, 1.1, 2.0, 2.6, 2.6, 4.0])
+    q = haar_unitary(len(phases), np.random.default_rng(31))
+    u_path, svg_path = tmp_path / "u.json", tmp_path / "fig.svg"
+    u_path.write_text(serialization.dumps(serialization.matrix_to_json((q * np.exp(1j * phases)) @ q.conj().T)))
+    eighs, builds = [], []
+    eigh, build = np.linalg.eigh, numerics.EigenDecomposition._representatives.func
+
+    def counting_eigh(a, *args, **kwargs):
+        eighs.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counting_build(dec):
+        builds.append(dec)
+        return build(dec)
+
+    representatives = functools.cached_property(counting_build)
+    representatives.__set_name__(numerics.EigenDecomposition, "_representatives")
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(numerics.EigenDecomposition, "_representatives", representatives)
+    assert main(["numrange", str(u_path), "3", "--svg", str(svg_path), "--hulls"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "Polygon"
+    # One build, read by the range and the hulls; one eigh of the Hermitian
+    # part, then one stacked eigh per cluster size: two clusters of 2, one of 3.
+    assert len(builds) == 1
+    assert eighs[0] == (9, 9) and sorted(eighs[1:]) == [(1, 3, 3), (2, 2, 2)]
+
+
 # SHA-256 of `numrange u9.json K --svg FILE --hulls` for the qutrit unitary,
 # as written when each run hull was still built by a hull algorithm and the
 # range re-hulled after every clip; k = 2 taken again when clip_halfplane

@@ -194,3 +194,26 @@ def test_each_density_is_diagonalised_once(monkeypatch):
     assert calls == ["eigh", "eigvalsh", "eigh"]
     with pytest.raises(ValueError, match="negative eigenvalue"):
         von_neumann_entropy(np.diag([1.5, -0.5]))
+
+
+def test_a_new_state_is_checked_as_a_matrix_once(monkeypatch):
+    # _state_matrix checks rho's entries and shape; the density checks that
+    # follow take that matrix as it is.
+    import importlib
+
+    channel_module = importlib.import_module("qecentropy.channel")
+    rng = np.random.default_rng(5)
+    c, rho = random_channel(3, 2, rng), random_density(3, rng)
+    calls = []
+    as_matrix = channel_module.as_matrix
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return as_matrix(a)
+
+    monkeypatch.setattr(channel_module, "as_matrix", counting)
+    s = entropy_exchange(c, rho)[1]
+    assert calls == [(3, 3)]
+    assert s == entropy_exchange(c, rho.copy())[1] and calls == [(3, 3), (3, 3)]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        entropy_exchange(c, rho + np.triu(np.ones((3, 3)), 1))

@@ -90,3 +90,10 @@ def test_a_channel_refuses_operators_that_are_not_one_square_stack():
 def test_as_matrix_refuses_non_matrices_and_non_finite_entries(value, message):
     with pytest.raises(ValueError, match=message):
         as_matrix(value)
+
+
+@pytest.mark.parametrize("build, what", [(channel, "Kraus operators"), (code_subspace, "code basis vectors")])
+@pytest.mark.parametrize("value", [5, 2.5, None, np.array(5.0), np.array(1j)], ids=repr)
+def test_a_non_iterable_argument_gives_a_value_error(build, what, value):
+    with pytest.raises(ValueError, match=f"{what} must be an iterable"):
+        build(value)
