@@ -8,6 +8,7 @@ import bisect
 import cmath
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import geometry, serialization
 from .channel import QuantumChannel, channel
-from .code import CodeSubspace, code_subspace
+from .code import CodeSubspace, _orthonormal_code
 from .entropy import _entropy_of_spectrum, _entropy_rows
 from .errors import (
     LambdaOutsideRegionError,
@@ -78,10 +79,15 @@ class NumRangeRegion:
     kind: RegionKind
     vertices: np.ndarray
 
+    @functools.cached_property
+    def _points(self) -> tuple[complex, ...]:
+        """The vertices as Python complex numbers, formed once (``vertices`` is read-only)."""
+        return tuple(self.vertices.tolist())
+
     def distance(self, lam: complex) -> float:
         """Euclidean distance from ``lam`` to the region, negative inside a
         polygon and +inf for the empty region (``geometry.signed_distance``)."""
-        return geometry.signed_distance(self.vertices, lam)
+        return geometry.signed_distance(self._points, lam)
 
     def to_json(self) -> dict:
         return {
@@ -243,11 +249,12 @@ def extremal_lambda(region: NumRangeRegion) -> ExtremalLambdas:
     """
     if region.kind is RegionKind.EMPTY:
         raise NoCodeError("the rank-k numerical range is empty; no rank-k code exists")
-    moduli = np.abs(region.vertices)
-    best = float(moduli.max())
-    winners = [complex(z) for z, m in zip(region.vertices, moduli) if best - m <= VERTEX_TIE_ATOL]
+    # numpy's complex abs, which can round apart from abs() in the last bit.
+    moduli = np.abs(region.vertices).tolist()
+    best = max(moduli)
+    winners = [z for z, m in zip(region._points, moduli) if best - m <= VERTEX_TIE_ATOL]
     winners.sort(key=lambda z: (z.real, z.imag))
-    closest = geometry.closest_point(region.vertices, 0.0 + 0.0j)
+    closest = geometry.closest_point(region._points, 0.0 + 0.0j)
     return ExtremalLambdas(tuple(winners), closest)
 
 
@@ -258,19 +265,24 @@ def _closed_form_spectra(p, mod2: float) -> np.ndarray:
     return 0.5 * (1.0 + np.multiply.outer(root, (1.0, -1.0)))
 
 
-def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
-    """Spectrum {L+, L-} of the 2x2 coefficient matrix of a binary unitary code."""
+def _checked_spectrum(p: float, lam: complex) -> np.ndarray:
+    """{L+, L-} as one array, once p is checked to lie in [0, 1] and |lambda| not past 1."""
     _check_mixing_probability(p)
     mod2 = abs(lam) ** 2
     if mod2 > (1.0 + LAMBDA_MEMBERSHIP_FLOOR) ** 2:
         raise ValueError(f"|lambda| = {abs(lam)} exceeds 1")
-    return tuple(_closed_form_spectra(p, mod2))
+    return _closed_form_spectra(p, mod2)
+
+
+def lambda_spectrum(p: float, lam: complex) -> tuple[float, float]:
+    """Spectrum {L+, L-} of the 2x2 coefficient matrix of a binary unitary code."""
+    return tuple(_checked_spectrum(p, lam))
 
 
 def biunitary_code_entropy(p: float, lam: complex) -> float:
     """Closed-form code entropy (bits) for a binary unitary channel: the
     entropy of the spectrum {L+, L-}."""
-    return _entropy_of_spectrum(lambda_spectrum(p, lam))
+    return _entropy_of_spectrum(_checked_spectrum(p, lam))
 
 
 def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT_TOL):
@@ -287,29 +299,27 @@ def entropy_vs_p(u, k: int, lam: complex, p_grid, tol: ToleranceConfig = DEFAULT
 
 
 def _support_weights(z: list, lam: complex, slack: float, members: list):
-    """Convex weights over one, two or three ``members`` of the point of their
-    hull nearest ``lam`` (for three, lam's barycentric coordinates clipped at
-    0), if it is within ``slack`` of ``lam``, or None."""
+    """Convex weights over two or three ``members`` of the point of their hull
+    nearest ``lam`` (for three, lam's barycentric coordinates clipped at 0, as
+    an array), if it is within ``slack`` of ``lam``, or None."""
     w = [z[i] for i in members]
-    if len(w) == 1:
-        t, near = [1.0], w[0]
-    elif len(w) == 2:
+    if len(w) == 2:
         d = w[1] - w[0]
         den = abs(d) ** 2
         # Equal members (den 0) are tested as the one point.
         tj = min(max((d.conjugate() * (lam - w[0])).real / den, 0.0), 1.0) if den else 0.0
         t, near = [1.0 - tj, tj], w[0] + tj * d
     else:
-        w = np.array(w)
+        a = np.array([[x.real for x in w], [x.imag for x in w], [1.0, 1.0, 1.0]])
         try:
-            t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([lam.real, lam.imag, 1.0]))
+            t = np.linalg.solve(a, np.array([lam.real, lam.imag, 1.0]))
         except np.linalg.LinAlgError:
             return None
         if t.min() < -slack:
             return None
         t = np.clip(t, 0.0, None)
         t /= t.sum()
-        near = complex((t * w.real).sum(), (t * w.imag).sum())
+        near = complex((t * a[0]).sum(), (t * a[1]).sum())
     return t if abs(near - lam) <= slack else None
 
 
@@ -318,10 +328,10 @@ def _group_support(z: list, lam: complex, slack: float, group: list, angle: dict
     triangle of ``group`` (in angle order) that holds ``lam`` within
     ``slack``, as ``grouping_code`` tries them, or None."""
     p0 = group[0]
-    # A member within the slack of lam has no angle, so p0 is tried first.
-    t = _support_weights(z, lam, slack, [p0])
-    if t is not None:
-        return [p0], t
+    # The members within the slack of lam have no angle and come first in the
+    # group; such a p0 is the group's support on its own.
+    if p0 not in angle:
+        return [p0], [1.0]
     # Angles relative to p0's, as differences of the sorted phases, so that a
     # member tied with p0 sits at 0, not just below 2 pi.
     pos = bisect.bisect_right([angle[i] - angle[p0] for i in group], math.pi)
@@ -392,20 +402,22 @@ def grouping_code(u, k: int, lam: complex, tol: ToleranceConfig = DEFAULT_TOL) -
             raise NoFeasiblePartitionError(
                 f"no size-{size} eigenstate partition realises lambda {lam}"
             )
-        t = np.zeros(n)
-        t[support[0]] = support[1]
+        weight = dict(zip(support[0], map(float, support[1])))
         group.sort()
-        grouped.append((tuple(group), t[group]))
+        grouped.append((tuple(group), tuple(weight.get(i, 0.0) for i in group)))
     grouped.sort(key=lambda pair: pair[0])
-    basis = [
-        sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group))
-        for group, t in grouped
-    ]
+    # Each column sums sqrt(t) |psi> over the members of nonzero weight alone,
+    # in group order.  The sum starts from the int 0 and holds no -0.0, so a
+    # zero-weight term, whose entries are +-0.0, would change no bit.
+    vectors = dec.eigenvectors
+    basis = np.empty((n, k), dtype=complex)
+    for col, (group, weights) in enumerate(grouped):
+        basis[:, col] = sum(math.sqrt(t) * vectors[:, i] for i, t in zip(group, weights) if t)
     return GroupingCode(
         complex(lam),
         tuple(group for group, _ in grouped),
-        tuple(tuple(float(x) for x in t) for _, t in grouped),
-        code_subspace(basis, tol),
+        tuple(weights for _, weights in grouped),
+        _orthonormal_code(basis, tol),
     )
 
 

@@ -64,7 +64,9 @@ class QuantumChannel:
         """||sum_i E_i^dag E_i - I||_F, formed once per channel (``kraus`` is read-only)."""
         rows = self.kraus.reshape(-1, self.dim)
         if self.dim < _SYRK_MIN_DIM:
-            return frobenius(dag(rows) @ rows - np.eye(self.dim))
+            g = dag(rows) @ rows
+            g.reshape(-1)[:: self.dim + 1] -= 1.0  # the bits of g - I, without forming I
+            return frobenius(g)
         # The stacked operators A = X + iY have the real view V = [x_1 y_1 x_2 y_2 ...]:
         # V^T V (syrk) has 2x2 blocks [[X^T X, X^T Y], [Y^T X, Y^T Y]].
         v = rows.view(float)

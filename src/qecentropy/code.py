@@ -111,7 +111,13 @@ def code_subspace(vectors, tol: ToleranceConfig = DEFAULT_TOL) -> CodeSubspace:
     columns = [np.asarray(v, dtype=complex).reshape(-1) for v in _iterate(vectors, "code basis vectors")]
     if not columns:
         raise ValueError("code basis must hold at least one vector")
-    code = CodeSubspace(np.column_stack(columns))
+    return _orthonormal_code(np.column_stack(columns), tol)
+
+
+def _orthonormal_code(basis: np.ndarray, tol: ToleranceConfig) -> CodeSubspace:
+    """The code on an n x k complex ``basis``, once its columns are checked
+    orthonormal to eps_eig * max(1, n)."""
+    code = CodeSubspace(basis)
     if not _isometry_residual(code.basis) <= tol.eps_eig * max(1, code.ambient_dim):
         raise ValueError("code basis is not orthonormal")
     return code
@@ -139,7 +145,10 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
     t = (dag(cols) @ cols).reshape(m, k, m, k)
     lam = np.einsum("iaja->ij", t) / k
     residual = frobenius(t - lam[:, None, :, None] * np.eye(k)[:, None])  # ||T - Lambda (x) I_k||_F
-    threshold = tol.eps_kl * max(1.0, float(choi_gram(c, tol).weights[-1]))
+    # The largest Kraus Gram weight, from the channel's one solve, once it is checked PSD.
+    gram = c._gram_eigen[0]
+    _psd_rank(gram, tol, "Kraus Gram matrix")
+    threshold = tol.eps_kl * max(1.0, float(gram[-1]))
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2

@@ -154,16 +154,22 @@ def canonical_vertices(pts: np.ndarray, eps: float) -> np.ndarray:
     return hull
 
 
-def _nearest(pts: np.ndarray, z: complex) -> tuple[complex, bool]:
+def _vertex_list(pts) -> list[complex] | tuple[complex, ...]:
+    """Vertices as Python complex numbers: a list or tuple as given, an array
+    by ``tolist``, so that the arithmetic below is Python's."""
+    return pts if isinstance(pts, (list, tuple)) else np.asarray(pts, dtype=complex).tolist()
+
+
+def _nearest(zs, z: complex) -> tuple[complex, bool]:
     """The point of the non-empty convex set's boundary nearest to ``z``, and
-    whether ``z`` lies inside the polygon (never inside a point or segment).
+    whether ``z`` lies inside the polygon (never inside a point or segment);
+    ``zs`` as ``_vertex_list`` gives it.
 
     One pass over the edges: for edge a -> b, conj(b - a) (z - a) carries the
     projection of z on the edge in its real part and twice the signed area
     of a, b, z (``_cross``) in its imaginary part.  ``z`` is inside when it
     is on the left of every CCW edge; the nearest boundary point is the
     nearest of the edges' nearest points, the first of equals."""
-    zs = np.asarray(pts, dtype=complex).tolist()
     if len(zs) == 1:
         return zs[0], False
     best, best_dist, inside = zs[0], np.inf, len(zs) > 2
@@ -187,19 +193,20 @@ def _nearest(pts: np.ndarray, z: complex) -> tuple[complex, bool]:
     return best, inside
 
 
-def signed_distance(pts: np.ndarray, z: complex) -> float:
-    """Euclidean distance from ``z`` to the convex set carried by ``pts``,
-    negated inside a polygon (the distance to its boundary); +inf for the
-    empty set.  A membership test within ``eps`` is ``<= eps``."""
+def signed_distance(pts, z: complex) -> float:
+    """Euclidean distance from ``z`` to the convex set carried by ``pts`` (an
+    array, or a list or tuple of Python complex numbers), negated inside a
+    polygon (the distance to its boundary); +inf for the empty set.  A
+    membership test within ``eps`` is ``<= eps``."""
     if len(pts) == 0:
         return np.inf
-    near, inside = _nearest(pts, z)
+    near, inside = _nearest(_vertex_list(pts), z)
     return -abs(near - z) if inside else abs(near - z)
 
 
-def closest_point(pts: np.ndarray, z: complex) -> complex:
-    """Point of the non-empty convex set closest to ``z``."""
+def closest_point(pts, z: complex) -> complex:
+    """Point of the non-empty convex set closest to ``z``; ``pts`` as for ``signed_distance``."""
     if len(pts) == 0:
         raise ValueError("empty set has no closest point")
-    near, inside = _nearest(pts, z)
+    near, inside = _nearest(_vertex_list(pts), z)
     return complex(z) if inside else complex(near)

@@ -86,7 +86,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
     return m
 
@@ -106,7 +106,12 @@ def dag(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm of a float or complex array, formed as ``np.linalg.norm``
+    forms it, without its argument handling: one dot product each of the real
+    and the imaginary parts, flattened in memory order."""
+    x = a.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -137,7 +142,9 @@ def _chain_clusters(values: np.ndarray, threshold: float) -> tuple[tuple[int, ..
 
 def _isometry_residual(b: np.ndarray) -> float:
     """||B^dag B - I||_F: how far the columns of B are from orthonormal."""
-    return frobenius(dag(b) @ b - np.eye(b.shape[1]))
+    g = dag(b) @ b
+    g.reshape(-1)[:: b.shape[1] + 1] -= 1.0  # the bits of g - I, without forming I
+    return frobenius(g)
 
 
 def _require_unitary(u, tol: ToleranceConfig, what: str = "matrix") -> np.ndarray:

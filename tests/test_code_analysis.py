@@ -174,11 +174,14 @@ def test_memo_follows_the_code_and_the_tolerances():
     with pytest.raises(NotCorrectable):
         kl_check(chan, near, ToleranceConfig(eps_kl=1e-12))
     assert kl_check(chan, near)[1] == residual
-    # Another rank cutoff gives another Lambda rank.
+    # Another rank cutoff gives another Lambda rank.  Lambda = diag(1 - 1e-12,
+    # 1e-12) exactly, so the count under eps_rank=1e-300 is 2 on any BLAS kernel.
     dfs = code_subspace([(e[0] + e[4] + e[2] + e[6]) / 2, (e[3] + e[7] + e[1] + e[5]) / 2])
     assert kl_check(chan, dfs)[0].rank == 1
-    assert kl_check(chan, dfs, TINY_RANK)[0].rank == 2
-    assert kl_check(chan, dfs)[0].rank == 1
+    faint = pauli_channel([(1 - 1e-12, "III"), (1e-12, "XII")])
+    assert kl_check(faint, code)[0].rank == 1
+    assert kl_check(faint, code, TINY_RANK)[0].rank == 2
+    assert kl_check(faint, code)[0].rank == 1
     # Another channel object is checked afresh, and so is the same basis
     # padded to a 9-dimensional code.
     with pytest.raises(NotTracePreserving):

@@ -1,23 +1,37 @@
-"""Bit-for-bit oracles for the range's hot paths: the decomposition's
-stacked cluster split, the representatives cached on a decomposition, the
-clip that copies the vertices between outside runs as slices, the dedupe
-pass that settles far pairs with one numpy test, and the clustering pass.
+"""Bit-for-bit oracles for the hot paths of the range and grouping requests:
+the decomposition's stacked cluster split, the representatives cached on a
+decomposition, the clip that copies the vertices between outside runs as
+slices, the dedupe pass that settles far pairs with one numpy test, the
+clustering pass, the grouping basis summed over its weighted members, the
+KL threshold read from the channel's Gram solve, the extremes read from
+vertex lists, and the closed-form entropy of one spectrum array.
 
 Each reference below is the simpler implementation that the library's code
 replaced: one eigh per degenerate cluster, one np.mean per cluster on every
 call, a clip in three passes over all vertices (line values, inside flags,
-then the crossing loop), and the pairwise predicates in Python alone.  Equal
-bytes are equal float.hex of every part."""
+then the crossing loop), the pairwise predicates in Python alone, a basis
+summed over every member of a group, a threshold from a whole ``ChoiGram``,
+numpy scalars in ``extremal_lambda``, a spectrum sent through a tuple, and
+``np.linalg.norm`` and ``np.eye`` in the residuals.  Equal bytes are equal
+float.hex of every part."""
+
+import cmath
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qecentropy import binary_unitary, geometry, numerics
-from qecentropy.binary_unitary import constituent_hulls, dfs_exists, numerical_range
+from qecentropy import BinaryUnitaryChannel, binary_unitary, code as code_module, geometry, numerics
+from qecentropy.binary_unitary import (constituent_hulls, dfs_exists, extremal_lambda, grouping_code,
+                                       numerical_range)
+from qecentropy.channel import choi_gram, validate_channel
+from qecentropy.code import code_subspace
+from qecentropy.entropy import _entropy_of_spectrum
+from qecentropy.errors import LambdaOutsideRegionError, NoCodeError, NoFeasiblePartitionError, NotCorrectable
 from qecentropy.numerics import DEFAULT_TOL, EigenDecomposition, dag
-from qecentropy.sampling import haar_unitary
+from qecentropy.sampling import haar_unitary, random_channel
 
 EPS = DEFAULT_TOL.eps_geom
 
@@ -132,8 +146,8 @@ def _phases(family, n, rng):
 
 
 @st.composite
-def unitaries(draw, max_n=16):
-    family = draw(st.sampled_from(FAMILIES))
+def unitaries(draw, max_n=16, families=FAMILIES):
+    family = draw(st.sampled_from(families))
     n = draw(st.integers(1, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     phases = _phases(family, n, rng)
@@ -332,3 +346,253 @@ def test_gaps_at_the_threshold_are_decided_by_the_python_predicate():
         assert geometry.dedupe_points([x, y], threshold).tobytes() == np.array([x]).tobytes()
     assert any(np.abs(y - x) > abs(y - x) for x, y in pairs)
     assert any(np.abs(y - x) < abs(y - x) for x, y in pairs)
+
+
+# The grouping request: numerical_range, extremal_lambda, grouping_code,
+# kl_check and biunitary_code_entropy, as the min-entropy-code command runs them.
+
+
+def _frobenius_reference(a):
+    return float(np.linalg.norm(a))
+
+
+def _support_weights_reference(z, lam, slack, members):
+    w = [z[i] for i in members]
+    if len(w) == 1:
+        t, near = [1.0], w[0]
+    elif len(w) == 2:
+        d = w[1] - w[0]
+        den = abs(d) ** 2
+        tj = min(max((d.conjugate() * (lam - w[0])).real / den, 0.0), 1.0) if den else 0.0
+        t, near = [1.0 - tj, tj], w[0] + tj * d
+    else:
+        w = np.array(w)
+        try:
+            t = np.linalg.solve(np.array([w.real, w.imag, np.ones(3)]), np.array([lam.real, lam.imag, 1.0]))
+        except np.linalg.LinAlgError:
+            return None
+        if t.min() < -slack:
+            return None
+        t = np.clip(t, 0.0, None)
+        t /= t.sum()
+        near = complex((t * w.real).sum(), (t * w.imag).sum())
+    return t if abs(near - lam) <= slack else None
+
+
+_support_weights = binary_unitary._support_weights
+
+
+def _checked_support_weights(z, lam, slack, members):
+    assert len(members) in (2, 3)
+    got = _support_weights(z, lam, slack, members)
+    want = _support_weights_reference(z, lam, slack, members)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+    return got
+
+
+def _grouping_reference(u, k, lam, tol=DEFAULT_TOL):
+    """grouping_code with every member in its group's basis vector: one sqrt,
+    column, product and sum per member, the weights held in an n-vector."""
+    u = numerics.as_matrix(u)
+    n = u.shape[0]
+    dec = binary_unitary._eigen_holding(u, k, lam, tol)
+    slack = binary_unitary._membership_slack(tol)
+    z = dec.eigenvalues.tolist()
+    at = [i for i in range(n) if abs(z[i] - lam) <= slack]
+    angle = {i: cmath.phase(z[i] - lam) for i in range(n) if abs(z[i] - lam) > slack}
+    order = at + sorted(angle, key=angle.__getitem__)
+    grouped = []
+    for j in range(k):
+        group = order[j::k]
+        support = binary_unitary._group_support(z, lam, slack, group, angle)
+        if support is None:
+            raise NoFeasiblePartitionError(lam)
+        t = np.zeros(n)
+        t[support[0]] = support[1]
+        group.sort()
+        grouped.append((tuple(group), t[group]))
+    grouped.sort(key=lambda pair: pair[0])
+    basis = [sum(np.sqrt(t[a]) * dec.eigenvectors[:, idx] for a, idx in enumerate(group)) for group, t in grouped]
+    weights = tuple(tuple(float(x) for x in t) for _, t in grouped)
+    return tuple(group for group, _ in grouped), weights, code_subspace(basis, tol).basis
+
+
+def _kl_reference(c, code, tol=DEFAULT_TOL):
+    """_kl_analysis with the threshold read from a whole ChoiGram."""
+    validate_channel(c, tol)
+    m, n, k = c.num_kraus, code.ambient_dim, code.k
+    compressed = c.kraus @ code.basis
+    cols = compressed.transpose(1, 0, 2).reshape(n, m * k)
+    t = (dag(cols) @ cols).reshape(m, k, m, k)
+    lam = np.einsum("iaja->ij", t) / k
+    residual = _frobenius_reference(t - lam[:, None, :, None] * np.eye(k)[:, None])
+    threshold = tol.eps_kl * max(1.0, float(choi_gram(c, tol).weights[-1]))
+    if residual > threshold:
+        raise NotCorrectable(residual, threshold)
+    lam = (lam + dag(lam)) / 2
+    w, vectors = np.linalg.eigh(lam)
+    rank = numerics._psd_rank(w, tol, "error correction matrix")
+    return compressed, lam, np.clip(w, 0.0, None), vectors, rank, residual, threshold
+
+
+def _extremal_reference(region):
+    """extremal_lambda over the vertex array's numpy scalars."""
+    if region.kind is binary_unitary.RegionKind.EMPTY:
+        raise NoCodeError("empty")
+    moduli = np.abs(region.vertices)
+    best = float(moduli.max())
+    winners = [complex(z) for z, m in zip(region.vertices, moduli) if best - m <= binary_unitary.VERTEX_TIE_ATOL]
+    winners.sort(key=lambda z: (z.real, z.imag))
+    return tuple(winners), geometry.closest_point(region.vertices, 0.0 + 0.0j)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type of the domain or value error it raises."""
+    try:
+        return fn(*args)
+    except (LambdaOutsideRegionError, NoFeasiblePartitionError, NoCodeError, ValueError) as exc:
+        return type(exc)
+
+
+def _kl_outcome(fn, c, code):
+    try:
+        return fn(c, code, DEFAULT_TOL)
+    except NotCorrectable as exc:
+        return "NotCorrectable", exc.residual.hex(), exc.threshold.hex()
+
+
+def _assert_same_kl(c, code):
+    got = _kl_outcome(code_module._kl_analysis, c, code)
+    want = _kl_outcome(_kl_reference, c, code)
+    if isinstance(want[0], str):
+        assert got == want
+        return
+    compressed, lam, residual, threshold = got
+    assert compressed.tobytes() == want[0].tobytes()
+    assert lam.matrix.tobytes() == want[1].tobytes()
+    assert lam.spectrum.tobytes() == want[2].tobytes()
+    assert lam.vectors.tobytes() == want[3].tobytes()
+    assert lam.rank == want[4]
+    assert (residual.hex(), threshold.hex()) == (want[5].hex(), want[6].hex())
+
+
+def _assert_same_grouping(u, k, lam, c):
+    got = _outcome(grouping_code, u, k, lam)
+    want = _outcome(_grouping_reference, u, k, lam)
+    if isinstance(want, type):
+        assert got is want
+        return
+    partition, weights, basis = want
+    assert got.partition == partition
+    assert [[x.hex() for x in t] for t in got.weights] == [[x.hex() for x in t] for t in weights]
+    assert all(type(x) is float for t in got.weights for x in t)
+    assert got.code.basis.tobytes() == basis.tobytes()
+    _assert_same_kl(c, got.code)
+
+
+def _edge_points(vertices):
+    """Points on each edge of a segment or polygon: a quarter and half way along."""
+    zs = vertices.tolist()
+    edges = list(zip(zs, zs[1:] + zs[:1])) if len(zs) > 2 else list(zip(zs, zs[1:]))
+    return [a + f * (b - a) for a, b in edges for f in (0.25, 0.5)]
+
+
+GROUPING_FAMILIES = ("random", "even", "pairs", "repeated")
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitaries(max_n=16, families=GROUPING_FAMILIES), st.floats(0.0, 1.0))
+@example(np.diag(np.exp(1j * np.array([0.3, 0.3, 1.1, 1.1, 2.0, 2.0, 4.0, 4.0]))), 0.1)
+@example(np.diag(np.exp(2j * np.pi * np.arange(9) / 9)), 0.25)
+def test_grouping_requests_match_the_references(u, p):
+    # Every k dividing N; lambda at each vertex of the rank-k range and on
+    # each edge, where a group's weights include exact zeros; diagonal U,
+    # whose eigenvectors hold exact zeros, and U in a Haar basis.
+    n = len(u)
+    c = BinaryUnitaryChannel(p, u).to_channel()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(binary_unitary, "_support_weights", _checked_support_weights)
+        for k in [k for k in range(1, n + 1) if n % k == 0]:
+            region = numerical_range(u, k)
+            got, want = _outcome(extremal_lambda, region), _outcome(_extremal_reference, region)
+            if want is NoCodeError:
+                assert got is NoCodeError
+                continue
+            assert _hexed(got.min_entropy_lambdas) == _hexed(want[0])
+            assert _hexed([got.max_entropy_lambda]) == _hexed([want[1]])
+            assert all(type(z) is complex for z in (*got.min_entropy_lambdas, got.max_entropy_lambda))
+            for lam in region.vertices.tolist() + _edge_points(region.vertices):
+                entropy = binary_unitary.biunitary_code_entropy(p, lam)
+                assert entropy.hex() == _entropy_of_spectrum(binary_unitary.lambda_spectrum(p, lam)).hex()
+                _assert_same_grouping(u, k, lam, c)
+
+
+def test_zero_weights_of_either_sign_change_no_bit_of_the_basis():
+    # Supports padded with every other member of the group at -0.0 and the
+    # support's own exact zeros made -0.0: the sum over the weighted members
+    # alone must equal the sum over all members, bit for bit.
+    group_support = binary_unitary._group_support
+
+    def padded(z, lam, slack, group, angle):
+        members, t = group_support(z, lam, slack, group, angle)
+        weight = dict(zip(members, t))
+        every = sorted(group)
+        return every, [weight.get(i, -0.0) or -0.0 for i in every]
+
+    rng = np.random.default_rng(33)
+    seen = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(binary_unitary, "_group_support", padded)
+        for family in GROUPING_FAMILIES:
+            for diagonal in (True, False):
+                n = 12
+                phases = _phases(family, n, rng)
+                if diagonal:
+                    u = np.diag(np.exp(1j * phases))
+                else:
+                    q = haar_unitary(n, rng)
+                    u = (q * np.exp(1j * phases)) @ dag(q)
+                c = BinaryUnitaryChannel(0.3, u).to_channel()
+                for k in (1, 2, 3, 4, 6):
+                    region = numerical_range(u, k)
+                    for lam in region.vertices.tolist() + _edge_points(region.vertices):
+                        built = _outcome(grouping_code, u, k, lam)
+                        seen += not isinstance(built, type) and any(
+                            math.copysign(1.0, x) < 0 for t in built.weights for x in t)
+                        _assert_same_grouping(u, k, lam, c)
+    assert seen > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1), st.booleans())
+def test_kl_analysis_matches_the_choi_gram_threshold(n, m, seed, near_code):
+    # Random channels on random subspaces (mostly refused, with residual and
+    # threshold compared) and on subspaces nudged from a code of the
+    # channel's own making (accepted), every k up to n.
+    rng = np.random.default_rng(seed)
+    c = random_channel(n, m, rng)
+    for k in range(1, n + 1):
+        q = haar_unitary(n, rng)[:, :k]
+        _assert_same_kl(c, code_subspace(q.T))
+    if near_code:
+        u = haar_unitary(n, rng)
+        for k in range(1, n + 1):
+            _assert_same_kl(BinaryUnitaryChannel(0.5, u).to_channel(),
+                            code_subspace(numerics.unitary_eigen(u).eigenvectors[:, :k].T))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1), st.booleans())
+def test_residual_helpers_match_norm_and_eye(rows, cols, seed, transposed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    a = a.T if transposed else a
+    assert numerics.frobenius(a).hex() == _frobenius_reference(a).hex()
+    assert numerics.frobenius(a.real).hex() == _frobenius_reference(a.real).hex()
+    b, _ = np.linalg.qr(a) if a.shape[0] >= a.shape[1] else np.linalg.qr(a.T)
+    assert numerics._isometry_residual(b).hex() == _frobenius_reference(dag(b) @ b - np.eye(b.shape[1])).hex()
+    c = random_channel(rows % 12 + 1, cols % 5 + 1, rng)
+    flat = c.kraus.reshape(-1, c.dim)
+    assert c._trace_residual.hex() == _frobenius_reference(dag(flat) @ flat - np.eye(c.dim)).hex()
