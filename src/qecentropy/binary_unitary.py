@@ -24,7 +24,8 @@ from .errors import (
     NoFeasiblePartitionError,
     UnsupportedCodeDimensionError,
 )
-from .numerics import DEFAULT_TOL, EigenDecomposition, ToleranceConfig, _require_unitary, as_matrix, unitary_eigen
+from .numerics import (DEFAULT_TOL, EigenDecomposition, ToleranceConfig, _frozen, _require_unitary, as_matrix,
+                       unitary_eigen)
 
 # Smallest slack when testing whether a lambda lies in a rank-k range, and
 # how far |lambda| may exceed 1 in lambda_spectrum.  A lambda taken from the
@@ -190,8 +191,7 @@ def _range_from_eigen(dec: EigenDecomposition, k: int, tol: ToleranceConfig) -> 
             normal = -1j * (b - a)
             offset = (normal.conjugate() * a).real
             region = geometry.clip_halfplane(region, normal, offset, eps, (a, b))
-    pts = geometry.canonical_vertices(region, eps)
-    pts.flags.writeable = False
+    pts = _frozen(geometry.canonical_vertices(region, eps))
     return NumRangeRegion(k, _KINDS[min(len(pts), 3)], pts)
 
 

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import serialization
 from .errors import NotTracePreserving
-from .numerics import (DEFAULT_TOL, ToleranceConfig, _frozen, _iterate, _psd_rank, _require_unitary, as_matrix, dag,
-                       frobenius)
+from .numerics import (DEFAULT_TOL, ToleranceConfig, _frozen, _isometry_residual, _iterate, _psd_rank,
+                       _require_unitary, as_matrix, dag, frobenius)
 
 # Hermiticity of a density matrix is checked relative to its Frobenius norm
 # (at least 1), at the resolution of a few rounding errors per entry.
@@ -64,9 +64,7 @@ class QuantumChannel:
         """||sum_i E_i^dag E_i - I||_F, formed once per channel (``kraus`` is read-only)."""
         rows = self.kraus.reshape(-1, self.dim)
         if self.dim < _SYRK_MIN_DIM:
-            g = dag(rows) @ rows
-            g.reshape(-1)[:: self.dim + 1] -= 1.0  # the bits of g - I, without forming I
-            return frobenius(g)
+            return _isometry_residual(rows)
         # The stacked operators A = X + iY have the real view V = [x_1 y_1 x_2 y_2 ...]:
         # V^T V (syrk) has 2x2 blocks [[X^T X, X^T Y], [Y^T X, Y^T Y]].
         v = rows.view(float)
@@ -121,11 +119,15 @@ def channel_from_json(obj) -> QuantumChannel:
     return c
 
 
+def _require_trace_preserving(residual: float, n: int, tol: ToleranceConfig) -> None:
+    """The one trace-preservation verdict, on ||sum_i E_i^dag E_i - I||_F of n x n operators."""
+    if not residual <= tol.eps_kl * n:
+        raise NotTracePreserving(residual)
+
+
 def validate_channel(c: QuantumChannel, tol: ToleranceConfig = DEFAULT_TOL) -> None:
     """Check trace preservation; raises NotTracePreserving on failure."""
-    residual = c._trace_residual
-    if not residual <= tol.eps_kl * c.dim:
-        raise NotTracePreserving(residual)
+    _require_trace_preserving(c._trace_residual, c.dim, tol)
 
 
 def _density_spectrum(rho: np.ndarray, tol: ToleranceConfig, vectors: bool = False):

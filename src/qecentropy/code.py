@@ -9,9 +9,9 @@ import enum
 import numpy as np
 
 from . import serialization
-from .channel import QuantumChannel, choi_gram, validate_channel
+from .channel import QuantumChannel, _require_trace_preserving, validate_channel
 from .entropy import _entropy_of_spectrum, _exchange
-from .errors import NotCorrectable, NotTracePreserving, RecoveryVerificationError
+from .errors import NotCorrectable, RecoveryVerificationError
 from .numerics import (DEFAULT_TOL, ToleranceConfig, _LastCall, _frozen, _isometry_residual, _iterate, _psd_rank,
                        dag, frobenius)
 from .sampling import random_density
@@ -145,9 +145,9 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
     t = (dag(cols) @ cols).reshape(m, k, m, k)
     lam = np.einsum("iaja->ij", t) / k
     residual = frobenius(t - lam[:, None, :, None] * np.eye(k)[:, None])  # ||T - Lambda (x) I_k||_F
-    # The largest Kraus Gram weight, from the channel's one solve, once it is checked PSD.
+    # The largest Kraus Gram weight and the Choi rank, from the channel's one solve, once it is checked PSD.
     gram = c._gram_eigen[0]
-    _psd_rank(gram, tol, "Kraus Gram matrix")
+    choi_rank = _psd_rank(gram, tol, "Kraus Gram matrix")
     threshold = tol.eps_kl * max(1.0, float(gram[-1]))
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
@@ -155,15 +155,15 @@ def _kl_analysis(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig) ->
     w, vectors = np.linalg.eigh(lam)
     arrays = map(_frozen, (lam, np.clip(w, 0.0, None), vectors))
     rank = _psd_rank(w, tol, "error correction matrix")
-    return compressed, ErrorCorrectionMatrix(*arrays, rank), residual, threshold
+    return compressed, ErrorCorrectionMatrix(*arrays, rank), residual, threshold, choi_rank
 
 
 def _analysed(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig
-) -> tuple[np.ndarray, ErrorCorrectionMatrix, float, float]:
-    """The compressions E_i B (shape (m, n, k)), Lambda, the KL residual and the
-    threshold it was accepted under, from the memo of the most recent accepted
-    (channel, code) pair, both matched by identity; raises NotCorrectable for a refused code."""
+) -> tuple[np.ndarray, ErrorCorrectionMatrix, float, float, int]:
+    """The compressions E_i B (shape (m, n, k)), Lambda, the KL residual, its threshold
+    and the Choi rank, from the memo of the most recent accepted (channel, code) pair,
+    both matched by identity; raises NotCorrectable for a refused code."""
     return _code_memo((c, code, tol), _kl_analysis, c, code, tol)
 
 
@@ -181,8 +181,7 @@ def kl_check(
     returned matrix is shared with later calls on the same channel and code,
     and read-only.
     """
-    _, lam, residual, _ = _analysed(c, code, tol)
-    return lam, residual
+    return _analysed(c, code, tol)[1:3]
 
 
 def code_entropy(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -195,12 +194,11 @@ def classify_code(
     c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CodeReport:
     """Full report: coefficients, entropy, rank data and extremal classification."""
-    lam, residual = kl_check(c, code, tol)
-    d = choi_gram(c, tol).choi_rank
+    compressed, lam, residual, _, d = _analysed(c, code, tol)
     if lam.rank == 1:
         # All restricted operators share one isometry; the code is decoherence
         # free iff it is the identity on the code up to a global phase.
-        common = np.tensordot(lam.vectors[:, -1], _analysed(c, code, tol)[0], axes=1)
+        common = np.tensordot(lam.vectors[:, -1], compressed, axes=1)
         phase = np.trace(dag(code.basis) @ common) / code.k
         scale = tol.eps_kl * max(1.0, np.sqrt(code.k))
         dfs = abs(abs(phase) - 1.0) <= scale and frobenius(common - phase * code.basis) <= scale
@@ -221,7 +219,7 @@ def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: in
     D = B^dag E_i^dag E_j B - lambda_ij I, so it is at most the KL residual."""
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    compressed, lam, _, threshold = _analysed(c, code, tol)
+    compressed, lam, _, threshold, _ = _analysed(c, code, tol)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         sigma = _exchange(compressed, random_density(code.k, rng))
@@ -232,8 +230,8 @@ def sigma_equals_lambda_check(c: QuantumChannel, code: CodeSubspace, samples: in
 
 def rank_bound_check(c: QuantumChannel, code: CodeSubspace, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Rank of the correction matrix never exceeds the Choi rank."""
-    lam, _ = kl_check(c, code, tol)
-    return lam.rank <= choi_gram(c, tol).choi_rank
+    _, lam, _, _, choi_rank = _analysed(c, code, tol)
+    return lam.rank <= choi_rank
 
 
 def _recovery_residual(compressed: np.ndarray, basis: np.ndarray, images: np.ndarray) -> float:
@@ -298,21 +296,19 @@ def build_recovery(
     range back onto the code, completed by the projector onto the unused
     complement.  Both checks read the factors the operators are built from
     (the isometries and the compressions E_i B) and work in the code and range
-    spaces, before any n x n operator is formed: trace preservation to
-    ``eps_kl * n``, as ``validate_channel`` would, and the process identity on
+    spaces, before any n x n operator is formed: trace preservation, by the
+    verdict ``validate_channel`` gives a channel, and the process identity on
     a matrix-unit basis of the code.  A non-finite recovery fails the first
     check.
     """
-    compressed, lam, _, _ = _analysed(c, code, tol)
+    compressed, lam, _, _, _ = _analysed(c, code, tol)
     b = code.basis
     n, k, r = code.ambient_dim, code.k, lam.rank
     # Restricted canonical operators (sum_i v_i E_i) B, largest weight first, scaled to isometries.
     isometries = np.tensordot(lam.vectors[:, ::-1][:, :r].T, compressed, axes=1)
     isometries /= np.sqrt(lam.spectrum[::-1][:r])[:, None, None]
     images = isometries.transpose(1, 0, 2).reshape(n, r * k)
-    trace_residual = _recovery_trace_residual(images, b)
-    if not trace_residual <= tol.eps_kl * n:
-        raise NotTracePreserving(trace_residual)
+    _require_trace_preserving(_recovery_trace_residual(images, b), n, tol)
     residual = _recovery_residual(compressed, b, images)
     if not residual <= RECOVERY_VERIFY_ATOL:
         raise RecoveryVerificationError(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -175,14 +176,14 @@ def lindblad_omega(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -
 
 
 def check_lindblad_bounds(c: QuantumChannel, rho, tol: ToleranceConfig = DEFAULT_TOL) -> LindbladReport:
-    """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``LINDBLAD_SLACK``.
-
-    The bounds are stated for channels: raises NotTracePreserving for another Kraus family."""
+    """|S(rho') - S(sigma)| <= S(rho) <= S(sigma) + S(rho') within ``LINDBLAD_SLACK`` plus
+    r log2 n + (4r + 2r^2) / ln 2, for a channel (else NotTracePreserving) of trace residual r
+    (README); S(rho') is read from the spectrum of rho' = Phi(rho), not checked as a state."""
     validate_channel(c, tol)
     state = _state(c, rho, tol)
     s_rho = _entropy_of_spectrum(state.w)
-    s_out = von_neumann_entropy(state.output, tol)
+    s_out = _entropy_of_spectrum(np.linalg.eigvalsh(state.output))
     s_sigma = _entropy_of_spectrum(state.exchange[1])
-    slack = LINDBLAD_SLACK
+    slack = LINDBLAD_SLACK + c._trace_residual * (math.log2(c.dim) + (4 + 2 * c._trace_residual) / math.log(2))
     holds = abs(s_out - s_sigma) <= s_rho + slack and s_rho <= s_sigma + s_out + slack
     return LindbladReport(s_rho, s_out, s_sigma, holds)

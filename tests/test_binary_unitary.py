@@ -1190,35 +1190,47 @@ def test_eps_depth_closed_forms():
 
 def _assert_vertices_have_eps_depth(u):
     """Every vertex of every rank-k range of u has D <= eps_geom against u's
-    computed spectrum; returns how many vertices were checked."""
-    eigs = unitary_eigen(u).eigenvalues
+    computed spectrum, plus half the widest chord of an eigenvalue cluster
+    (0 with none), as the range is built from each cluster's mean; returns how
+    many vertices were checked."""
+    dec = unitary_eigen(u)
+    eigs = dec.eigenvalues
+    chords = [abs(eigs[c[-1]] - eigs[c[0]]) for c in dec.cluster_map if len(c) > 1]
+    bound = DEFAULT_TOL.eps_geom + max(chords, default=0.0) / 2
     checked = 0
     for k in range(1, len(eigs) + 1):
         for vertex in numerical_range(u, k).vertices:
-            assert _eps_depth(eigs, k, complex(vertex)) <= DEFAULT_TOL.eps_geom, (k, vertex)
+            assert _eps_depth(eigs, k, complex(vertex)) <= bound, (k, vertex)
             checked += 1
     return checked
 
 
 def _eps_depth_unitary(family, n, diagonal, rng):
     """U with n random phases, or n/2 random phases each with a twin 10^-7.5
-    to 10^-6.5 away, on the diagonal or in a Haar basis."""
+    to 10^-6.5 away ("twin-pairs") or 3e-10 to 9e-10 away ("clustered", which
+    eps_eig * n merges for n >= 10), on the diagonal or in a Haar basis."""
     if family == "twin-pairs":
         centres = rng.uniform(0, 2 * np.pi, n // 2)
         phases = np.concatenate([centres, centres + 10 ** rng.uniform(-7.5, -6.5, n // 2)])
+    elif family == "clustered":
+        centres = rng.uniform(0, 2 * np.pi, n // 2)
+        phases = np.concatenate([centres, centres + rng.uniform(3e-10, 9e-10, n // 2)])
     else:
         phases = rng.uniform(0, 2 * np.pi, n)
     return np.diag(np.exp(1j * phases)) if diagonal else _unitary_with_phases(phases, rng)
 
 
-@pytest.mark.parametrize("family", ("twin-pairs", "random"))
+@pytest.mark.parametrize("family", ("twin-pairs", "random", "clustered"))
 def test_reported_vertices_have_eps_depth_within_the_slack(family):
-    rng = np.random.default_rng(1900 + ["twin-pairs", "random"].index(family))
+    rng = np.random.default_rng(1900 + ["twin-pairs", "random", "clustered"].index(family))
     checked = _assert_vertices_have_eps_depth(np.diag(np.exp(1j * np.array(TWIN_PAIRS_PHASES))))
+    fewest_pairs = 5 if family == "clustered" else 2  # eps_eig * n merges 9e-10 from n = 10
     for trial in range(24):
         # Twins on every other spectrum on a diagonal U, where they stay exact.
-        diagonal = family == "twin-pairs" and trial % 2 == 1
-        u = _eps_depth_unitary(family, 2 * int(rng.integers(2, 9)), diagonal, rng)
+        diagonal = family != "random" and trial % 2 == 1
+        u = _eps_depth_unitary(family, 2 * int(rng.integers(fewest_pairs, 9)), diagonal, rng)
+        if family == "clustered":
+            assert all(len(c) == 2 for c in unitary_eigen(u).cluster_map)
         checked += _assert_vertices_have_eps_depth(u)
     assert checked > 500
 

@@ -82,7 +82,7 @@ def _count_calls(monkeypatch, module, name):
 
 def test_evaluate_instance_analyses_each_code_once(monkeypatch):
     # table1 reads code_entropy and classification for each of its three codes.
-    calls = _count_calls(monkeypatch, code_module, "kl_check")
+    calls = _count_calls(monkeypatch, code_module, "_kl_analysis")
     catalog.evaluate_instance(catalog.table1_instances())
     assert len(calls) == 3
 

@@ -128,11 +128,13 @@ DEEP_JSON = "[" * 100000 + "]" * 100000  # nested past json.load's recursion lim
     ("channel", DEEP_JSON),
     ("channel", {"dim": 1, "kraus": [{"rows": 0, "cols": 1, "data": []}]}),
     ("channel", {"dim": 1, "kraus": []}),
+    ("channel", {"dim": 2, "kraus": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}),
+    ("code", {"dim": 8, "basis": [{"dim": 4, "data": [[1, 0]] + [[0, 0]] * 3}]}),
 ], ids=["kraus-not-a-list", "data-not-a-list", "null-component",
         "basis-not-a-list", "vector-data-not-a-list", "matrix-rows-infinite",
         "matrix-cols-fractional", "channel-dim-infinite", "component-too-large",
         "code-dim-infinite", "vector-dim-infinite", "nested-too-deeply",
-        "matrix-rows-zero", "kraus-empty"])
+        "matrix-rows-zero", "kraus-empty", "channel-dim-mismatch", "vector-dim-mismatch"])
 def test_malformed_json_gives_one_error_line(files, tmp_path, capsys, command, obj):
     bad = tmp_path / "malformed.json"
     bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))

@@ -2,6 +2,8 @@
 code space: the exchange state from the compressions E_i B, and the
 trace-preservation residual of a built recovery in the (rk) x (rk) space."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,26 @@ def test_one_analysis_serves_the_whole_chain(monkeypatch):
     assert len(calls) == 1
     # The Kraus Gram is formed once per channel and shared.
     assert choi_gram(chan).matrix is choi_gram(chan).matrix is chan._kraus_gram
+
+
+def test_one_choi_rank_per_analysis(monkeypatch):
+    # kl_check, classify_code and rank_bound_check read the Choi rank from the
+    # one analysis of each (channel, code, tolerances): one rank count of the
+    # Kraus Gram each, and no ChoiGram.
+    channel_module = importlib.import_module("qecentropy.channel")
+    counts = []
+    for module in (code_module, channel_module):
+        def counting(w, tol, what, rank=module._psd_rank):
+            counts.append(what)
+            return rank(w, tol, what)
+        monkeypatch.setattr(module, "_psd_rank", counting)
+    monkeypatch.setattr(channel_module, "ChoiGram", lambda *args: pytest.fail("a ChoiGram was built"))
+    code_module._code_memo.last = None
+    chan, code = _block_code(2, 3, np.random.default_rng(5))
+    for tol in (DEFAULT_TOL, TINY_RANK, DEFAULT_TOL):
+        assert kl_check(chan, code, tol)[0].rank == classify_code(chan, code, tol).choi_rank == 3
+        assert rank_bound_check(chan, code, tol)
+    assert counts.count("Kraus Gram matrix") == 3
 
 
 def test_memo_follows_the_code_and_the_tolerances():

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from qecentropy import classify_code, code_subspace, pauli_channel
 from qecentropy.channel import QuantumChannel, apply_channel, canonical_kraus, channel, remix_kraus
 from qecentropy.code import CodeSubspace
-from qecentropy.entropy import exchange_matrix
+from qecentropy.entropy import exchange_matrix, von_neumann_entropy
 from qecentropy.numerics import as_matrix, unitary_eigen
 
 _CHANNEL = channel([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.diag([1.0, -1.0])])
@@ -37,6 +37,8 @@ _ENTRY_POINTS = {
                        and a.shape[1] == a.shape[2] >= 1 and c.kraus is a),
     "QuantumChannel(list)": (lambda a: QuantumChannel(a.tolist()), None),
     "channel": (lambda a: channel(_items(a)), lambda c, a: c.kraus.shape == a.shape),
+    # Two operators, the second of a's shape: one square shape, or ValueError.
+    "channel(two operators)": (lambda a: channel([np.eye(2), a]), lambda c, a: a.shape == (2, 2)),
     "CodeSubspace": (CodeSubspace, lambda code, a: a.ndim == 2 and 1 <= a.shape[1] <= a.shape[0]),
     "CodeSubspace(list)": (lambda a: CodeSubspace(a.tolist()), None),
     "code_subspace": (lambda a: code_subspace(_items(a)), lambda code, a: 1 <= code.k <= code.ambient_dim),
@@ -44,6 +46,7 @@ _ENTRY_POINTS = {
     "exchange_matrix": (lambda a: exchange_matrix(_CHANNEL, a), lambda out, a: a.shape == (2, 2)),
     "remix_kraus": (lambda a: remix_kraus(_CHANNEL, a), lambda c, a: a.shape == (2, 2)),
     "unitary_eigen": (unitary_eigen, lambda dec, a: a.ndim == 2 and a.shape[0] == a.shape[1]),
+    "von_neumann_entropy": (von_neumann_entropy, lambda s, a: a.ndim == 2 and a.shape[0] == a.shape[1] >= 1),
 }
 
 

@@ -420,7 +420,7 @@ def _grouping_reference(u, k, lam, tol=DEFAULT_TOL):
 
 
 def _kl_reference(c, code, tol=DEFAULT_TOL):
-    """_kl_analysis with the threshold read from a whole ChoiGram."""
+    """_kl_analysis with the threshold and the Choi rank read from a whole ChoiGram."""
     validate_channel(c, tol)
     m, n, k = c.num_kraus, code.ambient_dim, code.k
     compressed = c.kraus @ code.basis
@@ -428,13 +428,14 @@ def _kl_reference(c, code, tol=DEFAULT_TOL):
     t = (dag(cols) @ cols).reshape(m, k, m, k)
     lam = np.einsum("iaja->ij", t) / k
     residual = _frobenius_reference(t - lam[:, None, :, None] * np.eye(k)[:, None])
-    threshold = tol.eps_kl * max(1.0, float(choi_gram(c, tol).weights[-1]))
+    gram = choi_gram(c, tol)
+    threshold = tol.eps_kl * max(1.0, float(gram.weights[-1]))
     if residual > threshold:
         raise NotCorrectable(residual, threshold)
     lam = (lam + dag(lam)) / 2
     w, vectors = np.linalg.eigh(lam)
     rank = numerics._psd_rank(w, tol, "error correction matrix")
-    return compressed, lam, np.clip(w, 0.0, None), vectors, rank, residual, threshold
+    return compressed, lam, np.clip(w, 0.0, None), vectors, rank, residual, threshold, gram.choi_rank
 
 
 def _extremal_reference(region):
@@ -469,13 +470,14 @@ def _assert_same_kl(c, code):
     if isinstance(want[0], str):
         assert got == want
         return
-    compressed, lam, residual, threshold = got
+    compressed, lam, residual, threshold, choi_rank = got
     assert compressed.tobytes() == want[0].tobytes()
     assert lam.matrix.tobytes() == want[1].tobytes()
     assert lam.spectrum.tobytes() == want[2].tobytes()
     assert lam.vectors.tobytes() == want[3].tobytes()
     assert lam.rank == want[4]
     assert (residual.hex(), threshold.hex()) == (want[5].hex(), want[6].hex())
+    assert choi_rank == want[7]
 
 
 def _assert_same_grouping(u, k, lam, c):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qecentropy import entropy
 from qecentropy.channel import (
     _SYRK_MIN_DIM,
+    apply_channel,
     canonical_kraus,
     channel,
     choi_gram,
@@ -19,6 +20,8 @@ from qecentropy.channel import (
 )
 from qecentropy.code import classify_code, code_subspace, kl_check, rank_bound_check
 from qecentropy.entropy import (
+    LINDBLAD_SLACK,
+    _entropy_of_spectrum,
     _exchange,
     check_lindblad_bounds,
     entropy_exchange,
@@ -91,6 +94,7 @@ def test_trace_preservation_verdict_just_across_the_threshold(n, m):
     # sum_i E_i^dag E_i = (1 + t) I has residual |t| sqrt(n); scale a TP family
     # so that it lies 0.1 % either side of eps_kl * n.
     base = random_channel(n, m, np.random.default_rng(n + m))
+    rho = random_density(n, np.random.default_rng(100 + n + m))
     limit = DEFAULT_TOL.eps_kl * n
     for sign in (-1, 1):
         for side in (0.999, 1.001):
@@ -99,9 +103,49 @@ def test_trace_preservation_verdict_just_across_the_threshold(n, m):
             assert (c._trace_residual <= limit) == (_reference_residual(c) <= limit) == (side < 1)
             if side < 1:
                 validate_channel(c)
+                # An accepted channel's output, of trace 1 + t, is not refused as a state.
+                report = check_lindblad_bounds(c, rho)
+                assert report.holds is True
+                assert report.S_rho_prime == _entropy_of_spectrum(np.linalg.eigvalsh(apply_channel(c, rho)))
             else:
                 with pytest.raises(NotTracePreserving):
                     validate_channel(c)
+                with pytest.raises(NotTracePreserving):
+                    check_lindblad_bounds(c, rho)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_lindblad_slack_covers_what_the_trace_verdict_admits(n):
+    # E = diag(sqrt(1 + x)) with sum_i rho_ii x_i = 0: Phi(rho) keeps unit trace,
+    # yet its entropy moves by -sum_i rho_ii x_i log2 rho_ii, past LINDBLAD_SLACK
+    # (the dilation no longer keeps rho's purification).  At 0.999 of the trace
+    # threshold the channel is accepted, and the bounds must hold.
+    w = np.exp(-np.linspace(0, 4, n))
+    w /= w.sum()
+    x = w * np.log2(w)
+    x -= (x @ w) / (w @ w) * w
+    x *= -0.999 * DEFAULT_TOL.eps_kl * n / np.linalg.norm(x)
+    c = channel([np.diag(np.sqrt(1 + x))])
+    validate_channel(c)
+    report = check_lindblad_bounds(c, np.diag(w))
+    assert abs(np.trace(apply_channel(c, np.diag(w))) - 1) <= 1e-15
+    assert report.S_rho_prime - report.S_sigma - report.S_rho > LINDBLAD_SLACK
+    assert report.holds is True
+    # Random families under a coarse eps_kl, where that shift dwarfs the
+    # rounding: an accepted family's bounds hold, a refused one raises.
+    rng = np.random.default_rng(n)
+    tol = ToleranceConfig(eps_kl=1e-3)
+    for _ in range(10):
+        base = random_channel(n, int(rng.integers(1, 4)), rng)
+        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = (h + dag(h)) * (10 ** rng.uniform(-4, -1) / frobenius(h + dag(h)))
+        c = channel(base.kraus @ dag(np.linalg.cholesky(np.eye(n) + h)))  # sum E^dag E = I + h
+        rho = random_density(n, rng)
+        if frobenius(h) <= tol.eps_kl * n:
+            assert check_lindblad_bounds(c, rho, tol).holds is True
+        else:
+            with pytest.raises(NotTracePreserving):
+                check_lindblad_bounds(c, rho, tol)
 
 
 def test_one_gram_eigensolve_per_channel(monkeypatch):
